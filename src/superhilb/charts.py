@@ -8,7 +8,9 @@ in opposite affine patches (with the diagonal removed).  Transitions
 into the canonical charts are computed by moving point factors across
 the patches, multiplying the ideals and canonicalizing; transitions into
 the product charts are the exact inverses of those maps, and carry
-denominators supported on the removed loci.
+denominators supported on the removed loci.  Canonicalization reduces
+modulo the monicized generator pair with the normal form of
+`superhilb.ideals`; ideal equality is certified by zero remainders.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from .errors import (
     NotCanonicalizable,
     ParityMismatch,
 )
-from .ideals import _canonical_from_raw_coeffs, super_divmod
+from .ideals import (_canonical_from_raw_coeffs, _normal_form, canonical_pair,
+                     super_divmod)
 from .localized import LocalizedPoly
 from .ring import Parity, SuperMonomial, SuperPoly, VarSymbol, even, invert, odd
 
 V = SuperPoly.var
-
-_REDUCE_LIMIT = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +67,12 @@ class TransitionMap:
         for coord in self.target.coordinates:
             if coord not in self.rules:
                 raise ChartMismatch(f"missing rule for {coord.name}")
-        for coord, value in self.rules.items():
-            value = LocalizedPoly.promote(value).simplified()
-            self.rules[coord] = value
+        rules = {
+            coord: LocalizedPoly.promote(value).simplified()
+            for coord, value in self.rules.items()
+        }
+        object.__setattr__(self, "rules", rules)
+        for coord, value in rules.items():
             if value.is_zero():
                 continue
             want = "even" if coord.parity is Parity.EVEN else "odd"
@@ -303,34 +307,6 @@ def _leading_unit(by_degree):
     return deg, lead_inv
 
 
-def _pair_reduce(target, f_hat, g_hat, w, tp, d_f, d_g):
-    """Reduce target modulo the monicized pair: theta-terms of w-degree
-    >= d_g fall to g_hat, even terms of w-degree >= d_f fall to f_hat."""
-    rem = target
-    for _ in range(_REDUCE_LIMIT):
-        cmap = rem.as_coeff_map({w, tp})
-        worst = None
-        for mono, coeff in cmap.items():
-            e = mono.exponent(w)
-            has_t = mono.exponent(tp) == 1
-            if has_t and e >= d_g:
-                weight = e + (d_f - d_g)
-            elif not has_t and e >= d_f:
-                weight = e
-            else:
-                continue
-            if worst is None or weight > worst[0]:
-                worst = (weight, e, has_t, coeff)
-        if worst is None:
-            return rem
-        _, e, has_t, coeff = worst
-        if has_t:
-            rem = rem - coeff * V(w, e - d_g) * g_hat
-        else:
-            rem = rem - coeff * V(w, e - d_f) * f_hat
-    raise NotCanonicalizable("pair reduction failed to terminate")
-
-
 def _clear_laurent(poly: SuperPoly, w: VarSymbol) -> SuperPoly:
     low = poly.min_degree_in(w)
     if low is None or low >= 0:
@@ -372,27 +348,15 @@ def canonicalize(ideal: IdealOnChart, p: int, q: int, amb: Ambient):
         raise NotCanonicalizable(f"odd generator has rank {d_g}, expected {q}")
     g_hat = g_lead_inv * g_in
 
-    red_x = _pair_reduce(V(w, p), f_hat, g_hat, w, tp, p, q)
-    red_t = _pair_reduce(V(w, q) * V(tp), f_hat, g_hat, w, tp, p, q)
-
-    rx = red_x.as_coeff_map({w, tp})
-    a_t = [SuperPoly.zero()] * p
-    alpha_t = [SuperPoly.zero()] * q
-    for mono, coeff in rx.items():
-        e = mono.exponent(w)
-        if mono.exponent(tp):
-            alpha_t[e] = -coeff
-        else:
-            a_t[e] = -coeff
-    rt = red_t.as_coeff_map({w, tp})
-    b_t = [SuperPoly.zero()] * q
-    beta_t = [SuperPoly.zero()] * p
-    for mono, coeff in rt.items():
-        e = mono.exponent(w)
-        if mono.exponent(tp):
-            b_t[e] = -coeff
-        else:
-            beta_t[e] = -coeff
+    # f_hat is even and g_hat odd, so every term above a lead has an odd
+    # coefficient and the normal form's termination check always passes.
+    red_x, _ = _normal_form(V(w, p), w, f_hat, p, g_hat, tp, q)
+    red_t, _ = _normal_form(V(w, q) * V(tp), w, f_hat, p, g_hat, tp, q)
+    zero = SuperPoly.zero()
+    a_t = [-red_x.get((e, 0), zero) for e in range(p)]
+    alpha_t = [-red_x.get((e, 1), zero) for e in range(q)]
+    b_t = [-red_t.get((e, 1), zero) for e in range(q)]
+    beta_t = [-red_t.get((e, 0), zero) for e in range(p)]
 
     a_v, b_v, alpha_v, beta_v, c_v, gamma_v = _canonical_from_raw_coeffs(
         p, q, w, tp, a_t, b_t, alpha_t, beta_t
@@ -403,15 +367,13 @@ def canonicalize(ideal: IdealOnChart, p: int, q: int, amb: Ambient):
         raise NotCanonicalizable("nonzero stratification residue: the family "
                                  "is not flat of this rank")
 
-    from .ideals import canonical_pair
-
     f_can, g_can = canonical_pair(p, q, w, tp, a_v, b_v, alpha_v, beta_v)
     for gen in (f_in, g_in):
-        if not _pair_reduce(gen, f_can, g_can, w, tp, p, q).is_zero():
+        if _normal_form(gen, w, f_can, p, g_can, tp, q)[0]:
             raise NotCanonicalizable("input generator escapes the canonical "
                                      "ideal")
     for gen in (f_can, g_can):
-        if not _pair_reduce(gen, f_hat, g_hat, w, tp, d_f, d_g).is_zero():
+        if _normal_form(gen, w, f_hat, p, g_hat, tp, q)[0]:
             raise NotCanonicalizable("canonical generator escapes the input "
                                      "ideal")
 

@@ -190,28 +190,22 @@ def cmd_transition(args) -> int:
 # split-check
 
 
-def _parse_k_range(args):
-    if args.k is not None:
-        return [args.k]
-    lo, _, hi = args.k_range.partition("..")
-    return list(range(int(lo), int(hi) + 1))
-
-
 def cmd_split_check(args) -> int:
-    ks = _parse_k_range(args)
+    ks = [args.k] if args.k is not None else args.k_range
     reports = []
     for k in sorted(ks):
         if args.target == "hilb11":
             verdict = split_check_11(k)
         else:
-            verdict = is_coboundary(k)
+            atlas = hilb21_atlas(k)
+            verdict = is_coboundary(k, atlas)
             if args.degree_bound is not None:
                 from .obstruction import (
                     build_coboundary_system,
                     solve_laurent_system,
                 )
 
-                system = build_coboundary_system(k, args.degree_bound)
+                system = build_coboundary_system(k, args.degree_bound, atlas)
                 solvable = solve_laurent_system(system) is not None
                 verdict.notes.append(
                     f"three-overlap solver at bound {args.degree_bound}: "
@@ -251,6 +245,19 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
+
+
+def _k_range(text: str) -> list:
+    lo, _, hi = text.partition("..")
+    try:
+        ks = list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        ks = []
+    if not ks:
+        raise argparse.ArgumentTypeError(
+            f"expected A..B with integers A <= B, got {text!r}"
+        )
+    return ks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -314,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     group = p_split.add_mutually_exclusive_group(required=True)
     group.add_argument("--k", type=int)
-    group.add_argument("--k-range", metavar="A..B")
+    group.add_argument("--k-range", type=_k_range, metavar="A..B")
     p_split.add_argument(
         "--degree-bound", type=_nonnegative_int, default=None,
         help="extra truncation bound for the coboundary solver",

@@ -12,6 +12,10 @@ alpha_i x^i (i < p-q) odd, B = sum beta_i x^i (i < q) odd.  The raw
 presentation (general coefficients on x^i and x^i*theta) reduces to this
 shape plus residual terms sum c_i x^i and sum gamma_i x^i; the residuals
 cut out the locus where the family really is flat of rank (p|q).
+
+Long division, basis reduction and the pair reduction behind chart
+canonicalization all run through one normal-form sweep, `_normal_form`,
+which terminates for every input degree without a step cap.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 
 from .errors import NonMonicDivisor, RankOrderViolation
 from .ring import SuperMonomial, SuperPoly, VarSymbol, even, odd
-
-_REDUCE_LIMIT = 2000
 
 
 def _check_rank(p: int, q: int):
@@ -49,7 +51,96 @@ def coeff_list(poly: SuperPoly, x: VarSymbol, length: int):
 
 
 # ---------------------------------------------------------------------------
-# Long division
+# Normal form modulo monic generators
+
+
+def _split(poly: SuperPoly, split_vars, x, theta):
+    """{(x-degree, theta-exponent, odd degree of the term): coefficient}."""
+    out = {}
+    for mono, coeff in poly.as_coeff_map(split_vars).items():
+        e, eps = mono.exponent(x), mono.exponent(theta)
+        for m, c in coeff.terms.items():
+            out.setdefault((e, eps, len(m.odds)), {})[m] = c
+    return {key: SuperPoly(terms) for key, terms in out.items()}
+
+
+def _merge_levels(buckets):
+    """{(e, eps, d): c} -> {(e, eps): sum over d}; the parts share no term."""
+    out = {}
+    for (e, eps, _), coeff in buckets.items():
+        out.setdefault((e, eps), {}).update(coeff.terms)
+    return {key: SuperPoly(terms) for key, terms in out.items()}
+
+
+def _join(buckets, x, theta) -> SuperPoly:
+    """The sum of coeff * x^e theta^eps over {(e, eps): coeff}."""
+    terms = {}
+    for (e, eps), coeff in buckets.items():
+        sub = SuperMonomial.make({x: e, theta: 1} if eps else {x: e})
+        terms.update((coeff * SuperPoly({sub: 1})).terms)
+    return SuperPoly(terms)
+
+
+def _normal_form(dividend: SuperPoly, x: VarSymbol, f: SuperPoly, p: int,
+                 g: SuperPoly | None = None, theta: VarSymbol | None = None,
+                 q: int = 0):
+    """Normal form of dividend modulo f (lead x^p) alone, or modulo the
+    pair f (lead x^p) and g (lead x^q theta).
+
+    Returns ({(e, eps): c}, cofactors) with one cofactor per generator and
+    dividend = sum(c * x^e theta^eps) + sum(cofactor * generator).  With
+    f alone the split is on x only and theta stays in the coefficients.
+
+    Buckets (e, eps, d), d the odd degree of a coefficient term, rank by
+    (-d, e + eps*(p - q), 1 - eps).  The sweep takes d = 0, 1, ... in turn
+    and the weights from the top down to p, clearing each reducible bucket
+    with one multiple c*x^s of its generator.  No step cap is needed:
+    every non-leading bucket of a generator must rank below its lead
+    (NonMonicDivisor otherwise; d >= 1 always does, as products add odd
+    degrees), so a multiple writes only into buckets ranked below the one
+    it clears, each bucket is cleared once, and d is bounded by the
+    number of odd variables.
+    """
+    split = {x} if g is None else {x, theta}
+    gens = []
+    for gen, (lead_e, lead_eps) in ((f, (p, 0)), (g, (q, 1))):
+        if gen is None:
+            continue
+        tail = _split(gen, split, x, theta)
+        if tail.pop((lead_e, lead_eps, 0), None) != SuperPoly.one():
+            raise NonMonicDivisor("leading coefficient is not 1")
+        lead_rank = (p, 1 - lead_eps)
+        if any(e < 0 or (d == 0 and (e + eps * (p - q), 1 - eps) >= lead_rank)
+               for e, eps, d in tail):
+            raise NonMonicDivisor("a non-leading term outranks the lead")
+        gens.append((lead_eps, tail.items(), {}))
+    rem = _split(dividend, split, x, theta)
+    if any(e < 0 for e, _, _ in rem):
+        raise NonMonicDivisor("dividend has negative x-powers")
+
+    level = 0
+    while any(d >= level for _, _, d in rem):
+        top = max((e + eps * (p - q) for e, eps, d in rem if d == level),
+                  default=p)
+        for weight in range(top, p - 1, -1):
+            s = weight - p  # the shift x^s is the same for both generators
+            for eps, tail, quotient in gens:
+                c = rem.pop((weight - eps * (p - q), eps, level), None)
+                if c is None:
+                    continue
+                quotient[(s, 0, level)] = c
+                for (e, eps2, d), coeff in tail:
+                    key = (s + e, eps2, level + d)
+                    value = rem.get(key, SuperPoly.zero()) - c * coeff
+                    if value.is_zero():
+                        rem.pop(key, None)
+                    else:
+                        rem[key] = value
+        level += 1
+
+    return _merge_levels(rem), [
+        _join(_merge_levels(quotient), x, theta) for _, _, quotient in gens
+    ]
 
 
 def super_divmod(dividend: SuperPoly, divisor: SuperPoly, x: VarSymbol,
@@ -57,40 +148,13 @@ def super_divmod(dividend: SuperPoly, divisor: SuperPoly, x: VarSymbol,
     """Divide by a divisor monic in x whose coefficients are free of x
     (and of theta when given).  Returns (quotient, remainder) with the
     remainder of x-degree strictly below the divisor's."""
-    dmap = divisor.as_coeff_map({x})
-    if not dmap:
+    deg = divisor.degree_in(x)
+    if deg is None:
         raise NonMonicDivisor("divisor is zero")
-    deg = max(m.exponent(x) for m in dmap)
-    if min(m.exponent(x) for m in dmap) < 0:
-        raise NonMonicDivisor("divisor has negative x-powers")
-    lead = dmap.get(SuperMonomial.make({x: deg}))
-    if lead != SuperPoly.one():
-        raise NonMonicDivisor("leading x-coefficient is not 1")
-    if theta is not None:
-        for coeff in dmap.values():
-            if any(v == theta for v in coeff.variables()):
-                raise NonMonicDivisor("divisor coefficients involve theta")
-    if (dividend.min_degree_in(x) or 0) < 0:
-        raise NonMonicDivisor("dividend has negative x-powers")
-
-    quotient = SuperPoly.zero()
-    rem = dividend
-    for _ in range(_REDUCE_LIMIT):
-        rmap = rem.as_coeff_map({x})
-        top = None
-        for mono, coeff in rmap.items():
-            e = mono.exponent(x)
-            if e >= deg and (top is None or e > top[0]):
-                top = (e, coeff)
-        if top is None:
-            break
-        e, coeff = top
-        step = coeff * SuperPoly.var(x, e - deg)
-        quotient = quotient + step
-        rem = rem - step * divisor
-    else:
-        raise AssertionError("long division failed to terminate")
-    return quotient, rem
+    if theta is not None and theta in divisor.variables():
+        raise NonMonicDivisor("divisor coefficients involve theta")
+    rem, (quotient,) = _normal_form(dividend, x, divisor, deg)
+    return quotient, _join(rem, x, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -228,49 +292,13 @@ def reduce_to_basis(poly: SuperPoly, ideal: CanonicalIdeal) -> BasisVector:
     satisfy poly = sum(evens_i x^i) + sum(odds_j x^j theta)
     + cofactor_f * f + cofactor_g * g exactly.
     """
-    x, theta = ideal.x, ideal.theta
     p, q = ideal.p, ideal.q
-    u = SuperPoly.zero()
-    v = SuperPoly.zero()
-    rem = poly
-    for _ in range(_REDUCE_LIMIT):
-        cmap = rem.as_coeff_map({x, theta})
-        worst = None
-        for mono, coeff in cmap.items():
-            e = mono.exponent(x)
-            has_theta = mono.exponent(theta) == 1
-            if has_theta and e >= q:
-                weight = e + (p - q)
-            elif not has_theta and e >= p:
-                weight = e
-            else:
-                continue
-            if worst is None or weight > worst[0]:
-                worst = (weight, e, has_theta, coeff)
-        if worst is None:
-            break
-        _, e, has_theta, coeff = worst
-        if has_theta:
-            step = coeff * SuperPoly.var(x, e - q)
-            v = v + step
-            rem = rem - step * ideal.g
-        else:
-            step = coeff * SuperPoly.var(x, e - p)
-            u = u + step
-            rem = rem - step * ideal.f
-    else:
-        raise AssertionError("basis reduction failed to terminate")
-
-    cmap = rem.as_coeff_map({x, theta})
-    evens = [SuperPoly.zero()] * p
-    odds = [SuperPoly.zero()] * q
-    for mono, coeff in cmap.items():
-        e = mono.exponent(x)
-        if mono.exponent(theta):
-            odds[e] = coeff
-        else:
-            evens[e] = coeff
-    return BasisVector(tuple(evens), tuple(odds), u, v)
+    rem, (u, v) = _normal_form(poly, ideal.x, ideal.f, p, ideal.g,
+                               ideal.theta, q)
+    zero = SuperPoly.zero()
+    evens = tuple(rem.get((i, 0), zero) for i in range(p))
+    odds = tuple(rem.get((j, 1), zero) for j in range(q))
+    return BasisVector(evens, odds, u, v)
 
 
 def basis_expansion(vec: BasisVector, ideal: CanonicalIdeal) -> SuperPoly:
@@ -461,14 +489,8 @@ def kernel_witnesses(p: int, q: int, tag: str = ""):
         raise RankOrderViolation("kernel witnesses need q >= 1")
     ch = raw_to_canonical(p, q, tag)
     x, theta = ch.x, ch.theta
-    a_p = sum(
-        (SuperPoly.var(s) * SuperPoly.var(x, i) for i, s in enumerate(ch.a)),
-        SuperPoly.zero(),
-    )
-    alpha_p = sum(
-        (SuperPoly.var(s) * SuperPoly.var(x, i) for i, s in enumerate(ch.alpha)),
-        SuperPoly.zero(),
-    )
+    a_p = _poly_from_coeffs([SuperPoly.var(s) for s in ch.a], x)
+    alpha_p = _poly_from_coeffs([SuperPoly.var(s) for s in ch.alpha], x)
     f_full = ch.f_canonical + ch.c_poly
     g_full = ch.g_canonical + ch.gamma_poly
     theta_a = SuperPoly.var(theta) + alpha_p
@@ -483,26 +505,13 @@ def kernel_witnesses(p: int, q: int, tag: str = ""):
         p, q, x, theta, ch.a, ch.b, ch.alpha, ch.beta,
         ch.f_canonical, ch.g_canonical,
     )
-    h_vec = _expansion_to_vector(h_expansion, ideal)
-    k_vec = _expansion_to_vector(k_expansion, ideal)
-    return h_vec, k_vec
-
-
-def _expansion_to_vector(expansion: SuperPoly, ideal: CanonicalIdeal):
-    cmap = expansion.as_coeff_map({ideal.x, ideal.theta})
-    evens = [SuperPoly.zero()] * ideal.p
-    odds = [SuperPoly.zero()] * ideal.q
-    for mono, coeff in cmap.items():
-        e = mono.exponent(ideal.x)
-        if mono.exponent(ideal.theta):
-            assert e < ideal.q, "witness leaves the basis span"
-            odds[e] = coeff
-        else:
-            assert e < ideal.p, "witness leaves the basis span"
-            evens[e] = coeff
-    return BasisVector(
-        tuple(evens), tuple(odds), SuperPoly.zero(), SuperPoly.zero()
-    )
+    vecs = (reduce_to_basis(h_expansion, ideal),
+            reduce_to_basis(k_expansion, ideal))
+    for vec in vecs:
+        assert vec.cofactor_f.is_zero() and vec.cofactor_g.is_zero(), (
+            "witness leaves the basis span"
+        )
+    return vecs
 
 
 def _in_variable_ideal(poly: SuperPoly, generators) -> bool:

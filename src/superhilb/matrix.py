@@ -124,18 +124,17 @@ def _lists_neg(a):
     return [[-x for x in row] for row in a]
 
 
-def numeric_reduction(block):
-    """The block with all odd-variable terms killed, as rational numbers.
+def _numeric(rows):
+    """The entries with all odd-variable terms killed, as rationals.
 
     Raises SingularReduction when an entry's reduction is not constant.
     """
     out = []
-    for row in block:
+    for row in rows:
         out_row = []
         for entry in row:
-            body = entry.bosonic()
             try:
-                out_row.append(body.as_constant())
+                out_row.append(entry.bosonic().as_constant())
             except ValueError:
                 raise SingularReduction(
                     "numeric reduction is not a rational matrix"
@@ -214,7 +213,7 @@ def _even_block_inverse(block):
     n = len(block)
     if n == 0:
         return []
-    reduction = numeric_reduction(block)
+    reduction = _numeric(block)
     if bareiss_determinant(reduction) == 0:
         raise SingularReduction("numeric reduction is singular")
     a0_inv_rat = rational_inverse(reduction)
@@ -273,16 +272,4 @@ def left_inverse(m: SuperMatrix) -> SuperMatrix:
 
 def reduce_mod_odd(m: SuperMatrix):
     """Kill every odd-containing term; returns rational (p+q)x(p+q) lists."""
-    out = []
-    for i in range(m.size):
-        row = []
-        for j in range(m.size):
-            body = m.rows[i][j].bosonic()
-            try:
-                row.append(body.as_constant())
-            except ValueError:
-                raise SingularReduction(
-                    "numeric reduction is not a rational matrix"
-                ) from None
-        out.append(row)
-    return out
+    return _numeric(m.rows)

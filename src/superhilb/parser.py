@@ -16,6 +16,7 @@ forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import takewhile
 
 from .errors import (
     DuplicateVariable,
@@ -185,12 +186,11 @@ def _parse_expr(stream, depth):
     if depth > _MAX_DEPTH:
         tok = stream.peek()
         raise ExprSyntaxError("expression nested too deeply", tok.line, tok.column)
-    node = _parse_term(stream, depth + 1)
+    items = [("+", _parse_term(stream, depth + 1))]
     while stream.peek().kind in ("+", "-"):
         op = stream.next().kind
-        rhs = _parse_term(stream, depth + 1)
-        node = (op, node, rhs)
-    return node
+        items.append((op, _parse_term(stream, depth + 1)))
+    return items[0][1] if len(items) == 1 else ("sum", items)
 
 
 def _parse_term(stream, depth):
@@ -263,6 +263,25 @@ def _parse_to_ast(text: str):
     return node
 
 
+def _add_all(polys) -> SuperPoly:
+    """Sum in one pass over the terms, in time linear in their number."""
+    out = {}
+    for poly in polys:
+        for mono, coeff in poly.terms.items():
+            out[mono] = out.get(mono, 0) + coeff
+    return SuperPoly(out)
+
+
+def _var_power(node, ring: RingDecl):
+    """A power of an even variable as one monomial, when it is one."""
+    if node[1][0] != "var":
+        return None
+    var, n = ring.lookup(node[1][1]), node[2]
+    if var.parity is Parity.EVEN and (n >= 0 or var.invertible):
+        return SuperPoly.var(var, n)
+    return None
+
+
 def _eval_poly(node, ring: RingDecl) -> SuperPoly:
     kind = node[0]
     if kind == "rat":
@@ -271,13 +290,15 @@ def _eval_poly(node, ring: RingDecl) -> SuperPoly:
         return SuperPoly.var(ring.lookup(node[1]))
     if kind == "neg":
         return -_eval_poly(node[1], ring)
-    if kind == "+":
-        return _eval_poly(node[1], ring) + _eval_poly(node[2], ring)
-    if kind == "-":
-        return _eval_poly(node[1], ring) - _eval_poly(node[2], ring)
+    if kind == "sum":
+        return _add_all(_eval_poly(sub, ring) if op == "+"
+                        else -_eval_poly(sub, ring) for op, sub in node[1])
     if kind == "*":
         return _eval_poly(node[1], ring) * _eval_poly(node[2], ring)
     if kind == "^":
+        power = _var_power(node, ring)
+        if power is not None:
+            return power
         base = _eval_poly(node[1], ring)
         n = node[2]
         if n >= 0:
@@ -297,13 +318,22 @@ def _eval_localized(node, ring: RingDecl) -> LocalizedPoly:
         return LocalizedPoly(SuperPoly.var(ring.lookup(node[1])))
     if kind == "neg":
         return -_eval_localized(node[1], ring)
-    if kind == "+":
-        return _eval_localized(node[1], ring) + _eval_localized(node[2], ring)
-    if kind == "-":
-        return _eval_localized(node[1], ring) - _eval_localized(node[2], ring)
+    if kind == "sum":
+        terms = [-_eval_localized(sub, ring) if op == "-"
+                 else _eval_localized(sub, ring) for op, sub in node[1]]
+        # Left to right, as the sum reads; the polynomial terms before the
+        # first fraction are added in one pass.
+        head = [t.num for t in takewhile(LocalizedPoly.is_polynomial, terms)]
+        acc = LocalizedPoly(_add_all(head)) if head else terms[0]
+        for term in terms[max(len(head), 1):]:
+            acc = acc + term
+        return acc
     if kind == "*":
         return _eval_localized(node[1], ring) * _eval_localized(node[2], ring)
     if kind == "^":
+        power = _var_power(node, ring)
+        if power is not None:
+            return LocalizedPoly(power)
         return _eval_localized(node[1], ring) ** node[2]
     raise AssertionError(f"bad AST node {node!r}")
 

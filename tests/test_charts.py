@@ -285,6 +285,20 @@ class TestHilb21Atlas:
         assert not rule.is_polynomial()
 
 
+class TestTransitionMap:
+    def test_rules_argument_left_unchanged(self):
+        s = even("srule", invertible=True)
+        t = even("trule", invertible=True)
+        source = SuperChart("S", (s,), ())
+        target = SuperChart("T", (t,), ())
+        value = V(s, -1)
+        rules = {t: value}
+        tmap = TransitionMap(target=target, source=source, rules=rules)
+        assert rules == {t: value} and rules[t] is value
+        assert tmap.rules is not rules
+        assert tmap.rule(t) == LocalizedPoly(value)
+
+
 class TestInvertTransition:
     def test_small_two_odd_map(self):
         s1 = even("s1i", invertible=True)

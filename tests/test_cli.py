@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from superhilb import charts, cli
 from superhilb.cli import main
 
 
@@ -45,6 +48,14 @@ class TestReduce:
     def test_rank_violation_exit_3(self, capsys):
         code, _, _ = run(capsys, "reduce", "--p", "1", "--q", "2", "x")
         assert code == 3
+
+    def test_power_beyond_old_step_cap(self, capsys):
+        code, out, _ = run(
+            capsys, "--format", "json", "reduce", "--p", "1", "--q", "0",
+            "x^3000",
+        )
+        assert code == 0
+        assert json.loads(out)["evens"] == ["a0^3000"]
 
     def test_set_parameter(self, capsys):
         code, out, _ = run(
@@ -169,3 +180,27 @@ class TestSplitCheck:
         assert code == 0
         ks = [json.loads(ln)["k"] for ln in out.strip().splitlines()]
         assert ks == [-1, 0, 1]
+
+    def test_degree_bound_builds_the_atlas_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting_atlas(k):
+            built.append(k)
+            return charts.hilb21_atlas(k)
+
+        monkeypatch.setattr(cli, "hilb21_atlas", counting_atlas)
+        monkeypatch.setattr("superhilb.obstruction.hilb21_atlas",
+                            counting_atlas)
+        code, _, _ = run(
+            capsys, "--format", "json", "split-check", "--target", "hilb21",
+            "--k", "1", "--degree-bound", "3",
+        )
+        assert code == 0
+        assert built == [1]
+
+    @pytest.mark.parametrize("k_range", ["3..x", "5..1", "3"])
+    def test_bad_k_range_exit_2(self, capsys, k_range):
+        with pytest.raises(SystemExit) as exc:
+            main(["split-check", "--target", "hilb11", f"--k-range={k_range}"])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -69,6 +69,13 @@ class TestSuperDivmod:
         with pytest.raises(NonMonicDivisor):
             super_divmod(V(x), V(x) + V(theta), x, theta)
 
+    def test_degree_far_beyond_divisor(self):
+        x = self.x
+        quo, rem = super_divmod(V(x, 3000), V(x) - 1, x, self.theta)
+        assert rem == 1
+        assert len(quo.terms) == 3000
+        assert (V(x) - 1) * quo + rem == V(x, 3000)
+
 
 class TestRawToCanonical:
     def test_rank_one_zero(self):
@@ -112,6 +119,21 @@ class TestRawToCanonical:
 
 
 class TestReduceToBasis:
+    def test_high_power_needs_no_step_cap(self):
+        ideal = CanonicalIdeal.generic(1, 0)
+        poly = V(ideal.x, 3000)
+        vec = reduce_to_basis(poly, ideal)
+        assert vec.evens == (V(ideal.a[0], 3000),)
+        assert verify_reduction(poly, vec, ideal)
+
+    def test_generator_above_its_lead_rejected(self):
+        x, theta = even("x"), odd("theta")
+        ideal = CanonicalIdeal(
+            2, 1, x, theta, (), (), (), (), V(x, 2) + V(x, 3), V(x) * V(theta)
+        )
+        with pytest.raises(NonMonicDivisor):
+            reduce_to_basis(V(x, 5), ideal)
+
     def test_reduce_one(self):
         ideal = CanonicalIdeal.generic(2, 1)
         vec = reduce_to_basis(SuperPoly.one(), ideal)

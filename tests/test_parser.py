@@ -1,5 +1,6 @@
 import random
 import string
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from superhilb.parser import (
     pretty,
     pretty_localized,
 )
-from superhilb.ring import Parity, SuperPoly
+from superhilb.ring import Parity, SuperMonomial, SuperPoly
 
 from conftest import random_poly, standard_ring
 
@@ -131,6 +132,30 @@ class TestPretty:
         ring = parse_ring("even a1; even a2; odd alpha1; odd alpha2;")
         f = parse_localized("(alpha1*alpha2) * (a2 - a1)^-1", ring)
         assert parse_localized(pretty_localized(f), ring) == f
+
+
+class TestLongSums:
+    """Sums are read iteratively: a sum of thousands of terms parses like
+    a short one (nesting depth stays bounded by parentheses)."""
+
+    def setup_method(self):
+        self.ring = parse_ring("even u; even v inv; odd eta;")
+        u, v, eta = (self.ring.lookup(n) for n in ("u", "v", "eta"))
+        terms = {}
+        for i in range(60):
+            for j in range(-25, 25):
+                mono = SuperMonomial.make({u: i, v: j, eta: (i + j) % 2})
+                sign = -1 if j % 2 else 1
+                terms[mono] = Fraction(sign * (i + 1), abs(j) + 1)
+        self.poly = SuperPoly(terms)
+        assert len(self.poly.terms) == 3000
+
+    def test_parse_poly_round_trip(self):
+        assert parse_poly(pretty(self.poly), self.ring) == self.poly
+
+    def test_parse_localized_round_trip(self):
+        back = parse_localized(pretty(self.poly), self.ring)
+        assert back.is_polynomial() and back.num == self.poly
 
 
 class TestFuzz:
