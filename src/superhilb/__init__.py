@@ -20,6 +20,7 @@ from .charts import (
     verify_cocycle,
 )
 from .errors import (
+    CertificateError,
     ChartMismatch,
     DuplicateVariable,
     ExprSyntaxError,
@@ -53,7 +54,6 @@ from .localized import LocalizedPoly, substitute_localized
 from .matrix import SuperMatrix, left_inverse, matmul, reduce_mod_odd
 from .obstruction import (
     CechCochain1,
-    LaurentBivar,
     LaurentSystem,
     SplitVerdict,
     build_coboundary_system,
@@ -81,8 +81,6 @@ from .ring import (
     even,
     invert,
     odd,
-    parity_of,
-    try_exact_divide,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

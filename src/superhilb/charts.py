@@ -11,6 +11,7 @@ the product charts are the exact inverses of those maps, and carry
 denominators supported on the removed loci.  Canonicalization reduces
 modulo the monicized generator pair with the normal form of
 `superhilb.ideals`; ideal equality is certified by zero remainders.
+A failed certificate raises CertificateError, also under python -O.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    CertificateError,
     ChartMismatch,
     NotAUnit,
     NotCanonicalizable,
@@ -216,16 +218,11 @@ class Ambient:
         }
 
 
-def _divide_by_linear(dividend: SuperPoly, divisor: SuperPoly, w, tp):
-    """Exact division by a monic linear polynomial in w, allowing Laurent
-    exponents in the dividend (w is invertible on the overlap)."""
-    low = dividend.min_degree_in(w)
-    if low is None:
-        return SuperPoly.zero()
-    shift = -low if low < 0 else 0
-    quo, rem = super_divmod(dividend * V(w, shift), divisor, w, tp)
-    assert rem.is_zero()
-    return quo * V(w, -shift) if shift else quo
+def _certify(holds: bool, what: str):
+    """Raise CertificateError unless the identity holds; a real check,
+    kept under python -O."""
+    if not holds:
+        raise CertificateError(f"certificate failed: {what}")
 
 
 def transport_point(amb: Ambient, rank: str, to_side: str, sgn: int,
@@ -235,7 +232,7 @@ def transport_point(amb: Ambient, rank: str, to_side: str, sgn: int,
     rank "11": the family  s + sgn*(u + v*t)  on the patch opposite
     to_side; rank "10": the pair  (s + sgn*u, t + sgn*v).  Returns the
     parameters (u', v') of the same shape on to_side.  The construction
-    identity is asserted with an explicit cofactor.
+    identity is checked with an explicit cofactor.
     """
     u = SuperPoly.promote(u)
     v = SuperPoly.promote(v)
@@ -256,12 +253,14 @@ def transport_point(amb: Ambient, rank: str, to_side: str, sgn: int,
         c_part = split.get(SuperMonomial.make({tp: 1}), SuperPoly.zero())
         m_unit = V(w) * invert(sg * u)
         a_norm = a_part * m_unit
-        assert a_norm == V(w) + sg * u_new
+        _certify(a_norm == V(w) + sg * u_new, "normalized point generator")
         c_norm = c_part * m_unit
         c_final = c_norm.substitute({w: w_value})
-        quo = _divide_by_linear(c_norm - c_final, a_norm, w, tp)
+        # the identity below holds only if this division is exact
+        quo, _ = super_divmod(c_norm - c_final, a_norm, w, tp)
         target = a_norm + c_final * V(tp)
-        assert target == m_unit * pulled - a_norm * quo * V(tp)
+        _certify(target == m_unit * pulled - a_norm * quo * V(tp),
+                 "transported (1|1) generator")
         v_new = sg * c_final
         return u_new, v_new
 
@@ -272,16 +271,17 @@ def transport_point(amb: Ambient, rank: str, to_side: str, sgn: int,
         pulled2 = gen2.substitute(pull)
         m_unit = V(w) * invert(sg * u)
         a_norm = pulled1 * m_unit
-        assert a_norm == V(w) + sg * u_new
+        _certify(a_norm == V(w) + sg * u_new, "normalized point generator")
         cleared2 = pulled2 * V(w, amb.k)
         split = cleared2.as_coeff_map({tp})
         c_part = split.get(SuperMonomial.one(), SuperPoly.zero())
         lead = split.get(SuperMonomial.make({tp: 1}), SuperPoly.zero())
-        assert lead == SuperPoly.one()
+        _certify(lead == SuperPoly.one(), "odd generator leads with 1")
         c_final = c_part.substitute({w: w_value})
-        quo = _divide_by_linear(c_part - c_final, a_norm, w, tp)
+        quo, _ = super_divmod(c_part - c_final, a_norm, w, tp)
         target2 = V(tp) + c_final
-        assert target2 == cleared2 - a_norm * quo
+        _certify(target2 == cleared2 - a_norm * quo,
+                 "transported (1|0) odd generator")
         v_new = sg * c_final
         return u_new, v_new
 
@@ -414,8 +414,8 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
     coordinates; the odd block is a square matrix over the bosonic ring
     inverted through its adjugate, and the quadratic corrections to the
     even rules follow by differentiating the bosonic inverse (exact,
-    since the corrections square to zero).  The composition identities
-    are asserted before returning.
+    since the corrections square to zero).  Both composition identities
+    are checked before returning.
     """
     target, source = tmap.target, tmap.source
     odds_s = source.odds
@@ -498,8 +498,10 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
     inverse = TransitionMap(target=source, source=target, rules=rules)
     ident_s = {c: LocalizedPoly(V(c)) for c in source.coordinates}
     ident_t = {c: LocalizedPoly(V(c)) for c in target.coordinates}
-    assert rules_equal(compose_rules(inverse, tmap), ident_s)
-    assert rules_equal(compose_rules(tmap, inverse), ident_t)
+    _certify(rules_equal(compose_rules(inverse, tmap), ident_s),
+             f"inverse composition on {source.name}")
+    _certify(rules_equal(compose_rules(tmap, inverse), ident_t),
+             f"inverse composition on {target.name}")
     return inverse
 
 
@@ -571,14 +573,15 @@ def hilb11_atlas(k: int) -> Atlas:
         rules={a: LocalizedPoly(u_ab), alpha: LocalizedPoly(v_ab)},
     )
     expected_beta = -SuperPoly.var(a, k - 2) * V(alpha)
-    assert t_ba.rule(b) == LocalizedPoly(V(a, -1))
-    assert t_ba.rule(beta) == LocalizedPoly(expected_beta)
+    _certify(t_ba.rule(b) == LocalizedPoly(V(a, -1)), "hilb11 rule b = 1/a")
+    _certify(t_ba.rule(beta) == LocalizedPoly(expected_beta),
+             "hilb11 rule beta = -a^(k-2) alpha")
     atlas = Atlas(
         "hilb11", k, (chart_a, chart_b),
         {("B", "A"): t_ba, ("A", "B"): t_ab},
     )
     ok, witness = verify_cocycle(atlas)
-    assert ok, witness
+    _certify(ok, f"hilb11 cocycle at {witness}")
     return atlas
 
 
@@ -678,7 +681,7 @@ def hilb21_atlas(k: int) -> Atlas:
     Every transition is pipeline-computed: targets V1/V4 by product +
     canonicalize, the product pair V2/V3 factor by factor, and the
     remaining directions as exact inverses or composites.  The V1<-V3
-    and V1<-V2 maps are asserted against their closed forms.
+    and V1<-V2 maps are checked against their closed forms.
     """
     amb = Ambient.fresh(k)
     v1, v2, v3, v4 = _hilb21_charts(amb)
@@ -702,8 +705,10 @@ def hilb21_atlas(k: int) -> Atlas:
         amb, v4, v3, "y", ("x", V(c1), V(g1)), ("y", V(c2), V(g2))
     )
 
-    assert rules_equal(transitions[("V1", "V3")].rules, _expected_13(k, v1, v3))
-    assert rules_equal(transitions[("V1", "V2")].rules, _expected_12(k, v1, v2))
+    _certify(rules_equal(transitions[("V1", "V3")].rules,
+                         _expected_13(k, v1, v3)), "V1<-V3 closed form")
+    _certify(rules_equal(transitions[("V1", "V2")].rules,
+                         _expected_12(k, v1, v2)), "V1<-V2 closed form")
 
     # factorwise product-to-product maps
     u_b1, v_b1 = transport_point(amb, "11", "y", 1, V(c1), V(g1))

@@ -62,5 +62,9 @@ class NotCanonicalizable(SuperAlgebraError):
     """Leading coefficients are not units on this chart: the family leaves it."""
 
 
+class CertificateError(SuperAlgebraError):
+    """A computed result failed the exact identity that certifies it."""
+
+
 class HigherOrderTerms(SuperAlgebraError):
     """An even transition rule carried odd degree above two."""

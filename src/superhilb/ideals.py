@@ -147,12 +147,20 @@ def super_divmod(dividend: SuperPoly, divisor: SuperPoly, x: VarSymbol,
                  theta: VarSymbol | None = None):
     """Divide by a divisor monic in x whose coefficients are free of x
     (and of theta when given).  Returns (quotient, remainder) with the
-    remainder of x-degree strictly below the divisor's."""
+    remainder of x-degree strictly below the divisor's.  Negative powers
+    of an invertible x in the dividend are shifted out by a power of x
+    and shifted back into the quotient and the remainder."""
     deg = divisor.degree_in(x)
     if deg is None:
         raise NonMonicDivisor("divisor is zero")
     if theta is not None and theta in divisor.variables():
         raise NonMonicDivisor("divisor coefficients involve theta")
+    low = dividend.min_degree_in(x) or 0
+    if low < 0:
+        quotient, rem = super_divmod(dividend * SuperPoly.var(x, -low),
+                                     divisor, x, theta)
+        back = SuperPoly.var(x, low)
+        return quotient * back, rem * back
     rem, (quotient,) = _normal_form(dividend, x, divisor, deg)
     return quotient, _join(rem, x, theta)
 

@@ -1,76 +1,193 @@
-"""Fractions of superpolynomials with regular even denominators.
+"""Superpolynomials localized at the removed loci.
 
-Transition maps between Hilbert-scheme charts are regular away from
-removed loci such as the diagonal, so their components need denominators
-that are not plain monomials.  A `LocalizedPoly` is num/den with den an
-even polynomial whose odd-free part is nonzero; such elements are never
-zero divisors, so cross-multiplication is a sound equality test and the
-arithmetic below is exact.
+Transition maps between Hilbert-scheme charts are regular away from the
+removed loci, such as the diagonal a1 - a2 and b1*b2 - 1.  A
+`LocalizedPoly` is a Laurent numerator times prod L^(-e) over a small map
+{locus L: exponent e >= 1}.  A locus is an even polynomial free of odd
+variables, with monomial content 1, linear in an even pivot variable (the
+first by name) with a unit monomial coefficient whose rational factor is
+1; a non-invertible variable is a locus of its own.  Distinct loci are
+coprime irreducibles and never zero divisors, so `*` adds exponents, `==`
+and `+` raise both sides to the larger exponent of each locus and compare
+or add numerators, inversion moves the monomial content into the
+numerator and clears the nilpotent soul with a finite series, and
+`simplified` cancels by exact division in each pivot, bounded by the
+exponent.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import NotAUnit, ParityMismatch
-from .ring import ParityClass, SuperPoly, invert, try_exact_divide
+from .ideals import super_divmod
+from .ring import ParityClass, SuperMonomial, SuperPoly, VarSymbol, invert
+
+
+class Locus:
+    """A normalized locus and its pivot; equal loci have equal term maps."""
+
+    __slots__ = ("poly", "pivot", "_key")
+
+    def __init__(self, poly: SuperPoly, pivot: VarSymbol):
+        self.poly, self.pivot = poly, pivot
+        self._key = frozenset(poly.terms.items())
+
+    def __eq__(self, other):
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+
+def _as_locus(poly: SuperPoly):
+    """(scale, locus) with poly == scale * locus.poly, for a poly of
+    monomial content 1 free of odd variables; NotAUnit otherwise."""
+    for x in sorted(poly.variables(), key=lambda v: v.name):
+        coeff = poly.coeff_of(SuperMonomial.make({x: 1}), {x})
+        if (poly.degree_in(x) == 1 and len(coeff.terms) == 1
+                and all(v.invertible for v in coeff.variables())):
+            scale = next(iter(coeff.terms.values()))
+            return scale, Locus(poly * (1 / scale), x)
+    raise NotAUnit(f"{poly!r} is not a unit times a locus")
+
+
+def _factor_body(body: SuperPoly):
+    """(unit, loci) with body == unit * prod(L^e): a nonzero rational
+    times an invertible Laurent monomial, and at most one locus besides
+    the non-invertible variables of the monomial content."""
+    content = {
+        v: min(m.exponent(v) for m in body.terms) for v in body.variables()
+    }
+    unit = {v: e for v, e in content.items() if v.invertible}
+    loci = {Locus(SuperPoly.var(v), v): e
+            for v, e in content.items() if e and not v.invertible}
+    rest = SuperPoly({
+        SuperMonomial.make({v: m.exponent(v) - e
+                            for v, e in content.items()}): c
+        for m, c in body.terms.items()
+    })
+    if len(rest.terms) == 1:
+        scale = rest.as_constant()
+    else:
+        scale, locus = _as_locus(rest)
+        loci[locus] = 1
+    return SuperPoly({SuperMonomial.make(unit): scale}), loci
+
+
+def _inverse(p: SuperPoly) -> "LocalizedPoly":
+    """1/p for an even p whose body is a unit times loci.
+
+    With p = B + N, B the body and N the nilpotent soul, the inverse is
+    the finite series sum (-N)^j B^-(j+1): N^j vanishes once j exceeds
+    half the number of odd variables.
+    """
+    if p.parity_class() is not ParityClass.EVEN:
+        raise NotAUnit("cannot invert an odd element")
+    body = p.bosonic()
+    if body.is_zero():
+        raise NotAUnit("cannot invert a nilpotent element")
+    unit, loci = _factor_body(body)
+    body_inv = LocalizedPoly._of(invert(unit), loci)
+    neg_soul = LocalizedPoly(-p.soul())
+    term, terms = body_inv, []
+    while not term.is_zero():
+        terms.append(term)
+        term = term * neg_soul * body_inv
+    return LocalizedPoly.sum(terms)
+
+
+def _divide_out(num: SuperPoly, locus: Locus, e: int):
+    """(num / L^t, t) with t <= e the multiplicity of the locus L in num.
+
+    num = quo * M^e + rem with M the monic locus and rem of pivot degree
+    below e, so M divides num exactly as often as it divides rem (each
+    division lowers that degree), or e times when rem is zero.
+    """
+    x = locus.pivot
+    lead_inv = invert(locus.poly.coeff_of(SuperMonomial.make({x: 1}), {x}))
+    monic = locus.poly * lead_inv
+    quo, rem = super_divmod(num, monic ** e, x)
+    if rem.is_zero():
+        return quo * lead_inv ** e, e
+    times = 0
+    while True:
+        rem_quo, rem_rem = super_divmod(rem, monic, x)
+        if not rem_rem.is_zero():
+            break
+        rem, times = rem_quo, times + 1
+    if not times:
+        return num, 0
+    quotient = quo * monic ** (e - times) + rem
+    return quotient * lead_inv ** times, times
+
+
+def _aligned(values):
+    """(numerators, loci): every value over the common loci, each locus
+    at the largest exponent it has among the values."""
+    values = list(values)
+    loci = {}
+    for v in values:
+        for locus, e in v.loci.items():
+            if e > loci.get(locus, 0):
+                loci[locus] = e
+    nums = []
+    for v in values:
+        num = v.num
+        for locus, e in loci.items():
+            gap = e - v.loci.get(locus, 0)
+            if gap:
+                num = num * locus.poly ** gap
+        nums.append(num)
+    return nums, loci
 
 
 class LocalizedPoly:
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "loci")
 
     def __init__(self, num, den=None):
-        num = SuperPoly.promote(num)
-        den = SuperPoly.one() if den is None else SuperPoly.promote(den)
-        if den.parity_class() is not ParityClass.EVEN:
-            raise ParityMismatch("denominator must be even")
-        if den.bosonic().is_zero():
-            raise ZeroDivisionError("denominator is a zero divisor (or zero)")
-        # Fold unit denominators (single monomial in invertible variables)
-        # back into the numerator so plain polynomials stay plain.
-        try:
-            num = num * invert(den)
-            den = SuperPoly.one()
-        except NotAUnit:
-            lead = den.constant_term()
-            if lead:
-                num = num * (Fraction(1) / lead)
-                den = den * (Fraction(1) / lead)
-        self.num = num
-        self.den = den
+        """num/den, with den even, its body a unit times a locus."""
+        self.num, self.loci = SuperPoly.promote(num), {}
+        if den is not None:
+            inv = _inverse(SuperPoly.promote(den))
+            self.num, self.loci = self.num * inv.num, inv.loci
 
-    def bosonic_denominator(self) -> "LocalizedPoly":
-        """Clear nilpotent terms out of the denominator by multiplying
-        with the conjugate: (B + N)(B - N) = B^2 - N^2 squares the soul
-        away in finitely many passes."""
-        out = self
-        for _ in range(8):
-            soul = out.den.soul()
-            if soul.is_zero():
-                return out
-            conj = out.den.bosonic() - soul
-            fresh = LocalizedPoly.__new__(LocalizedPoly)
-            fresh.num = out.num * conj
-            fresh.den = out.den * conj
-            out = fresh
-        raise AssertionError("denominator soul failed to vanish")
+    @classmethod
+    def _of(cls, num: SuperPoly, loci: dict) -> "LocalizedPoly":
+        out = cls.__new__(cls)
+        out.num = num
+        out.loci = {locus: e for locus, e in loci.items() if e}
+        return out
+
+    @staticmethod
+    def sum(values) -> "LocalizedPoly":
+        """Sum over the common loci, the numerators added in one pass."""
+        nums, loci = _aligned(values)
+        return LocalizedPoly._of(SuperPoly.sum(nums), loci)
+
+    def with_num(self, num: SuperPoly) -> "LocalizedPoly":
+        """num over the loci of this value."""
+        return LocalizedPoly._of(num, self.loci)
+
+    @property
+    def den(self) -> SuperPoly:
+        """The expanded product of the loci powers."""
+        out = SuperPoly.one()
+        for locus, e in self.loci.items():
+            out = out * locus.poly ** e
+        return out
 
     def simplified(self) -> "LocalizedPoly":
-        """Cancel the denominator when it divides the numerator exactly.
+        """Cancel every locus that divides the numerator.
 
         Worth calling on long-lived values (transition rules); fractions
-        that are secretly Laurent polynomials collapse to den = 1.
+        that are secretly Laurent polynomials collapse to no loci.
         """
-        if self.is_polynomial():
+        num, loci = self.num, {}
+        for locus, e in self.loci.items():
+            num, times = _divide_out(num, locus, e)
+            loci[locus] = e - times
+        if num is self.num:
             return self
-        out = self.bosonic_denominator()
-        quotient = try_exact_divide(out.num, out.den, max_steps=64)
-        if quotient is None:
-            return out
-        fresh = LocalizedPoly.__new__(LocalizedPoly)
-        fresh.num = quotient
-        fresh.den = SuperPoly.one()
-        return fresh
+        return LocalizedPoly._of(num, loci)
 
     @staticmethod
     def promote(x) -> "LocalizedPoly":
@@ -84,10 +201,10 @@ class LocalizedPoly:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        return self.den == SuperPoly.one()
+        return not self.loci
 
     def as_poly(self) -> SuperPoly:
-        if not self.is_polynomial():
+        if self.loci:
             raise NotAUnit(f"denominator {self.den!r} is not a unit")
         return self.num
 
@@ -95,31 +212,23 @@ class LocalizedPoly:
         return self.num.parity_class()
 
     def bosonic(self) -> "LocalizedPoly":
-        return LocalizedPoly(self.num.bosonic(), self.den.bosonic())
+        return self.with_num(self.num.bosonic())
 
     # -- arithmetic --------------------------------------------------
 
     def __eq__(self, other):
-        other = LocalizedPoly.promote(other)
-        return self.num * other.den == other.num * self.den
+        (lhs, rhs), _ = _aligned((self, LocalizedPoly.promote(other)))
+        return lhs == rhs
 
     __hash__ = None
 
     def __add__(self, other):
-        other = LocalizedPoly.promote(other)
-        if self.den == other.den:
-            return LocalizedPoly(self.num + other.num, self.den)
-        return LocalizedPoly(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        return LocalizedPoly.sum((self, LocalizedPoly.promote(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = LocalizedPoly.__new__(LocalizedPoly)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return self.with_num(-self.num)
 
     def __sub__(self, other):
         return self + (-LocalizedPoly.promote(other))
@@ -129,16 +238,22 @@ class LocalizedPoly:
 
     def __mul__(self, other):
         other = LocalizedPoly.promote(other)
-        return LocalizedPoly(self.num * other.num, self.den * other.den)
+        loci = dict(self.loci)
+        for locus, e in other.loci.items():
+            loci[locus] = loci.get(locus, 0) + e
+        return LocalizedPoly._of(self.num * other.num, loci)
 
     __rmul__ = __mul__
 
     def reciprocal(self) -> "LocalizedPoly":
-        if self.num.parity_class() is not ParityClass.EVEN:
-            raise NotAUnit("cannot invert an odd element")
-        if self.num.bosonic().is_zero():
-            raise NotAUnit("cannot invert a nilpotent element")
-        return LocalizedPoly(self.den, self.num)
+        """prod L^e / num; a locus shared with 1/num cancels on the spot."""
+        inv = _inverse(self.num)
+        num, loci = inv.num, dict(inv.loci)
+        for locus, e in self.loci.items():
+            common = min(e, loci.get(locus, 0))
+            loci[locus] = loci.get(locus, 0) - common
+            num = num * locus.poly ** (e - common)
+        return LocalizedPoly._of(num, loci)
 
     def __truediv__(self, other):
         return self * LocalizedPoly.promote(other).reciprocal()
@@ -146,29 +261,30 @@ class LocalizedPoly:
     def __pow__(self, n: int):
         if n < 0:
             return self.reciprocal() ** (-n)
-        out = LocalizedPoly(SuperPoly.one())
-        base = self
-        for _ in range(n):
-            out = out * base
-        return out
-
-    def substitute(self, assignment) -> "LocalizedPoly":
-        num = substitute_localized(self.num, assignment)
-        den = substitute_localized(self.den, assignment)
-        return num / den
-
-    def diff(self, var) -> "LocalizedPoly":
-        return LocalizedPoly(
-            self.num.diff(var) * self.den - self.num * self.den.diff(var),
-            self.den * self.den,
+        return LocalizedPoly._of(
+            self.num ** n, {locus: e * n for locus, e in self.loci.items()}
         )
 
-    def __repr__(self):
-        from .parser import pretty
+    def substitute(self, assignment) -> "LocalizedPoly":
+        out = substitute_localized(self.num, assignment)
+        for locus, e in self.loci.items():
+            out = out * substitute_localized(locus.poly, assignment) ** -e
+        return out
 
-        if self.is_polynomial():
-            return f"LocalizedPoly({pretty(self.num)})"
-        return f"LocalizedPoly(({pretty(self.num)}) / ({pretty(self.den)}))"
+    def diff(self, var) -> "LocalizedPoly":
+        """Quotient rule: d(L^-e) = -e * L' * L^-(e+1), so the exponent
+        rises by one only for the loci that depend on var."""
+        out = self.with_num(self.num.diff(var))
+        for locus, e in self.loci.items():
+            d_locus = locus.poly.diff(var)
+            if not d_locus.is_zero():
+                out = out - self * LocalizedPoly._of(d_locus * e, {locus: 1})
+        return out
+
+    def __repr__(self):
+        from .parser import pretty_localized
+
+        return f"LocalizedPoly({pretty_localized(self)})"
 
 
 def substitute_localized(p: SuperPoly, assignment) -> LocalizedPoly:
@@ -186,7 +302,7 @@ def substitute_localized(p: SuperPoly, assignment) -> LocalizedPoly:
             raise ParityMismatch(
                 f"replacement for {v.name} has parity {val.parity_class().value}"
             )
-    out = LocalizedPoly(SuperPoly.zero())
+    terms = []
     cache = {}
     for m, c in p.terms.items():
         acc = LocalizedPoly(SuperPoly.const(c))
@@ -201,5 +317,5 @@ def substitute_localized(p: SuperPoly, assignment) -> LocalizedPoly:
                 val = rep ** e
                 cache[key] = val
             acc = acc * val
-        out = out + acc
-    return out
+        terms.append(acc)
+    return LocalizedPoly.sum(terms)

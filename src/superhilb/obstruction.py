@@ -56,11 +56,9 @@ class CechCochain1:
 
 
 def _rule_bosonic(rule: LocalizedPoly, odds) -> LocalizedPoly:
+    # loci carry no odd variables
     kill = {o: SuperPoly.zero() for o in odds}
-    out = LocalizedPoly.__new__(LocalizedPoly)
-    out.num = rule.num.substitute(kill)
-    out.den = rule.den.substitute(kill)
-    return out
+    return rule.with_num(rule.num.substitute(kill))
 
 
 def _wedge_coeff(rule: LocalizedPoly, odds) -> LocalizedPoly:
@@ -69,13 +67,9 @@ def _wedge_coeff(rule: LocalizedPoly, odds) -> LocalizedPoly:
             raise HigherOrderTerms("even rule carries odd degree above two")
     if len(odds) < 2:
         return LocalizedPoly(SuperPoly.zero())
-    coeff = rule.num.coeff_of(
+    return rule.with_num(rule.num.coeff_of(
         SuperMonomial.make({odds[0]: 1, odds[1]: 1}), set(odds)
-    )
-    out = LocalizedPoly.__new__(LocalizedPoly)
-    out.num = coeff
-    out.den = rule.den
-    return out
+    ))
 
 
 def extract_obstruction(atlas: Atlas) -> CechCochain1:
@@ -99,9 +93,8 @@ def frame_transport_identity(atlas: Atlas, target: str, source: str) -> bool:
     -odd1*odd2/(second - first) rewritten through the transition, with
     the diagonal denominator cleared."""
     tmap = atlas.transition(target, source)
-    cochain = extract_obstruction(atlas)
-    psi = cochain.component(target, source, tmap.target.evens[0].name)
     t1, t2 = tmap.target.evens
+    psi = _wedge_coeff(tmap.rule(t1), tmap.source.odds)
     o1, o2 = tmap.target.odds
     s1, s2 = tmap.source.odds
     frame = LocalizedPoly(V(s1) * V(s2))
@@ -113,7 +106,6 @@ def frame_transport_identity(atlas: Atlas, target: str, source: str) -> bool:
 def antisymmetry_holds(atlas: Atlas, i: str, j: str) -> bool:
     """Transporting the (i, j) entry through the reverse transition must
     negate the (j, i) entry."""
-    cochain = extract_obstruction(atlas)
     t_ij = atlas.transition(i, j)
     t_ji = atlas.transition(j, i)
     odds_j = t_ij.source.odds
@@ -127,11 +119,11 @@ def antisymmetry_holds(atlas: Atlas, i: str, j: str) -> bool:
         for coord in t_ij.target.evens
     }
     for n, s_coord in enumerate(t_ij.source.evens):
-        psi_ji = cochain.component(j, i, s_coord.name)
+        psi_ji = _wedge_coeff(t_ji.rule(s_coord), odds_i)
         psi_ji_in_j = psi_ji.substitute(bos_ij)
         total = LocalizedPoly(SuperPoly.zero())
         for m, t_coord in enumerate(t_ij.target.evens):
-            psi_ij = cochain.component(i, j, t_coord.name)
+            psi_ij = _wedge_coeff(t_ij.rule(t_coord), odds_j)
             jac = _rule_bosonic(t_ji.rule(s_coord), odds_i).diff(t_coord)
             jac_in_j = jac.substitute(bos_ij)
             total = total + psi_ij * jac_in_j
@@ -143,26 +135,17 @@ def antisymmetry_holds(atlas: Atlas, i: str, j: str) -> bool:
 def _odd_frame_det(tmap) -> LocalizedPoly:
     odds_s = tmap.source.odds
     odds_t = tmap.target.odds
-    if len(odds_s) == 1:
-        rule = tmap.rule(odds_t[0])
-        out = LocalizedPoly.__new__(LocalizedPoly)
-        out.num = rule.num.coeff_of(
-            SuperMonomial.make({odds_s[0]: 1}), set(odds_s)
-        )
-        out.den = rule.den
-        return out
     h = []
     for t_odd in odds_t:
         rule = tmap.rule(t_odd)
-        row = []
-        for s_odd in odds_s:
-            entry = LocalizedPoly.__new__(LocalizedPoly)
-            entry.num = rule.num.coeff_of(
+        h.append([
+            rule.with_num(rule.num.coeff_of(
                 SuperMonomial.make({s_odd: 1}), set(odds_s)
-            )
-            entry.den = rule.den
-            row.append(entry)
-        h.append(row)
+            ))
+            for s_odd in odds_s
+        ])
+    if len(odds_s) == 1:
+        return h[0][0]
     return h[0][0] * h[1][1] - h[0][1] * h[1][0]
 
 
@@ -202,25 +185,6 @@ def _monomial_degree(poly: SuperPoly, var) -> int:
 
 # ---------------------------------------------------------------------------
 # Laurent data on the global bosonic coordinates
-
-
-@dataclass(frozen=True)
-class LaurentBivar:
-    """Finite map (z-exponent, w-exponent) -> rational, with an optional
-    support cone recorded for unknown blocks."""
-
-    coeffs: dict
-    cone: tuple | None = None
-
-    def __post_init__(self):
-        if self.cone is not None:
-            sz, sw = self.cone
-            for ez, ew in self.coeffs:
-                if ez * sz < 0 or ew * sw < 0:
-                    raise ValueError("support leaves the declared cone")
-
-    def is_zero(self):
-        return not self.coeffs
 
 
 def _lb_mul(a: dict, b: dict) -> dict:
@@ -358,30 +322,26 @@ def _equation_for_overlap(atlas: Atlas, target: str, source: str,
     denominators and embedded in global coordinates."""
     tmap, psi, det, jac, _ = _transition_factors(atlas, target, source)
     source_evens = tmap.source.evens
-    psi_m = psi[component]
-    jac_row = jac[component]
-    dens = [psi_m.den, det.den] + [j.den for j in jac_row]
+    values = [psi[component], det] + jac[component]
+    dens = [value.den for value in values]
 
-    def cleared(value: LocalizedPoly) -> SuperPoly:
-        # multiply by every denominator except one copy of its own
-        out = value.num
-        skipped = False
-        for d in dens:
-            if not skipped and d is value.den:
-                skipped = True
-                continue
-            out = out * d
+    def cleared(index: int) -> SuperPoly:
+        # the value times the denominators of all the others
+        out = values[index].num
+        for i, den in enumerate(dens):
+            if i != index:
+                out = out * den
         return out
 
-    rhs = embed_chart_poly(cleared(psi_m), source, source_evens)
+    rhs = embed_chart_poly(cleared(0), source, source_evens)
     terms = [
         (
             _block_name(target, component),
-            embed_chart_poly(cleared(det), source, source_evens),
+            embed_chart_poly(cleared(1), source, source_evens),
         )
     ]
     for n, s_coord in enumerate(source_evens):
-        factor = cleared(jac_row[n])
+        factor = cleared(2 + n)
         if not factor.is_zero():
             terms.append(
                 (

@@ -16,7 +16,6 @@ forms.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import takewhile
 
 from .errors import (
     DuplicateVariable,
@@ -263,15 +262,6 @@ def _parse_to_ast(text: str):
     return node
 
 
-def _add_all(polys) -> SuperPoly:
-    """Sum in one pass over the terms, in time linear in their number."""
-    out = {}
-    for poly in polys:
-        for mono, coeff in poly.terms.items():
-            out[mono] = out.get(mono, 0) + coeff
-    return SuperPoly(out)
-
-
 def _var_power(node, ring: RingDecl):
     """A power of an even variable as one monomial, when it is one."""
     if node[1][0] != "var":
@@ -291,8 +281,8 @@ def _eval_poly(node, ring: RingDecl) -> SuperPoly:
     if kind == "neg":
         return -_eval_poly(node[1], ring)
     if kind == "sum":
-        return _add_all(_eval_poly(sub, ring) if op == "+"
-                        else -_eval_poly(sub, ring) for op, sub in node[1])
+        return SuperPoly.sum(_eval_poly(sub, ring) if op == "+"
+                             else -_eval_poly(sub, ring) for op, sub in node[1])
     if kind == "*":
         return _eval_poly(node[1], ring) * _eval_poly(node[2], ring)
     if kind == "^":
@@ -319,15 +309,9 @@ def _eval_localized(node, ring: RingDecl) -> LocalizedPoly:
     if kind == "neg":
         return -_eval_localized(node[1], ring)
     if kind == "sum":
-        terms = [-_eval_localized(sub, ring) if op == "-"
-                 else _eval_localized(sub, ring) for op, sub in node[1]]
-        # Left to right, as the sum reads; the polynomial terms before the
-        # first fraction are added in one pass.
-        head = [t.num for t in takewhile(LocalizedPoly.is_polynomial, terms)]
-        acc = LocalizedPoly(_add_all(head)) if head else terms[0]
-        for term in terms[max(len(head), 1):]:
-            acc = acc + term
-        return acc
+        return LocalizedPoly.sum(-_eval_localized(sub, ring) if op == "-"
+                                 else _eval_localized(sub, ring)
+                                 for op, sub in node[1])
     if kind == "*":
         return _eval_localized(node[1], ring) * _eval_localized(node[2], ring)
     if kind == "^":
@@ -343,8 +327,9 @@ def parse_poly(text: str, ring: RingDecl) -> SuperPoly:
 
 
 def parse_localized(text: str, ring: RingDecl) -> LocalizedPoly:
-    """Like parse_poly but evaluates in the localized ring, so negative
-    powers of parenthesized sums are accepted."""
+    """Like parse_poly but evaluates in the localized ring: the base of a
+    negative power of a parenthesized sum is read as a unit times a
+    locus (NotAUnit when it is not one)."""
     return _eval_localized(_parse_to_ast(text), ring)
 
 
@@ -404,7 +389,11 @@ def _format_rational(q: Fraction) -> str:
 
 
 def pretty_localized(f) -> str:
+    """(num) * (L)^-e for each locus L, in the order of their texts;
+    parse_localized reads it back."""
     f = LocalizedPoly.promote(f)
     if f.is_polynomial():
         return pretty(f.num)
-    return f"({pretty(f.num)}) * ({pretty(f.den)})^-1"
+    loci = sorted((pretty(locus.poly), e) for locus, e in f.loci.items())
+    return " * ".join([f"({pretty(f.num)})"]
+                      + [f"({text})^-{e}" for text, e in loci])

@@ -269,6 +269,15 @@ class SuperPoly:
         return SuperPoly({SuperMonomial.make({v: exp}): Fraction(1)})
 
     @staticmethod
+    def sum(polys) -> "SuperPoly":
+        """Sum in one pass over the terms, in time linear in their number."""
+        out = {}
+        for poly in polys:
+            for mono, coeff in poly._terms.items():
+                out[mono] = out.get(mono, 0) + coeff
+        return SuperPoly(out)
+
+    @staticmethod
     def promote(x) -> "SuperPoly":
         if isinstance(x, SuperPoly):
             return x
@@ -287,9 +296,6 @@ class SuperPoly:
 
     def __bool__(self):
         return bool(self._terms)
-
-    def constant_term(self) -> Fraction:
-        return self._terms.get(SuperMonomial.one(), Fraction(0))
 
     def as_constant(self) -> Fraction:
         if not self._terms:
@@ -509,93 +515,6 @@ class SuperPoly:
 
 _ZERO = SuperPoly()
 _ONE = SuperPoly.const(1)
-
-
-def parity_of(p: SuperPoly) -> ParityClass:
-    return p.parity_class()
-
-
-def _mono_key(m: SuperMonomial, names):
-    exps = {v.name: e for v, e in m.factors}
-    return tuple(exps.get(nm, 0) for nm in names)
-
-
-def try_exact_divide(num: SuperPoly, den: SuperPoly, max_steps: int = 10_000):
-    """num/den as a polynomial if den divides num exactly, else None.
-
-    Single-divisor division under a lex order on exponent vectors; a
-    Koszul kill of the would-be leading term makes the attempt fail,
-    which only means the fraction stays unsimplified.  Each step emits
-    one quotient term, so max_steps bounds the quotient size.
-    """
-    if den.is_zero():
-        return None
-    if num.is_zero():
-        return _ZERO
-    num_vars = num.variables()
-    den_vars = den.variables()
-    if not den_vars <= num_vars:
-        # heuristic early exit; a miss only leaves the fraction unsimplified
-        return None
-    names = sorted({v.name for v in num_vars | den_vars})
-    # shift Laurent exponents away; the shifts are invertible monomials
-    shift = {}
-    for poly in (num, den):
-        for m in poly.terms:
-            for v, e in m.factors:
-                if e < 0:
-                    shift[v] = max(shift.get(v, 0), -e)
-    if shift:
-        # scaling both sides by the same unit leaves the quotient alone
-        shift_poly = SuperPoly({SuperMonomial.make(shift): Fraction(1)})
-        num = num * shift_poly
-        den = den * shift_poly
-
-    key_cache = {}
-
-    def key_of(m):
-        k = key_cache.get(m)
-        if k is None:
-            k = _mono_key(m, names)
-            key_cache[m] = k
-        return k
-
-    den_lead_m = max(den.terms, key=key_of)
-    den_lead_c = den.terms[den_lead_m]
-    acc = {}
-    rem = num
-    for _ in range(max_steps):
-        if rem.is_zero():
-            return SuperPoly(acc)
-        lead_m = max(rem.terms, key=key_of)
-        lead_c = rem.terms[lead_m]
-        exps = {v: e for v, e in lead_m.factors}
-        for v, e in den_lead_m.factors:
-            exps[v] = exps.get(v, 0) - e
-        if any(e < 0 and not v.invertible for v, e in exps.items()):
-            return None
-        if any(e not in (0, 1) and v.parity is Parity.ODD
-               for v, e in exps.items()):
-            return None
-        q_mono = SuperMonomial.make(exps)
-        prod = q_mono.mul(den_lead_m)
-        if prod is None:
-            return None
-        sign, back = prod
-        if back != lead_m:
-            return None
-        term = SuperPoly({q_mono: lead_c / den_lead_c * sign})
-        step = term * den
-        if step.terms.get(lead_m) != lead_c:
-            return None
-        rem = rem - step
-        for m, c in term.terms.items():
-            s = acc.get(m, Fraction(0)) + c
-            if s:
-                acc[m] = s
-            else:
-                acc.pop(m, None)
-    return None
 
 
 def invert(p: SuperPoly) -> SuperPoly:

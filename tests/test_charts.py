@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import superhilb
 from superhilb.charts import (
     Ambient,
     IdealOnChart,
@@ -392,3 +398,34 @@ class TestCanonicalizePresentationInvariance:
         assert slots["b0"] == b_val
         assert slots["alpha0"] == V(mu1)
         assert slots["beta0"] == V(mu2)
+
+
+class TestCertificatesUnderOptimize:
+    def test_tampered_closed_form_raises(self):
+        """The closed-form check is a real check: python -O keeps it."""
+        script = textwrap.dedent("""
+            import superhilb.charts as charts
+            from superhilb.errors import CertificateError
+
+            closed_form = charts._expected_12
+
+            def tampered(k, v1, v2):
+                rules = closed_form(k, v1, v2)
+                a2 = v1.evens[1]
+                rules[a2] = rules[a2] + 1
+                return rules
+
+            charts._expected_12 = tampered
+            try:
+                charts.hilb21_atlas(2)
+            except CertificateError as exc:
+                print(type(exc).__name__, exc)
+        """)
+        src = str(Path(superhilb.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("CertificateError")
+        assert "V1<-V2 closed form" in done.stdout

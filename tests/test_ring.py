@@ -11,7 +11,6 @@ from superhilb.ring import (
     even,
     invert,
     odd,
-    parity_of,
 )
 
 from conftest import random_poly, standard_ring
@@ -51,11 +50,11 @@ class TestBasics:
 
     def test_parity_classes(self):
         r = standard_ring()
-        assert parity_of(SuperPoly.zero()) is ParityClass.EVEN
-        assert parity_of(P(r["x"])) is ParityClass.EVEN
-        assert parity_of(P(r["alpha"])) is ParityClass.ODD
-        assert parity_of(P(r["alpha"]) * P(r["beta"])) is ParityClass.EVEN
-        assert parity_of(P(r["x"]) + P(r["alpha"])) is ParityClass.MIXED
+        assert SuperPoly.zero().parity_class() is ParityClass.EVEN
+        assert P(r["x"]).parity_class() is ParityClass.EVEN
+        assert P(r["alpha"]).parity_class() is ParityClass.ODD
+        assert (P(r["alpha"]) * P(r["beta"])).parity_class() is ParityClass.EVEN
+        assert (P(r["x"]) + P(r["alpha"])).parity_class() is ParityClass.MIXED
 
     def test_koszul_sign_normalization(self):
         alpha, theta = odd("alpha"), odd("theta")
