@@ -19,17 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    CertificateError,
-    ChartMismatch,
-    NotAUnit,
-    NotCanonicalizable,
-    ParityMismatch,
-)
-from .ideals import (_canonical_from_raw_coeffs, _normal_form, canonical_pair,
-                     super_divmod)
-from .localized import LocalizedPoly
-from .ring import Parity, SuperMonomial, SuperPoly, VarSymbol, even, invert, odd
+from .errors import ChartMismatch, NotAUnit, NotCanonicalizable, ParityMismatch
+from .ideals import (_canonical_from_raw_coeffs, _certify, _normal_form,
+                     canonical_pair, super_divmod)
+from .localized import LocalizedPoly, PowerTable
+from .ring import (Parity, SuperMonomial, SuperPoly, VarSymbol, even, invert,
+                   odd)
 
 V = SuperPoly.var
 
@@ -106,16 +101,22 @@ class Atlas:
 
 
 def compose_rules(outer: TransitionMap, inner: TransitionMap) -> dict:
-    """Rules of outer with its source coordinates replaced through inner."""
+    """Rules of outer with its source coordinates replaced through inner.
+
+    The composites are not simplified: `==` aligns locus exponents, and
+    `TransitionMap` simplifies the rules it stores."""
+    return _composite(outer, inner, PowerTable(inner.rules))
+
+
+def _composite(outer: TransitionMap, inner: TransitionMap,
+               table: PowerTable) -> dict:
+    """compose_rules through a power table of inner's rules."""
     if outer.source.name != inner.target.name:
         raise ChartMismatch(
             f"cannot compose {outer.source.name} with {inner.target.name}"
         )
-    mapping = dict(inner.rules)
-    return {
-        coord: value.substitute(mapping).simplified()
-        for coord, value in outer.rules.items()
-    }
+    return {coord: value.substitute(table)
+            for coord, value in outer.rules.items()}
 
 
 def rules_equal(lhs: dict, rhs: dict) -> bool:
@@ -129,28 +130,28 @@ def verify_cocycle(atlas: Atlas):
     """Check every ordered composite against the stored transition.
 
     Triples (i, j, i) check inverse consistency; (i, j, l) with distinct
-    charts check transitivity.  Returns (True, None) or (False, witness)
-    where the witness names the first failing triple and coordinate.
+    charts check transitivity.  The composites through one inner
+    transition (j, l) share one power table, dropped before the next.
+    Returns (True, None) or (False, witness) where the witness names the
+    first failing triple, in that order, and coordinate.
     """
     names = [ch.name for ch in atlas.charts]
-    for i in names:
-        for j in names:
-            if i == j or (i, j) not in atlas.transitions:
+    for j in names:
+        for l in names:
+            if l == j or (j, l) not in atlas.transitions:
                 continue
-            t_ij = atlas.transitions[(i, j)]
-            for l in names:
-                if l == j or (j, l) not in atlas.transitions:
+            t_jl = atlas.transitions[(j, l)]
+            table = PowerTable(t_jl.rules)
+            for i in names:
+                if i == j or (i, j) not in atlas.transitions:
                     continue
-                t_jl = atlas.transitions[(j, l)]
-                composed = compose_rules(t_ij, t_jl)
+                t_ij = atlas.transitions[(i, j)]
                 if l == i:
-                    expected = {
-                        c: LocalizedPoly(V(c)) for c in atlas.chart(i).coordinates
-                    }
+                    expected = {c: V(c) for c in atlas.chart(i).coordinates}
                 else:
                     expected = atlas.transitions[(i, l)].rules
-                for coord in composed:
-                    if composed[coord] != LocalizedPoly.promote(expected[coord]):
+                for coord, value in _composite(t_ij, t_jl, table).items():
+                    if value != expected[coord]:
                         return False, (i, j, l, coord.name)
     return True, None
 
@@ -216,13 +217,6 @@ class Ambient:
             self.x: V(self.y, -1),
             self.theta: V(self.y, -self.k) * V(self.psi),
         }
-
-
-def _certify(holds: bool, what: str):
-    """Raise CertificateError unless the identity holds; a real check,
-    kept under python -O."""
-    if not holds:
-        raise CertificateError(f"certificate failed: {what}")
 
 
 def transport_point(amb: Ambient, rank: str, to_side: str, sgn: int,

@@ -15,20 +15,28 @@ cut out the locus where the family really is flat of rank (p|q).
 
 Long division, basis reduction and the pair reduction behind chart
 canonicalization all run through one normal-form sweep, `_normal_form`,
-which terminates for every input degree without a step cap.
+which terminates for every input degree without a step cap.  A failed
+construction identity raises CertificateError, also under python -O.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonMonicDivisor, RankOrderViolation
+from .errors import CertificateError, NonMonicDivisor, RankOrderViolation
 from .ring import SuperMonomial, SuperPoly, VarSymbol, even, odd
 
 
 def _check_rank(p: int, q: int):
     if not (0 <= q <= p):
         raise RankOrderViolation(f"need 0 <= q <= p, got (p, q) = ({p}, {q})")
+
+
+def _certify(holds: bool, what: str):
+    """Raise CertificateError unless the identity holds; a real check,
+    kept under python -O."""
+    if not holds:
+        raise CertificateError(f"certificate failed: {what}")
 
 
 def _poly_from_coeffs(coeffs, x: VarSymbol, offset: int = 0) -> SuperPoly:
@@ -469,16 +477,15 @@ def _verify_change(ch: CoordinateChange):
     raw = ch.raw
     f_image = raw.f.substitute(ch.forward)
     g_image = raw.g.substitute(ch.forward)
-    assert f_image == ch.f_canonical + ch.c_poly, "even generator mismatch"
-    assert g_image == ch.g_canonical + ch.gamma_poly, "odd generator mismatch"
+    _certify(f_image == ch.f_canonical + ch.c_poly, "even generator image")
+    _certify(g_image == ch.g_canonical + ch.gamma_poly,
+             "odd generator image")
     for s in (*ch.a, *ch.b, *ch.alpha, *ch.beta, *ch.c, *ch.gamma):
-        assert ch.backward[s].substitute(ch.forward) == SuperPoly.var(s), (
-            f"backward o forward is not the identity on {s.name}"
-        )
+        _certify(ch.backward[s].substitute(ch.forward) == SuperPoly.var(s),
+                 f"backward o forward is the identity on {s.name}")
     for s in (*raw.a, *raw.b, *raw.alpha, *raw.beta):
-        assert ch.forward[s].substitute(ch.backward) == SuperPoly.var(s), (
-            f"forward o backward is not the identity on {s.name}"
-        )
+        _certify(ch.forward[s].substitute(ch.backward) == SuperPoly.var(s),
+                 f"forward o backward is the identity on {s.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +497,7 @@ def kernel_witnesses(p: int, q: int, tag: str = ""):
     raw ideal: f(theta + A) - g(x^{p-q} + a) and g(theta + A).
 
     Both expansions land inside the basis span and carry only residual
-    (c, gamma) coefficients; the construction identities are asserted.
+    (c, gamma) coefficients; the construction identities are checked.
     """
     _check_rank(p, q)
     if q < 1:
@@ -506,8 +513,10 @@ def kernel_witnesses(p: int, q: int, tag: str = ""):
 
     h_expansion = f_full * theta_a - g_full * xpq_a
     k_expansion = g_full * theta_a
-    assert h_expansion == ch.c_poly * theta_a - ch.gamma_poly * xpq_a
-    assert k_expansion == ch.gamma_poly * theta_a
+    _certify(h_expansion == ch.c_poly * theta_a - ch.gamma_poly * xpq_a,
+             "first kernel witness expansion")
+    _certify(k_expansion == ch.gamma_poly * theta_a,
+             "second kernel witness expansion")
 
     ideal = CanonicalIdeal(
         p, q, x, theta, ch.a, ch.b, ch.alpha, ch.beta,
@@ -516,9 +525,8 @@ def kernel_witnesses(p: int, q: int, tag: str = ""):
     vecs = (reduce_to_basis(h_expansion, ideal),
             reduce_to_basis(k_expansion, ideal))
     for vec in vecs:
-        assert vec.cofactor_f.is_zero() and vec.cofactor_g.is_zero(), (
-            "witness leaves the basis span"
-        )
+        _certify(vec.cofactor_f.is_zero() and vec.cofactor_g.is_zero(),
+                 "witness lies in the basis span")
     return vecs
 
 
@@ -544,28 +552,30 @@ def stratification_generators(p: int, q: int, tag: str = ""):
         h_vec, k_vec = kernel_witnesses(p, q, tag)
         for vec in (h_vec, k_vec):
             for entry in (*vec.evens, *vec.odds):
-                assert _in_variable_ideal(entry, (*ch.c, *ch.gamma)), (
-                    "kernel witness does not vanish on the stratum"
-                )
+                _certify(_in_variable_ideal(entry, (*ch.c, *ch.gamma)),
+                         "kernel witness vanishes on the stratum")
 
     x, theta = ch.x, ch.theta
     split = {x, theta}
-    assert ch.f_canonical.coeff_of(SuperMonomial.make({x: p}), split) == 1
-    assert (
-        ch.g_canonical.coeff_of(SuperMonomial.make({x: q, theta: 1}), split) == 1
-    )
+    _certify(ch.f_canonical.coeff_of(SuperMonomial.make({x: p}), split) == 1,
+             "even generator leads with x^p")
+    _certify(ch.g_canonical.coeff_of(SuperMonomial.make({x: q, theta: 1}),
+                                      split) == 1,
+             "odd generator leads with x^q theta")
     f_theta = [
         m for m in ch.f_canonical.as_coeff_map(split)
         if m.exponent(theta) == 1
     ]
-    assert all(m.exponent(x) < q for m in f_theta)
+    _certify(all(m.exponent(x) < q for m in f_theta),
+             "theta part of the even generator below x^q")
     g_even = [
         m for m in ch.g_canonical.as_coeff_map(split)
         if m.exponent(theta) == 0
     ]
-    assert all(m.exponent(x) < p for m in g_even)
+    _certify(all(m.exponent(x) < p for m in g_even),
+             "even part of the odd generator below x^p")
 
     free_even = len(ch.a) + len(ch.b)
     free_odd = len(ch.alpha) + len(ch.beta)
-    assert (free_even, free_odd) == (p, p), "residual dimension is not (p|p)"
+    _certify((free_even, free_odd) == (p, p), "residual dimension is (p|p)")
     return gens

@@ -12,7 +12,8 @@ and `+` raise both sides to the larger exponent of each locus and compare
 or add numerators, inversion moves the monomial content into the
 numerator and clears the nilpotent soul with a finite series, and
 `simplified` cancels by exact division in each pivot, bounded by the
-exponent.
+exponent.  Substitutions through one `PowerTable` share the powers of
+the substituted values.
 """
 
 from __future__ import annotations
@@ -266,9 +267,12 @@ class LocalizedPoly:
         )
 
     def substitute(self, assignment) -> "LocalizedPoly":
-        out = substitute_localized(self.num, assignment)
+        """Substitute into the numerator and every locus through one
+        power table (`assignment` may already be a `PowerTable`)."""
+        table = PowerTable.of(assignment)
+        out = substitute_localized(self.num, table)
         for locus, e in self.loci.items():
-            out = out * substitute_localized(locus.poly, assignment) ** -e
+            out = out * substitute_localized(locus.poly, table) ** -e
         return out
 
     def diff(self, var) -> "LocalizedPoly":
@@ -287,35 +291,80 @@ class LocalizedPoly:
         return f"LocalizedPoly({pretty_localized(self)})"
 
 
+class PowerTable:
+    """The values of one assignment and the powers of them built so far.
+
+    Substitutions through one table share its powers: each rep^e is built
+    once, from the nearest power already in the table (`_power`), and
+    every negative power is a power of one cached reciprocal.  The table
+    holds only values derived from the assignment and lives as long as
+    its holder keeps it; a changed value needs a new table.
+    """
+
+    __slots__ = ("values", "_powers")
+
+    def __init__(self, assignment):
+        values = {v: LocalizedPoly.promote(val) for v, val in assignment.items()}
+        for v, val in values.items():
+            if val.is_zero():
+                continue
+            want = ParityClass.EVEN if v.parity.value == 0 else ParityClass.ODD
+            if val.parity_class() is not want:
+                raise ParityMismatch(
+                    f"replacement for {v.name} has parity "
+                    f"{val.parity_class().value}"
+                )
+        self.values = values
+        self._powers = {}  # (var, +1 or -1) -> {n: value^(+-n)}
+
+    @staticmethod
+    def of(assignment) -> "PowerTable":
+        if isinstance(assignment, PowerTable):
+            return assignment
+        return PowerTable(assignment)
+
+    def power(self, v: VarSymbol, e: int) -> LocalizedPoly:
+        """rep^e for the value rep of v."""
+        sign = 1 if e >= 0 else -1
+        built = self._powers.get((v, sign))
+        if built is None:
+            base = self.values[v]
+            built = {0: LocalizedPoly(SuperPoly.one()),
+                     1: base if sign > 0 else base.reciprocal()}
+            self._powers[(v, sign)] = built
+        return _power(built, abs(e))
+
+
+def _power(built: dict, n: int) -> LocalizedPoly:
+    """base^n from {exponent: base^exponent}, which holds 0 and 1, storing
+    every power built on the way: the largest power below n times the
+    rest, or two halves when that power is below n/2, so the recursion
+    depth stays logarithmic in n."""
+    out = built.get(n)
+    if out is None:
+        d = max(d for d in built if d < n)
+        if 2 * d < n:
+            d = n // 2
+        out = built[n] = _power(built, d) * _power(built, n - d)
+    return out
+
+
 def substitute_localized(p: SuperPoly, assignment) -> LocalizedPoly:
     """Substitute LocalizedPoly values into a SuperPoly, term by term.
 
-    Factors multiply in the monomial's canonical variable order, which
-    keeps the Koszul signs consistent with `SuperPoly.substitute`.
+    `assignment` is a map {variable: value} or a `PowerTable`.  Factors
+    multiply in the monomial's canonical variable order, which keeps the
+    Koszul signs consistent with `SuperPoly.substitute`.
     """
-    assignment = {v: LocalizedPoly.promote(val) for v, val in assignment.items()}
-    for v, val in assignment.items():
-        if val.is_zero():
-            continue
-        want = ParityClass.EVEN if v.parity.value == 0 else ParityClass.ODD
-        if val.parity_class() is not want:
-            raise ParityMismatch(
-                f"replacement for {v.name} has parity {val.parity_class().value}"
-            )
+    table = PowerTable.of(assignment)
+    values = table.values
     terms = []
-    cache = {}
     for m, c in p.terms.items():
         acc = LocalizedPoly(SuperPoly.const(c))
         for v, e in m.factors:
-            rep = assignment.get(v)
-            if rep is None:
+            if v in values:
+                acc = acc * table.power(v, e)
+            else:
                 acc = acc * LocalizedPoly(SuperPoly.var(v, e))
-                continue
-            key = (v, e)
-            val = cache.get(key)
-            if val is None:
-                val = rep ** e
-                cache[key] = val
-            acc = acc * val
         terms.append(acc)
     return LocalizedPoly.sum(terms)

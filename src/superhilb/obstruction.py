@@ -8,7 +8,9 @@ coboundary of chart-level sections.  Chart sections are polynomial in
 the chart coordinates, so the coboundary equations become linear systems
 over bivariate Laurent polynomials in the global coordinates
 z = z1/z0 and w = w1/w0, with each unknown block supported on the
-quadrant cone belonging to its chart.
+quadrant cone belonging to its chart.  A failed certificate raises
+CertificateError and an input system of the wrong shape raises
+NotCanonicalizable, also under python -O.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from fractions import Fraction
 
 from .charts import Atlas, hilb11_atlas, hilb21_atlas
 from .errors import HigherOrderTerms, NotCanonicalizable
+from .ideals import _certify
 from .localized import LocalizedPoly, substitute_localized
 from .ring import SuperMonomial, SuperPoly, even
 
@@ -546,8 +549,11 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
     factors = dict(eq23.terms)
     fac_g = _single_monomial(factors["g"])
     fac_h = _single_monomial(factors["h"])
-    assert fac_g and fac_h, "expected monomial columns on the V2V3 overlap"
-    assert not eq23.rhs, "expected a vanishing obstruction on V2V3"
+    if not (fac_g and fac_h):
+        raise NotCanonicalizable(
+            "expected monomial columns on the V2V3 overlap")
+    if eq23.rhs:
+        raise NotCanonicalizable("expected a vanishing obstruction on V2V3")
     (gz, gw), gc = fac_g
     (hz, hw), hc = fac_h
     # g hits exponents (gz - e, gw + f); h hits (hz + e, hw - f)
@@ -570,14 +576,14 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
         forced["h"] = 0
     else:
         case = "III"
-        assert len(box) == 1, "unexpected coupling box"
+        if len(box) != 1:
+            raise NotCanonicalizable("unexpected coupling box")
         ez, ew = box[0]
         # slots of g and h reaching the shared exponent
         e_g, f_g = gz - ez, ew - gw
         e_h, f_h = ez - hz, hw - ew
-        assert (e_g, f_g) == (0, 0) and (e_h, f_h) == (0, 0), (
-            "coupling away from the constant slots"
-        )
+        if (e_g, f_g) != (0, 0) or (e_h, f_h) != (0, 0):
+            raise NotCanonicalizable("coupling away from the constant slots")
         sign_g = -1 if (e_g + f_g) % 2 else 1
         sign_h = -1 if (e_h + f_h) % 2 else 1
         lam = -(gc * sign_g) / (hc * sign_h)
@@ -592,7 +598,8 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
     eq12 = eqs["V1V2.z"]
     factors12 = dict(eq12.terms)
     f_fac = factors12["f"]
-    assert not _lb_diag(f_fac), "the V1-column must vanish on the diagonal"
+    if _lb_diag(f_fac):
+        raise NotCanonicalizable("the V1-column must vanish on the diagonal")
 
     if not box:
         g_val = Fraction(0)
@@ -600,7 +607,8 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
         # case III: the diagonal restriction determines the constant g
         rhs_diag = _lb_diag(eq12.rhs)
         g_fac_diag = _lb_diag(factors12.get("g", {}))
-        assert g_fac_diag, "expected a g-column on the V1V2 overlap"
+        if not g_fac_diag:
+            raise NotCanonicalizable("expected a g-column on the V1V2 overlap")
         g_val = None
         for exp in set(rhs_diag) | set(g_fac_diag):
             num = rhs_diag.get(exp, Fraction(0))
@@ -739,9 +747,8 @@ def split_check_11(k: int) -> SplitVerdict:
     )
     degree = _monomial_degree(coeff, a)
     cochain = extract_obstruction(atlas)
-    assert all(
-        cochain.is_zero_on(t, s) for (t, s) in atlas.transitions
-    ), "rank-1 odd direction cannot carry a wedge-square term"
+    _certify(all(cochain.is_zero_on(t, s) for (t, s) in atlas.transitions),
+             "the rank-1 odd direction carries no wedge-square term")
     verdict = SplitVerdict(
         split=True,
         target="hilb11",
@@ -812,9 +819,8 @@ def is_coboundary(k: int, atlas: Atlas | None = None) -> SplitVerdict:
     system = build_coboundary_system(k, abs(k) + 4, atlas)
     analysis = analyze_subsystem(system)
     solver_solution = solve_laurent_system(system)
-    assert (solver_solution is not None) == analysis.feasible, (
-        "support analysis and bounded solver disagree"
-    )
+    _certify((solver_solution is not None) == analysis.feasible,
+             "support analysis and bounded solver agree")
     if not analysis.feasible:
         return SplitVerdict(
             split=False,
@@ -842,9 +848,8 @@ def is_coboundary(k: int, atlas: Atlas | None = None) -> SplitVerdict:
         )
     charts_evens = {ch.name: ch.evens for ch in atlas.charts}
     sections = _sections_from_solution(solution, charts_evens)
-    assert _verify_certificate(atlas, sections), (
-        "solver produced a section set that fails the exact identities"
-    )
+    _certify(_verify_certificate(atlas, sections),
+             "the solver's sections satisfy the exact identities")
     certificate = {
         f"{block}[{e},{f_}]": val
         for (block, e, f_), val in sorted(solution.items())

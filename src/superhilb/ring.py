@@ -39,9 +39,9 @@ class ParityClass(enum.Enum):
 
 class VarSymbol:
     """Interned variable symbol: equal (name, parity, invertible) triples
-    are the same object, so hashing and comparison are cheap."""
+    are the same object, so hashing and comparison go by identity."""
 
-    __slots__ = ("name", "parity", "invertible", "_hash")
+    __slots__ = ("name", "parity", "invertible")
     _intern: dict = {}
 
     def __new__(cls, name, parity, invertible=False):
@@ -56,12 +56,8 @@ class VarSymbol:
             obj.name = name
             obj.parity = parity
             obj.invertible = invertible
-            obj._hash = hash(key)
             cls._intern[key] = obj
         return obj
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         tag = "even" if self.parity is Parity.EVEN else "odd"
@@ -248,6 +244,13 @@ class SuperPoly:
                     clean[m] = c
         self._terms = clean
 
+    @staticmethod
+    def _of(terms: dict) -> "SuperPoly":
+        """Wrap a term map that already holds only nonzero Fractions."""
+        out = SuperPoly.__new__(SuperPoly)
+        out._terms = terms
+        return out
+
     # -- constructors ------------------------------------------------
 
     @staticmethod
@@ -366,22 +369,23 @@ class SuperPoly:
         if not other._terms:
             return self
         out = dict(self._terms)
+        get = out.get
         for m, c in other._terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
+            s = get(m)
+            if s is None:
+                out[m] = c
             else:
-                out.pop(m, None)
-        res = SuperPoly.__new__(SuperPoly)
-        res._terms = out
-        return res
+                s += c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+        return SuperPoly._of(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = SuperPoly.__new__(SuperPoly)
-        res._terms = {m: -c for m, c in self._terms.items()}
-        return res
+        return SuperPoly._of({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-SuperPoly.promote(other))
@@ -394,21 +398,26 @@ class SuperPoly:
         if not self._terms or not other._terms:
             return _ZERO
         out = {}
+        get = out.get
+        rhs = other._terms.items()
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                prod = m1.mul(m2)
+            mul = m1.mul
+            for m2, c2 in rhs:
+                prod = mul(m2)
                 if prod is None:
                     continue
                 sign, m = prod
-                c = c1 * c2 * sign
-                s = out.get(m, Fraction(0)) + c
-                if s:
-                    out[m] = s
+                c = c1 * c2 if sign > 0 else -(c1 * c2)
+                s = get(m)
+                if s is None:
+                    out[m] = c
                 else:
-                    out.pop(m, None)
-        res = SuperPoly.__new__(SuperPoly)
-        res._terms = out
-        return res
+                    s += c
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+        return SuperPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -435,20 +444,10 @@ class SuperPoly:
         split_vars = set(split_vars)
         out = {}
         for m, c in self._terms.items():
+            # m is rest * sub up to sign, so no two terms share a bucket slot
             rest, sub, sign = m.split(split_vars)
-            bucket = out.setdefault(sub, {})
-            s = bucket.get(rest, Fraction(0)) + c * sign
-            if s:
-                bucket[rest] = s
-            else:
-                bucket.pop(rest, None)
-        result = {}
-        for sub, bucket in out.items():
-            if bucket:
-                p = SuperPoly.__new__(SuperPoly)
-                p._terms = bucket
-                result[sub] = p
-        return result
+            out.setdefault(sub, {})[rest] = c if sign > 0 else -c
+        return {sub: SuperPoly._of(terms) for sub, terms in out.items()}
 
     def coeff_of(self, sub_monomial: SuperMonomial, split_vars) -> "SuperPoly":
         return self.as_coeff_map(split_vars).get(sub_monomial, _ZERO)
@@ -499,13 +498,9 @@ class SuperPoly:
                 continue
             exps = {v: k for v, k in m.factors}
             exps[var] = e - 1
-            nm = SuperMonomial.make(exps)
-            s = out.get(nm, Fraction(0)) + c * e
-            if s:
-                out[nm] = s
-            else:
-                out.pop(nm, None)
-        return SuperPoly(out)
+            # m -> m / var is injective, so every monomial appears once
+            out[SuperMonomial.make(exps)] = c * e
+        return SuperPoly._of(out)
 
     def __repr__(self):
         from .parser import pretty

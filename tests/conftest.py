@@ -1,9 +1,26 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import superhilb
 from superhilb.ring import Parity, SuperMonomial, SuperPoly, even, odd
+
+
+def run_optimized(script: str) -> subprocess.CompletedProcess:
+    """Run a script under python -O against this checkout's package, so
+    an assert-only check would vanish and a real check still raises."""
+    src = str(Path(superhilb.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-O", "-c", textwrap.dedent(script)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
 
 
 def standard_ring():

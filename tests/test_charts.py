@@ -1,13 +1,9 @@
-import os
-import subprocess
-import sys
-import textwrap
+import hashlib
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import superhilb
+from conftest import run_optimized
 from superhilb.charts import (
     Ambient,
     IdealOnChart,
@@ -27,7 +23,7 @@ from superhilb.charts import (
     verify_cocycle,
 )
 from superhilb.errors import ChartMismatch, NotCanonicalizable
-from superhilb.localized import LocalizedPoly
+from superhilb.localized import LocalizedPoly, PowerTable
 from superhilb.ring import SuperMonomial, SuperPoly, even, odd
 
 V = SuperPoly.var
@@ -403,7 +399,7 @@ class TestCanonicalizePresentationInvariance:
 class TestCertificatesUnderOptimize:
     def test_tampered_closed_form_raises(self):
         """The closed-form check is a real check: python -O keeps it."""
-        script = textwrap.dedent("""
+        done = run_optimized("""
             import superhilb.charts as charts
             from superhilb.errors import CertificateError
 
@@ -421,11 +417,90 @@ class TestCertificatesUnderOptimize:
             except CertificateError as exc:
                 print(type(exc).__name__, exc)
         """)
-        src = str(Path(superhilb.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True,
-            text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
-        )
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("CertificateError")
         assert "V1<-V2 closed form" in done.stdout
+
+
+class TestGoldenFingerprints:
+    """Pinned sha256 digests of atlas_to_text: a change to the ring
+    kernel or to composition must leave every stored rule byte-identical."""
+
+    @pytest.mark.parametrize("build, k, digest", [
+        pytest.param(hilb21_atlas, -8, "24780011bdb3244ed4972f4d6341b032"
+                     "7028a0f0cb0af0f079ce744eba556fb8", id="hilb21-k-8"),
+        pytest.param(hilb21_atlas, 2, "e600332385dea4c9ea4150e49443bd46"
+                     "6201e882e983668dba96335751ff4f77", id="hilb21-k2"),
+        pytest.param(hilb21_atlas, 63, "bd6f5b5a53043ff608f39f738346b336"
+                     "6c4cf318a3c7d92501f703215b9ca8a5", id="hilb21-k63"),
+        pytest.param(hilb11_atlas, 5, "21861f7dc4032d13032680a9e9db9400"
+                     "dbf8c78ed5f12201d9050eff4dfab3a6", id="hilb11-k5"),
+        pytest.param(pi_v_atlas, 5, "4818632f0cb002501c1478cddb1aa88f"
+                     "8665996a164635317eef9db68f3ea0fd", id="pi_v-k5"),
+    ])
+    def test_atlas_text_digest(self, build, k, digest):
+        text = atlas_to_text(build(k))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestPowerTables:
+    def test_table_powers_match_pow(self):
+        atlas = hilb21_atlas(2)
+        t21 = atlas.transition("V2", "V1")
+        b1 = atlas.chart("V2").evens[0]
+        rule = t21.rule(b1)
+        assert not rule.is_polynomial()
+        table = PowerTable(t21.rules)
+        for e in range(-3, 6):
+            power, expected = table.power(b1, e), rule ** e
+            assert power == expected
+            assert (power.num, power.loci) == (expected.num, expected.loci)
+
+    def test_tampered_shared_inner_rule_is_caught(self):
+        """Triples (i, V1, V2) for i = V2, V3, V4 share the inner map
+        V1<-V2; a rule changed in place after a passing check must fail
+        the next one, so no table outlives the call that built it."""
+        atlas = hilb21_atlas(2)
+        assert verify_cocycle(atlas) == (True, None)
+        t12 = atlas.transition("V1", "V2")
+        a1 = atlas.chart("V1").evens[0]
+        t12.rules[a1] = -t12.rules[a1]
+        ok, witness = verify_cocycle(atlas)
+        assert not ok
+        assert ("V1", "V2") in (witness[:2], witness[1:3])
+
+    def test_inverse_composition_without_simplification(self, monkeypatch):
+        atlas = hilb21_atlas(2)
+        t12 = atlas.transition("V1", "V2")
+        t21 = atlas.transition("V2", "V1")
+
+        def refuse(self):
+            raise AssertionError("simplified() on a composite")
+
+        monkeypatch.setattr(LocalizedPoly, "simplified", refuse)
+        composed = compose_rules(t12, t21)
+        assert any(not value.is_polynomial() for value in composed.values())
+        ident = {
+            c: LocalizedPoly(V(c)) for c in atlas.chart("V1").coordinates
+        }
+        assert rules_equal(composed, ident)
+
+
+class TestCostGuard:
+    def test_cocycle_product_count(self, monkeypatch):
+        """verify_cocycle(hilb21_atlas(20)) on a prebuilt atlas forms at
+        most 2075 polynomial products: 1660 measured with power tables
+        shared per inner transition, times 1.25 (powers rebuilt for every
+        composite took 7296)."""
+        atlas = hilb21_atlas(20)
+        calls = [0]
+        mul = SuperPoly.__mul__
+
+        def counted(self, other):
+            calls[0] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(SuperPoly, "__mul__", counted)
+        monkeypatch.setattr(SuperPoly, "__rmul__", counted)
+        assert verify_cocycle(atlas) == (True, None)
+        assert calls[0] <= 2075, calls[0]

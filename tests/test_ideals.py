@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run_optimized
 from superhilb.errors import NonMonicDivisor, RankOrderViolation
 from superhilb.ideals import (
     CanonicalIdeal,
@@ -325,3 +326,24 @@ class TestLeadingCoefficients:
             assert ideal.g.coeff_of(
                 SuperMonomial.make({ideal.x: q, ideal.theta: 1}), split
             ) == 1
+
+
+class TestCertificatesUnderOptimize:
+    def test_tampered_coordinate_change_raises(self):
+        """The coordinate-change identities are real checks: python -O
+        keeps them."""
+        done = run_optimized("""
+            from superhilb.errors import CertificateError
+            from superhilb.ideals import _verify_change, raw_to_canonical
+
+            change = raw_to_canonical(2, 1)
+            s = change.raw.a[0]
+            change.forward[s] = change.forward[s] + 1
+            try:
+                _verify_change(change)
+            except CertificateError as exc:
+                print(type(exc).__name__, exc)
+        """)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("CertificateError")
+        assert "even generator image" in done.stdout

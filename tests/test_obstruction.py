@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run_optimized
 from superhilb.charts import hilb11_atlas, hilb21_atlas
 from superhilb.localized import LocalizedPoly
 from superhilb.obstruction import (
@@ -229,3 +230,46 @@ class TestSolverSoundness:
         solution = solve_laurent_system(full)
         assert solution is not None
         assert _solution_satisfies(full, solution)
+
+
+class TestCertificatesUnderOptimize:
+    def test_tampered_sections_and_system_raise(self):
+        """The split certificate and the support analysis's shape checks
+        are real checks: python -O keeps them."""
+        done = run_optimized("""
+            from dataclasses import replace
+
+            import superhilb.obstruction as ob
+            from superhilb.errors import CertificateError, NotCanonicalizable
+
+            sections_from = ob._sections_from_solution
+
+            def tampered(solution, charts_evens):
+                sections = sections_from(solution, charts_evens)
+                first, second = sections["V2"]
+                sections["V2"] = (first + 1, second)
+                return sections
+
+            ob._sections_from_solution = tampered
+            try:
+                ob.is_coboundary(0)
+            except CertificateError as exc:
+                print(type(exc).__name__, exc)
+
+            system = ob.build_coboundary_system(3, 7)
+            equations = tuple(
+                replace(eq, rhs={(0, 0): 1}) if eq.label == "V2V3.z" else eq
+                for eq in system.equations
+            )
+            try:
+                ob.analyze_subsystem(replace(system, equations=equations))
+            except NotCanonicalizable as exc:
+                print(type(exc).__name__, exc)
+        """)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 2, done.stdout
+        assert lines[0].startswith("CertificateError")
+        assert "exact identities" in lines[0]
+        assert lines[1].startswith("NotCanonicalizable")
+        assert "vanishing obstruction on V2V3" in lines[1]
