@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k-range", type=_k_range, metavar="A..B")
     p_split.add_argument(
         "--degree-bound", type=_nonnegative_int, default=None,
-        help="extra truncation bound for the coboundary solver",
+        help="extra truncation bound for the coboundary solver (hilb21)",
     )
     p_split.set_defaults(func=cmd_split_check)
     return parser
@@ -333,6 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (getattr(args, "degree_bound", None) is not None
+            and args.target != "hilb21"):
+        parser.error("--degree-bound applies to --target hilb21 only")
     try:
         return args.func(args)
     except PARSE_ERRORS as exc:

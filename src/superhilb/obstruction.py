@@ -15,6 +15,7 @@ NotCanonicalizable, also under python -O.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -363,8 +364,7 @@ def build_coboundary_system(k: int, degree_bound: int,
     """The z-direction coboundary equations on the three overlaps of the
     charts V1, V2, V3, with unknown blocks f, g, h supported on their
     quadrant cones.  Constructed from the computed transition maps."""
-    if degree_bound < 0:
-        raise ValueError("degree bound must be nonnegative")
+    _checked_bound(degree_bound)
     atlas = atlas or hilb21_atlas(k)
     equations = tuple(
         _equation_for_overlap(atlas, t, s, 0)
@@ -379,6 +379,7 @@ def build_coboundary_system(k: int, degree_bound: int,
 def build_full_coboundary_system(k: int, degree_bound: int,
                                  atlas: Atlas | None = None) -> LaurentSystem:
     """Both components on all six overlaps, including the fourth chart."""
+    _checked_bound(degree_bound)
     atlas = atlas or hilb21_atlas(k)
     pairs = (
         ("V1", "V2"), ("V1", "V3"), ("V1", "V4"),
@@ -395,90 +396,155 @@ def build_full_coboundary_system(k: int, degree_bound: int,
 
 # ---------------------------------------------------------------------------
 # Bounded exact solver
+#
+# Sparse echelon elimination over the rationals: each incoming row is
+# reduced against the earlier pivot rows in ascending pivot order and
+# pivots on its smallest remaining column; back substitution in
+# descending pivot order sets the free unknowns to zero.  The leading
+# columns of a row space do not depend on how it is reduced, so the
+# pivots, and the solution with free unknowns zero, are those of a full
+# Gauss-Jordan reduction.  Entries stay Python ints while integral (a
+# pivot of +-1 is normalised by a sign flip); the solution is certified
+# against the untouched truncated rows before it is returned.
 
 
 def solve_laurent_system(system: LaurentSystem, degree_bound=None):
     """Exact rational solve of the truncated system.
 
     Unknowns are the block coefficients of total degree <= the bound
-    inside each cone; returns a solution dict or None when the equations
-    are infeasible at this truncation.
+    inside each cone, one row per equation and Laurent exponent.  Forward
+    elimination brings the rows to echelon form (each pivot the smallest
+    column left in its row); back substitution sets the free unknowns to
+    zero.  The solution is checked exactly against every truncated row
+    (CertificateError otherwise, also under python -O) and returned as a
+    dict unknown -> Fraction; None when the equations are infeasible at
+    this truncation.  A negative bound raises ValueError.
     """
-    bound = system.degree_bound if degree_bound is None else degree_bound
-    unknowns = []
-    for name, (chart, (sz, sw)) in system.blocks.items():
-        for e in range(bound + 1):
-            for f_ in range(bound + 1 - e):
-                unknowns.append((name, e, f_))
-    index = {u: i for i, u in enumerate(unknowns)}
+    bound = _checked_bound(
+        system.degree_bound if degree_bound is None else degree_bound
+    )
+    unknowns = [
+        (name, e, f_)
+        for name in system.blocks
+        for e in range(bound + 1)
+        for f_ in range(bound + 1 - e)
+    ]
+    rows = _truncated_rows(system, bound, unknowns)
+    pivots = _echelon(rows)
+    if pivots is None:
+        return None
+    values = _back_substitute(pivots, len(unknowns))
+    _certify(
+        all(
+            sum(c * values[u] for u, c in coeffs.items()) == rhs
+            for coeffs, rhs in rows
+        ),
+        "the solver's values satisfy every truncated equation",
+    )
+    zero = Fraction(0)
+    return {
+        u: Fraction(val) if val else zero
+        for u, val in zip(unknowns, values)
+    }
 
+
+def _checked_bound(bound: int) -> int:
+    if bound < 0:
+        raise ValueError("degree bound must be nonnegative")
+    return bound
+
+
+def _integral(c):
+    """c as an int when its denominator is 1, else unchanged."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _truncated_rows(system: LaurentSystem, bound: int, unknowns) -> list:
+    """The rows (coeffs {unknown index: coefficient}, rhs) in the order
+    of their (equation, z-exponent, w-exponent) key; integral entries
+    are ints."""
+    index = {u: i for i, u in enumerate(unknowns)}
     rows = {}
     for eq_no, eq in enumerate(system.equations):
         for block, factor in eq.terms:
             if block not in system.blocks:
                 continue
             _, (sz, sw) = system.blocks[block]
+            # the chart coefficient sign (-1)^(e+f) folded into the factor
+            terms = [(fz, fw, _integral(c)) for (fz, fw), c in factor.items()]
+            signed = (terms, [(fz, fw, -c) for fz, fw, c in terms])
             for e in range(bound + 1):
                 for f_ in range(bound + 1 - e):
                     u = index[(block, e, f_)]
-                    sign = -1 if (e + f_) % 2 else 1
-                    for (fz, fw), c in factor.items():
+                    for fz, fw, c in signed[(e + f_) % 2]:
                         key = (eq_no, fz + sz * e, fw + sw * f_)
-                        row = rows.setdefault(key, [{}, Fraction(0)])
-                        s = row[0].get(u, Fraction(0)) + c * sign
+                        row = rows.setdefault(key, [{}, 0])
+                        s = row[0].get(u, 0) + c
                         if s:
                             row[0][u] = s
                         else:
                             row[0].pop(u, None)
-        for key2, c in eq.rhs.items():
-            key = (eq_no, key2[0], key2[1])
-            row = rows.setdefault(key, [{}, Fraction(0)])
-            row[1] += c
+        for (ez, ew), c in eq.rhs.items():
+            row = rows.setdefault((eq_no, ez, ew), [{}, 0])
+            row[1] = _integral(row[1] + c)
+    return [(coeffs, rhs) for _, (coeffs, rhs) in sorted(rows.items())]
 
-    # Gauss-Jordan on sparse rows: pivot rows stay fully reduced against
-    # each other, so reducing an incoming row terminates in one pass.
-    pivots = {}  # unknown index -> [coeffs dict, rhs]
-    for key in sorted(rows):
-        coeffs, rhs = rows[key]
+
+def _echelon(rows):
+    """Forward elimination: {pivot column: (coeffs, rhs)} with the pivot
+    normalised to 1 and dropped from coeffs, every other column of a
+    pivot row above its pivot; None when some row reduces to 0 = c != 0.
+    The input rows are left untouched."""
+    pivots = {}
+    for coeffs, rhs in rows:
         coeffs = dict(coeffs)
-        for u in sorted(coeffs):
-            if u in pivots and u in coeffs:
-                factor = coeffs.pop(u)
-                p_coeffs, p_rhs = pivots[u]
-                for pu, pc in p_coeffs.items():
-                    s = coeffs.get(pu, Fraction(0)) - factor * pc
+        # the row's pivot columns in ascending order; a pivot row only
+        # fills in columns above its own, so the heap stays ahead
+        heap = [u for u in coeffs if u in pivots]
+        heapq.heapify(heap)
+        while heap:
+            u = heapq.heappop(heap)
+            factor = coeffs.pop(u, 0)
+            if not factor:
+                continue  # cancelled, or a repeated push
+            p_coeffs, p_rhs = pivots[u]
+            for pu, pc in p_coeffs.items():
+                old = coeffs.get(pu)
+                if old is None:
+                    coeffs[pu] = -factor * pc
+                    if pu in pivots:
+                        heapq.heappush(heap, pu)
+                else:
+                    s = old - factor * pc
                     if s:
                         coeffs[pu] = s
                     else:
-                        coeffs.pop(pu, None)
-                rhs -= factor * p_rhs
+                        del coeffs[pu]
+            rhs -= factor * p_rhs
         if not coeffs:
             if rhs:
                 return None
             continue
         u_star = min(coeffs)
-        inv = Fraction(1) / coeffs.pop(u_star)
-        coeffs = {u: c * inv for u, c in coeffs.items()}
-        rhs *= inv
-        for entry in pivots.values():
-            if u_star in entry[0]:
-                factor = entry[0].pop(u_star)
-                for pu, pc in coeffs.items():
-                    s = entry[0].get(pu, Fraction(0)) - factor * pc
-                    if s:
-                        entry[0][pu] = s
-                    else:
-                        entry[0].pop(pu, None)
-                entry[1] -= factor * rhs
-        pivots[u_star] = [coeffs, rhs]
+        lead = coeffs.pop(u_star)
+        if lead == -1:
+            coeffs = {u: -c for u, c in coeffs.items()}
+            rhs = -rhs
+        elif lead != 1:
+            inv = 1 / Fraction(lead)
+            coeffs = {u: _integral(c * inv) for u, c in coeffs.items()}
+            rhs = _integral(rhs * inv)
+        pivots[u_star] = (coeffs, rhs)
+    return pivots
 
-    solution = {u: Fraction(0) for u in unknowns}
-    for u_star, (coeffs, rhs) in pivots.items():
-        val = rhs
-        for u, c in coeffs.items():
-            val -= c * solution[unknowns[u]]
-        solution[unknowns[u_star]] = val
-    return solution
+
+def _back_substitute(pivots, n_unknowns: int) -> list:
+    """Values of all unknowns from an echelon form, free ones zero."""
+    values = [0] * n_unknowns
+    for u_star in sorted(pivots, reverse=True):
+        coeffs, rhs = pivots[u_star]
+        values[u_star] = rhs - sum(c * values[u] for u, c in coeffs.items())
+    return values
 
 
 # ---------------------------------------------------------------------------

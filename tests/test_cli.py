@@ -198,6 +198,14 @@ class TestSplitCheck:
         assert code == 0
         assert built == [1]
 
+    def test_degree_bound_with_hilb11_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["split-check", "--target", "hilb11", "--k", "3",
+                  "--degree-bound", "2"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --degree-bound applies to --target hilb21" in err
+
     @pytest.mark.parametrize("k_range", ["3..x", "5..1", "3"])
     def test_bad_k_range_exit_2(self, capsys, k_range):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ from superhilb.charts import hilb11_atlas, hilb21_atlas
 from superhilb.localized import LocalizedPoly
 from superhilb.obstruction import (
     CONES,
+    CoboundaryEquation,
+    LaurentSystem,
     analyze_subsystem,
     antisymmetry_holds,
     build_coboundary_system,
@@ -273,3 +276,207 @@ class TestCertificatesUnderOptimize:
         assert "exact identities" in lines[0]
         assert lines[1].startswith("NotCanonicalizable")
         assert "vanishing obstruction on V2V3" in lines[1]
+
+
+def _unknowns(blocks, bound):
+    return [
+        (name, e, f_)
+        for name in blocks
+        for e in range(bound + 1)
+        for f_ in range(bound + 1 - e)
+    ]
+
+
+def _dense_rows(system, bound):
+    """{(equation, z, w): [coefficient per unknown, rhs]} of the
+    truncated system, with Fraction entries."""
+    unknowns = _unknowns(system.blocks, bound)
+    rows = {}
+
+    def row(key):
+        return rows.setdefault(key, [[Fraction(0)] * len(unknowns),
+                                     Fraction(0)])
+
+    for eq_no, eq in enumerate(system.equations):
+        for block, factor in eq.terms:
+            _, (sz, sw) = system.blocks[block]
+            for col, (name, e, f_) in enumerate(unknowns):
+                if name != block:
+                    continue
+                for (fz, fw), c in factor.items():
+                    key = (eq_no, fz + sz * e, fw + sw * f_)
+                    row(key)[0][col] += c * (-1) ** (e + f_)
+        for (ez, ew), c in eq.rhs.items():
+            row((eq_no, ez, ew))[1] += c
+    return unknowns, rows
+
+
+def _dense_solve(system, bound):
+    """Reference: Gauss-Jordan on the dense augmented matrix, free
+    unknowns zero; None when infeasible."""
+    unknowns, rows = _dense_rows(system, bound)
+    matrix = [coeffs + [rhs] for coeffs, rhs in rows.values()]
+    n = len(unknowns)
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        hit = next((i for i in range(r, len(matrix)) if matrix[i][col]), None)
+        if hit is None:
+            continue
+        matrix[r], matrix[hit] = matrix[hit], matrix[r]
+        lead = matrix[r][col]
+        matrix[r] = [x / lead for x in matrix[r]]
+        for i in range(len(matrix)):
+            if i != r and matrix[i][col]:
+                factor = matrix[i][col]
+                matrix[i] = [x - factor * y
+                             for x, y in zip(matrix[i], matrix[r])]
+        pivot_cols.append(col)
+        r += 1
+    if any(row[n] for row in matrix[r:]):
+        return None
+    solution = {u: Fraction(0) for u in unknowns}
+    for i, col in enumerate(pivot_cols):
+        solution[unknowns[col]] = matrix[i][n]
+    return solution
+
+
+def _random_system(rng, bound, consistent):
+    blocks = {
+        name: (chart, CONES[chart])
+        for name, chart in (("f", "V1"), ("g", "V2"), ("h", "V3"))
+        if rng.random() < 0.8
+    } or {"f": ("V1", CONES["V1"])}
+
+    def coefficient():
+        return Fraction(rng.choice([-3, -2, -1, 1, 1, 2, 3]),
+                        rng.choice([1, 1, 2, 3]))
+
+    equations = []
+    for eq_no in range(rng.randint(1, 3)):
+        terms = []
+        for name in blocks:
+            if rng.random() < 0.7:
+                factor = {
+                    (rng.randint(-2, 2), rng.randint(-2, 2)): coefficient()
+                    for _ in range(rng.randint(1, 3))
+                }
+                terms.append((name, factor))
+        equations.append(CoboundaryEquation(f"E{eq_no}", tuple(terms), {}))
+    system = LaurentSystem(0, blocks, tuple(equations), bound)
+    # right-hand sides: the image of random values, or random entries
+    unknowns, rows = _dense_rows(system, bound)
+    point = [Fraction(rng.randint(-2, 2), rng.randint(1, 2)) for _ in unknowns]
+    rhs = [{} for _ in equations]
+    for (eq_no, ez, ew), (coeffs, _) in rows.items():
+        if consistent:
+            value = sum(c * x for c, x in zip(coeffs, point))
+        else:
+            value = coefficient() if rng.random() < 0.3 else Fraction(0)
+        if value:
+            rhs[eq_no][(ez, ew)] = value
+    equations = tuple(
+        CoboundaryEquation(eq.label, eq.terms, side)
+        for eq, side in zip(equations, rhs)
+    )
+    return LaurentSystem(0, blocks, equations, bound)
+
+
+class TestBoundedSolver:
+    @staticmethod
+    def _constant_sections(blocks, bound):
+        expected = {u: Fraction(0) for u in _unknowns(blocks, bound)}
+        expected[("g", 0, 0)] = Fraction(1)
+        expected[("h", 0, 0)] = Fraction(1)
+        return expected
+
+    @pytest.mark.parametrize("build,bound", [
+        (build_coboundary_system, 80),
+        (build_full_coboundary_system, 36),
+    ])
+    def test_twist_zero_golden(self, build, bound):
+        system = build(0, bound)
+        solution = solve_laurent_system(system)
+        expected = self._constant_sections(system.blocks, bound)
+        assert list(solution.items()) == list(expected.items())
+        assert all(type(v) is Fraction for v in solution.values())
+
+    @pytest.mark.parametrize("k", [3, -3])
+    def test_nonzero_twist_golden(self, k):
+        assert solve_laurent_system(build_coboundary_system(k, 80)) is None
+
+    def test_random_systems_match_dense_reference(self):
+        rng = random.Random(5)
+        outcomes = {True: 0, False: 0}
+        for trial in range(60):
+            bound = rng.randint(0, 3)
+            system = _random_system(rng, bound, consistent=trial % 3 != 0)
+            got = solve_laurent_system(system)
+            want = _dense_solve(system, bound)
+            outcomes[want is not None] += 1
+            if want is None:
+                assert got is None, trial
+            else:
+                assert got is not None, trial
+                assert list(got.items()) == list(want.items()), trial
+        assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
+
+
+class TestNegativeBound:
+    def test_three_overlap_system(self):
+        with pytest.raises(ValueError):
+            build_coboundary_system(0, -1)
+
+    def test_full_system(self):
+        with pytest.raises(ValueError):
+            build_full_coboundary_system(0, -1)
+
+    def test_solver_override(self):
+        with pytest.raises(ValueError):
+            solve_laurent_system(build_coboundary_system(0, 2), -1)
+
+
+class TestSolverCost:
+    def test_fraction_count_k0_bound80(self, monkeypatch):
+        """solve_laurent_system(build_coboundary_system(0, 80)) builds at
+        most 6 Fraction objects: 5 measured with integer entries, one
+        shared zero and ints converted on return, times 1.25 (Fraction
+        entries throughout built 198778)."""
+        system = build_coboundary_system(0, 80)
+        built = [0]
+        new = Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        assert solve_laurent_system(system) is not None
+        monkeypatch.undo()
+        assert built[0] <= 6, built[0]
+
+
+class TestSolverCertificateUnderOptimize:
+    def test_tampered_value_raises(self):
+        """The solver checks its values against every truncated row, also
+        under python -O."""
+        done = run_optimized("""
+            import superhilb.obstruction as ob
+            from superhilb.errors import CertificateError
+
+            back_substitute = ob._back_substitute
+
+            def tampered(pivots, n_unknowns):
+                values = back_substitute(pivots, n_unknowns)
+                values[max(pivots)] += 1
+                return values
+
+            ob._back_substitute = tampered
+            try:
+                ob.solve_laurent_system(ob.build_coboundary_system(0, 6))
+            except CertificateError as exc:
+                print(type(exc).__name__, exc)
+        """)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("CertificateError"), done.stdout
+        assert "truncated equation" in done.stdout
