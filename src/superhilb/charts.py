@@ -1,17 +1,18 @@
 """Chart atlases for rank-(1|1) and rank-(2|1) point families on the
 parity-reversed line bundle of twist k over the projective line.
 
-Coordinates follow the four-chart cover: V1 carries the canonical
-(2|1)-pair over the x-side, V4 its mirror over the y-side, while V2 and
-V3 are products of a (1|1)-point chart and a (1|0)-point chart sitting
-in opposite affine patches (with the diagonal removed).  Transitions
-into the canonical charts are computed by moving point factors across
-the patches, multiplying the ideals and canonicalizing; transitions into
-the product charts are the exact inverses of those maps, and carry
-denominators supported on the removed loci.  Canonicalization reduces
-modulo the monicized generator pair with the normal form of
-`superhilb.ideals`; ideal equality is certified by zero remainders.
-A failed certificate raises CertificateError, also under python -O.
+The rank-(2|1) atlas is built from one layout table, HILB21_LAYOUT: it
+says on which affine patch each chart's (1|1)-point and (1|0)-point sit.
+A chart with both points on one patch is canonical (V1 over the x-side,
+V4 over the y-side); V2 and V3 are products with the points on opposite
+patches (with the diagonal removed).  Maps out of a product chart move
+the point factors across the patches, and into a canonical chart also
+multiply the ideals and canonicalize; maps into the product charts are
+the exact inverses of those maps, and carry denominators supported on
+the removed loci.  Canonicalization reduces modulo the monicized
+generator pair with the normal form of `superhilb.ideals`; ideal
+equality is certified by zero remainders.  A failed certificate raises
+CertificateError, also under python -O.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ class SuperChart:
     evens: tuple
     odds: tuple
     units: tuple = ()  # loci invertible on this chart
-    role: str = ""
 
     def __post_init__(self):
         names = [v.name for v in self.coordinates]
@@ -507,8 +507,8 @@ def pi_v_atlas(k: int) -> Atlas:
     """The two-chart atlas of the (1|1)-supercurve itself: patches
     (x|theta) and (y|psi) glued by y = 1/x, psi = x^-k theta."""
     amb = Ambient.fresh(k)
-    u0 = SuperChart("U0", (amb.x,), (amb.theta,), role="patch-x")
-    u1 = SuperChart("U1", (amb.y,), (amb.psi,), role="patch-y")
+    u0 = SuperChart("U0", (amb.x,), (amb.theta,))
+    u1 = SuperChart("U1", (amb.y,), (amb.psi,))
     t10 = TransitionMap(
         target=u1,
         source=u0,
@@ -551,8 +551,8 @@ def hilb11_atlas(k: int) -> Atlas:
     syms = _point_chart_symbols()
     a, b = syms["a"], syms["b"]
     alpha, beta = syms["alpha"], syms["beta"]
-    chart_a = SuperChart("A", (a,), (alpha,), role="point-x")
-    chart_b = SuperChart("B", (b,), (beta,), role="point-y")
+    chart_a = SuperChart("A", (a,), (alpha,))
+    chart_b = SuperChart("B", (b,), (beta,))
 
     u_ba, v_ba = transport_point(amb, "11", "y", -1, V(a), V(alpha))
     t_ba = TransitionMap(
@@ -579,63 +579,59 @@ def hilb11_atlas(k: int) -> Atlas:
     return atlas
 
 
-def _hilb21_charts(amb: Ambient):
-    a1 = even("a1", invertible=True)
-    a2 = even("a2", invertible=True)
-    alpha1, alpha2 = odd("alpha1"), odd("alpha2")
-    b1 = even("b1", invertible=True)
-    b2 = even("b2", invertible=True)
-    beta1, beta2 = odd("beta1"), odd("beta2")
-    c1 = even("c1", invertible=True)
-    c2 = even("c2", invertible=True)
-    gamma1, gamma2 = odd("gamma1"), odd("gamma2")
-    d1 = even("d1", invertible=True)
-    d2 = even("d2", invertible=True)
-    delta1, delta2 = odd("delta1"), odd("delta2")
-    v1 = SuperChart("V1", (a1, a2), (alpha1, alpha2), role="canonical-x")
-    v2 = SuperChart(
-        "V2", (b1, b2), (beta1, beta2),
-        units=(V(b1) * V(b2) - 1,), role="product-y-x",
+# chart -> (even letter, odd letter, patch of the (1|1)-point, patch of
+# the (1|0)-point), in atlas order; the chart's coordinates are the
+# letters numbered 1 for the (1|1)-point and 2 for the (1|0)-point
+HILB21_LAYOUT = {
+    "V1": ("a", "alpha", "x", "x"),
+    "V2": ("b", "beta", "y", "x"),
+    "V3": ("c", "gamma", "x", "y"),
+    "V4": ("d", "delta", "y", "y"),
+}
+
+
+def _is_product(name: str) -> bool:
+    """The chart's two points sit on opposite patches."""
+    _, _, patch11, patch10 = HILB21_LAYOUT[name]
+    return patch11 != patch10
+
+
+def _layout_chart(name: str) -> SuperChart:
+    even_letter, odd_letter, _, _ = HILB21_LAYOUT[name]
+    e1, e2 = (even(f"{even_letter}{i}", invertible=True) for i in (1, 2))
+    units = (V(e1) * V(e2) - 1,) if _is_product(name) else ()
+    return SuperChart(name, (e1, e2),
+                      (odd(f"{odd_letter}1"), odd(f"{odd_letter}2")), units)
+
+
+def _map_out_of_product(amb: Ambient, target: SuperChart,
+                        source: SuperChart) -> TransitionMap:
+    """Move each point factor of the product chart `source` to its patch
+    on `target`.  A product target reads its coordinates off the moved
+    factors; a canonical target multiplies the factor ideals on its patch
+    and canonicalizes."""
+    patches = HILB21_LAYOUT[target.name][2:]
+    (u11, v11), (u10, v10) = (
+        (V(u), V(v)) if here == there
+        else transport_point(amb, rank, there, 1, V(u), V(v))
+        for rank, u, v, here, there in zip(
+            ("11", "10"), source.evens, source.odds,
+            HILB21_LAYOUT[source.name][2:], patches)
     )
-    v3 = SuperChart(
-        "V3", (c1, c2), (gamma1, gamma2),
-        units=(V(c1) * V(c2) - 1,), role="product-x-y",
-    )
-    v4 = SuperChart("V4", (d1, d2), (delta1, delta2), role="canonical-y")
-    return v1, v2, v3, v4
-
-
-def _product_into_canonical(amb, chart_target, chart_source, side, factor_11,
-                            factor_10):
-    """Glue a (1|1)-point and a (1|0)-point into the canonical (2|1) chart.
-
-    factor_11 = (side, u, v) describes x + u + v*theta (or its y-mirror);
-    factor_10 likewise describes (x + u, theta + v).  Both factors are
-    moved to `side`, multiplied, and canonicalized.
-    """
-    w, tp = amb.coords(side)
-    (side11, u11, v11) = factor_11
-    if side11 != side:
-        u11, v11 = transport_point(amb, "11", side, 1, u11, v11)
-    (side10, u10, v10) = factor_10
-    if side10 != side:
-        u10, v10 = transport_point(amb, "10", side, 1, u10, v10)
-    gen11 = V(w) + u11 + v11 * V(tp)
-    lhs = IdealOnChart(chart_source, side, (gen11,))
-    rhs = IdealOnChart(chart_source, side, (V(w) + u10, V(tp) + v10))
-    prod = product_ideal(lhs, rhs)
-    slots = canonicalize(prod, 2, 1, amb)
-    t1, t2 = chart_target.evens
-    o1, o2 = chart_target.odds
+    if _is_product(target.name):
+        values = (u11, u10, v11, v10)
+    else:
+        side = patches[0]
+        w, tp = amb.coords(side)
+        lhs = IdealOnChart(source, side, (V(w) + u11 + v11 * V(tp),))
+        rhs = IdealOnChart(source, side, (V(w) + u10, V(tp) + v10))
+        slots = canonicalize(product_ideal(lhs, rhs), 2, 1, amb)
+        values = (slots["b0"], slots["a0"], slots["beta0"], slots["alpha0"])
     return TransitionMap(
-        target=chart_target,
-        source=chart_source,
-        rules={
-            t1: LocalizedPoly(slots["b0"]),
-            t2: LocalizedPoly(slots["a0"]),
-            o1: LocalizedPoly(slots["beta0"]),
-            o2: LocalizedPoly(slots["alpha0"]),
-        },
+        target=target,
+        source=source,
+        rules={coord: LocalizedPoly(value)
+               for coord, value in zip(target.coordinates, values)},
     )
 
 
@@ -670,87 +666,53 @@ def _expected_12(k, v1, v2):
 
 
 def hilb21_atlas(k: int) -> Atlas:
-    """The four-chart atlas of rank-(2|1) families.
+    """The four-chart atlas of rank-(2|1) families, built from
+    HILB21_LAYOUT.
 
-    Every transition is pipeline-computed: targets V1/V4 by product +
-    canonicalize, the product pair V2/V3 factor by factor, and the
-    remaining directions as exact inverses or composites.  The V1<-V3
-    and V1<-V2 maps are checked against their closed forms.
+    Every map out of a product chart moves the point factors across the
+    patches (into a canonical chart it also multiplies and
+    canonicalizes); the maps into the product charts are their exact
+    inverses, and the maps between the canonical charts are composites
+    through the first product chart.  The V1<-V3 and V1<-V2 maps are
+    checked against their closed forms.
     """
     amb = Ambient.fresh(k)
-    v1, v2, v3, v4 = _hilb21_charts(amb)
-    b1, b2 = v2.evens
-    be1, be2 = v2.odds
-    c1, c2 = v3.evens
-    g1, g2 = v3.odds
+    charts = {name: _layout_chart(name) for name in HILB21_LAYOUT}
+    products = [name for name in charts if _is_product(name)]
+    canonical = [name for name in charts if not _is_product(name)]
 
     transitions = {}
+    for source in products:
+        for target in charts:
+            if target != source:
+                transitions[(target, source)] = _map_out_of_product(
+                    amb, charts[target], charts[source]
+                )
 
-    transitions[("V1", "V3")] = _product_into_canonical(
-        amb, v1, v3, "x", ("x", V(c1), V(g1)), ("y", V(c2), V(g2))
-    )
-    transitions[("V1", "V2")] = _product_into_canonical(
-        amb, v1, v2, "x", ("y", V(b1), V(be1)), ("x", V(b2), V(be2))
-    )
-    transitions[("V4", "V2")] = _product_into_canonical(
-        amb, v4, v2, "y", ("y", V(b1), V(be1)), ("x", V(b2), V(be2))
-    )
-    transitions[("V4", "V3")] = _product_into_canonical(
-        amb, v4, v3, "y", ("x", V(c1), V(g1)), ("y", V(c2), V(g2))
-    )
-
+    v1, v2, v3 = charts["V1"], charts["V2"], charts["V3"]
     _certify(rules_equal(transitions[("V1", "V3")].rules,
                          _expected_13(k, v1, v3)), "V1<-V3 closed form")
     _certify(rules_equal(transitions[("V1", "V2")].rules,
                          _expected_12(k, v1, v2)), "V1<-V2 closed form")
 
-    # factorwise product-to-product maps
-    u_b1, v_b1 = transport_point(amb, "11", "y", 1, V(c1), V(g1))
-    u_b2, v_b2 = transport_point(amb, "10", "x", 1, V(c2), V(g2))
-    transitions[("V2", "V3")] = TransitionMap(
-        target=v2,
-        source=v3,
-        rules={
-            b1: LocalizedPoly(u_b1),
-            b2: LocalizedPoly(u_b2),
-            be1: LocalizedPoly(v_b1),
-            be2: LocalizedPoly(v_b2),
-        },
-    )
-    u_c1, v_c1 = transport_point(amb, "11", "x", 1, V(b1), V(be1))
-    u_c2, v_c2 = transport_point(amb, "10", "y", 1, V(b2), V(be2))
-    transitions[("V3", "V2")] = TransitionMap(
-        target=v3,
-        source=v2,
-        rules={
-            c1: LocalizedPoly(u_c1),
-            c2: LocalizedPoly(u_c2),
-            g1: LocalizedPoly(v_c1),
-            g2: LocalizedPoly(v_c2),
-        },
-    )
+    for target in canonical:
+        for source in products:
+            transitions[(source, target)] = invert_transition(
+                transitions[(target, source)]
+            )
 
-    transitions[("V2", "V1")] = invert_transition(transitions[("V1", "V2")])
-    transitions[("V3", "V1")] = invert_transition(transitions[("V1", "V3")])
-    transitions[("V2", "V4")] = invert_transition(transitions[("V4", "V2")])
-    transitions[("V3", "V4")] = invert_transition(transitions[("V4", "V3")])
+    via = products[0]
+    for target in canonical:
+        for source in canonical:
+            if target != source:
+                transitions[(target, source)] = TransitionMap(
+                    target=charts[target],
+                    source=charts[source],
+                    rules=compose_rules(transitions[(target, via)],
+                                        transitions[(via, source)]),
+                )
 
-    transitions[("V1", "V4")] = TransitionMap(
-        target=v1,
-        source=v4,
-        rules=compose_rules(
-            transitions[("V1", "V2")], transitions[("V2", "V4")]
-        ),
-    )
-    transitions[("V4", "V1")] = TransitionMap(
-        target=v4,
-        source=v1,
-        rules=compose_rules(
-            transitions[("V4", "V2")], transitions[("V2", "V1")]
-        ),
-    )
-
-    return Atlas("hilb21", k, (v1, v2, v3, v4), transitions)
+    return Atlas("hilb21", k, tuple(charts.values()), transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +741,16 @@ def atlas_to_text(atlas: Atlas) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _block(lines: list, start: int):
+    """(body, index after its end) of the block whose header line is
+    lines[start]."""
+    try:
+        end = lines.index("end", start + 1)
+    except ValueError:
+        raise ChartMismatch(f"no end after {lines[start]}") from None
+    return lines[start + 1:end], end + 1
+
+
 def atlas_from_text(text: str) -> Atlas:
     from .parser import RingDecl, parse_localized, parse_poly, parse_ring
 
@@ -787,68 +759,34 @@ def atlas_from_text(text: str) -> Atlas:
         raise ChartMismatch("missing atlas header")
     head = lines[0].split()
     name, twist = head[1], int(head[3])
-    charts = []
+    charts = {}
     transitions = {}
-    i = 1
     ring = RingDecl()
-    pending_units = {}
+    i = 1
     while i < len(lines):
-        line = lines[i]
-        if line.startswith("chart "):
-            chart_name = line.split()[1]
-            decls = []
-            units_text = []
-            i += 1
-            while lines[i] != "end":
-                if lines[i].startswith("unit "):
-                    units_text.append(lines[i][len("unit "):].rstrip(";"))
-                else:
-                    decls.append(lines[i])
-                i += 1
+        kind, *args = lines[i].split()
+        if kind not in ("chart", "transition"):
+            raise ChartMismatch(f"unexpected line: {lines[i]}")
+        body, i = _block(lines, i)
+        if kind == "chart":
+            units = [ln for ln in body if ln.startswith("unit ")]
+            decls = [ln for ln in body if not ln.startswith("unit ")]
             chart_ring = parse_ring(" ".join(decls))
             ring = ring.merged(chart_ring)
-            evens = tuple(v for v in chart_ring if v.parity is Parity.EVEN)
-            odds_ = tuple(v for v in chart_ring if v.parity is Parity.ODD)
-            charts.append(SuperChart(chart_name, evens, odds_))
-            pending_units[chart_name] = units_text
-            i += 1
-        elif line.startswith("transition "):
-            _, target, source = line.split()
-            rules_text = []
-            i += 1
-            while lines[i] != "end":
-                rules_text.append(lines[i])
-                i += 1
-            i += 1
-            chart_map = {ch.name: ch for ch in charts}
-            rules = {}
-            for item in rules_text:
-                coord_name, expr = item.split(":=")
-                coord_name = coord_name.strip()
-                coord = next(
-                    c
-                    for c in chart_map[target].coordinates
-                    if c.name == coord_name
-                )
-                rules[coord] = parse_localized(expr.strip().rstrip(";"), ring)
-            transitions[(target, source)] = TransitionMap(
-                target=chart_map[target], source=chart_map[source], rules=rules
+            charts[args[0]] = SuperChart(
+                args[0],
+                tuple(v for v in chart_ring if v.parity is Parity.EVEN),
+                tuple(v for v in chart_ring if v.parity is Parity.ODD),
+                tuple(parse_poly(u[len("unit "):].rstrip(";"), ring)
+                      for u in units),
             )
-        else:
-            raise ChartMismatch(f"unexpected line: {line}")
-    final_charts = []
-    for ch in charts:
-        units = tuple(
-            parse_poly(u, ring) for u in pending_units.get(ch.name, ())
-        )
-        final_charts.append(
-            SuperChart(ch.name, ch.evens, ch.odds, units=units)
-        )
-    chart_map = {ch.name: ch for ch in final_charts}
-    transitions = {
-        key: TransitionMap(
-            target=chart_map[key[0]], source=chart_map[key[1]], rules=t.rules
-        )
-        for key, t in transitions.items()
-    }
-    return Atlas(name, twist, tuple(final_charts), transitions)
+            continue
+        target, source = (charts[n] for n in args)
+        coords = {c.name: c for c in target.coordinates}
+        rules = {}
+        for item in body:
+            coord_name, expr = item.split(":=")
+            rules[coords[coord_name.strip()]] = parse_localized(
+                expr.strip().rstrip(";"), ring)
+        transitions[tuple(args)] = TransitionMap(target, source, rules)
+    return Atlas(name, twist, tuple(charts.values()), transitions)

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charts import Atlas, hilb11_atlas, hilb21_atlas
+from .charts import HILB21_LAYOUT, Atlas, hilb11_atlas, hilb21_atlas
 from .errors import HigherOrderTerms, NotCanonicalizable
 from .ideals import _certify
 from .localized import LocalizedPoly, substitute_localized
@@ -27,9 +27,18 @@ from .ring import SuperMonomial, SuperPoly, even
 
 V = SuperPoly.var
 
-# cone signs (sz, sw): chart exponents (e1, e2) >= 0 embed at
-# (sz*e1, sw*e2) with coefficient sign (-1)^(e1+e2)
-CONES = {"V1": (1, 1), "V2": (-1, 1), "V3": (1, -1), "V4": (-1, -1)}
+# cone signs (sz, sw), +1 for a point on the x-patch and -1 on the
+# y-patch: chart exponents (e1, e2) >= 0 embed at (sz*e1, sw*e2) with
+# coefficient sign (-1)^(e1+e2)
+CONES = {
+    name: tuple(1 if patch == "x" else -1 for patch in row[2:])
+    for name, row in HILB21_LAYOUT.items()
+}
+
+# the unknown blocks of each chart's section, one per even component
+_BLOCKS = {
+    "V1": ("f", "fw"), "V2": ("g", "gw"), "V3": ("h", "hw"), "V4": ("s", "sw"),
+}
 
 Z_SYM = even("z", invertible=True)
 W_SYM = even("w", invertible=True)
@@ -160,7 +169,7 @@ def _odd_frame_det(tmap) -> LocalizedPoly:
 def wedge2_degrees(k: int, atlas: Atlas | None = None):
     """Laurent degrees (on the two axis curves) of the wedge-square
     transition data of the rank-(2|1) atlas; returns (k-3, -k-1)."""
-    atlas = atlas or hilb21_atlas(k)
+    atlas = _atlas_for(k, atlas)
     t12 = atlas.transition("V1", "V2")
     b1, b2 = t12.source.evens
     al1, al2 = t12.target.odds
@@ -189,19 +198,6 @@ def _monomial_degree(poly: SuperPoly, var) -> int:
 
 # ---------------------------------------------------------------------------
 # Laurent data on the global bosonic coordinates
-
-
-def _lb_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for (az, aw), ca in a.items():
-        for (bz, bw), cb in b.items():
-            key = (az + bz, aw + bw)
-            s = out.get(key, Fraction(0)) + ca * cb
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
 
 
 def _lb_add(a: dict, b: dict) -> dict:
@@ -286,20 +282,6 @@ class LaurentSystem:
     degree_bound: int
 
 
-_SUBSYSTEM_BLOCKS = {"f": "V1", "g": "V2", "h": "V3"}
-_FULL_BLOCKS = {
-    "f": ("V1", 0), "fw": ("V1", 1),
-    "g": ("V2", 0), "gw": ("V2", 1),
-    "h": ("V3", 0), "hw": ("V3", 1),
-    "s": ("V4", 0), "sw": ("V4", 1),
-}
-
-
-def _block_name(chart: str, component: int) -> str:
-    base = {"V1": "f", "V2": "g", "V3": "h", "V4": "s"}[chart]
-    return base if component == 0 else base + "w"
-
-
 def _transition_factors(atlas: Atlas, target: str, source: str):
     """(psi list, frame det, jacobian matrix, bosonic rules) for the
     stored transition, all as LocalizedPoly in source coordinates."""
@@ -340,7 +322,7 @@ def _equation_for_overlap(atlas: Atlas, target: str, source: str,
     rhs = embed_chart_poly(cleared(0), source, source_evens)
     terms = [
         (
-            _block_name(target, component),
+            _BLOCKS[target][component],
             embed_chart_poly(cleared(1), source, source_evens),
         )
     ]
@@ -349,7 +331,7 @@ def _equation_for_overlap(atlas: Atlas, target: str, source: str,
         if not factor.is_zero():
             terms.append(
                 (
-                    _block_name(source, n),
+                    _BLOCKS[source][n],
                     _lb_scale(
                         embed_chart_poly(factor, source, source_evens), -1
                     ),
@@ -364,34 +346,45 @@ def build_coboundary_system(k: int, degree_bound: int,
     """The z-direction coboundary equations on the three overlaps of the
     charts V1, V2, V3, with unknown blocks f, g, h supported on their
     quadrant cones.  Constructed from the computed transition maps."""
-    _checked_bound(degree_bound)
-    atlas = atlas or hilb21_atlas(k)
-    equations = tuple(
-        _equation_for_overlap(atlas, t, s, 0)
-        for t, s in (("V1", "V2"), ("V1", "V3"), ("V2", "V3"))
-    )
-    blocks = {
-        name: (chart, CONES[chart]) for name, chart in _SUBSYSTEM_BLOCKS.items()
-    }
-    return LaurentSystem(k, blocks, equations, degree_bound)
+    return _system(k, degree_bound, atlas,
+                   (("V1", "V2"), ("V1", "V3"), ("V2", "V3")), (0,))
 
 
 def build_full_coboundary_system(k: int, degree_bound: int,
                                  atlas: Atlas | None = None) -> LaurentSystem:
     """Both components on all six overlaps, including the fourth chart."""
-    _checked_bound(degree_bound)
-    atlas = atlas or hilb21_atlas(k)
     pairs = (
         ("V1", "V2"), ("V1", "V3"), ("V1", "V4"),
         ("V2", "V3"), ("V2", "V4"), ("V3", "V4"),
     )
+    return _system(k, degree_bound, atlas, pairs, (0, 1))
+
+
+def _system(k, degree_bound, atlas, pairs, components) -> LaurentSystem:
+    """The equations of the given overlaps and components, with one
+    block per chart met and component, in chart order."""
+    _checked_bound(degree_bound)
+    atlas = _atlas_for(k, atlas)
     equations = tuple(
-        _equation_for_overlap(atlas, t, s, m) for t, s in pairs for m in (0, 1)
+        _equation_for_overlap(atlas, t, s, m)
+        for t, s in pairs for m in components
     )
     blocks = {
-        name: (chart, CONES[chart]) for name, (chart, _) in _FULL_BLOCKS.items()
+        _BLOCKS[chart][m]: (chart, CONES[chart])
+        for chart in CONES if any(chart in pair for pair in pairs)
+        for m in components
     }
     return LaurentSystem(k, blocks, equations, degree_bound)
+
+
+def _atlas_for(k: int, atlas: Atlas | None) -> Atlas:
+    """hilb21_atlas(k) when no atlas is given; ValueError when the given
+    atlas has another twist."""
+    if atlas is None:
+        return hilb21_atlas(k)
+    if atlas.twist != k:
+        raise ValueError(f"the atlas has twist {atlas.twist}, not {k}")
+    return atlas
 
 
 # ---------------------------------------------------------------------------
@@ -566,45 +559,15 @@ def _single_monomial(factor: dict):
     return key, coeff
 
 
-def _lb_try_divide(num: dict, den: dict, cone=None):
-    """num/den in the bivariate Laurent domain, or None; with a cone the
-    quotient support must stay inside it."""
-    if not num:
-        return {}
-    den_lead = max(den)
-    den_c = den[den_lead]
-    rem = dict(num)
-    out = {}
-    for _ in range(10_000):
-        if not rem:
-            if cone is not None:
-                sz, sw = cone
-                if any(ez * sz < 0 or ew * sw < 0 for ez, ew in out):
-                    return None
-            return out
-        lead = max(rem)
-        q_key = (lead[0] - den_lead[0], lead[1] - den_lead[1])
-        q_c = rem[lead] / den_c
-        out[q_key] = out.get(q_key, Fraction(0)) + q_c
-        for d_key, d_c in den.items():
-            key = (q_key[0] + d_key[0], q_key[1] + d_key[1])
-            s = rem.get(key, Fraction(0)) - q_c * d_c
-            if s:
-                rem[key] = s
-            else:
-                rem.pop(key, None)
-        if lead in rem:
-            return None
-    return None
-
-
 def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
     """Support-cone reasoning on the three z-direction equations.
 
     The product-to-product equation has single-monomial columns, so its
     two blocks are forced to vanish outside an exact integer box; the
     remaining equations are settled on the diagonal w = z, where the
-    binomial factor in front of the V1 block vanishes identically.
+    binomial factor in front of the V1 block vanishes identically.  A
+    V1/V2 residue that vanishes there too is a shape this analysis does
+    not decide: NotCanonicalizable.
     """
     k = system.twist
     eqs = {eq.label: eq for eq in system.equations}
@@ -663,8 +626,7 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
     # the diagonal w = z, so restricting to the diagonal eliminates f
     eq12 = eqs["V1V2.z"]
     factors12 = dict(eq12.terms)
-    f_fac = factors12["f"]
-    if _lb_diag(f_fac):
+    if _lb_diag(factors12["f"]):
         raise NotCanonicalizable("the V1-column must vanish on the diagonal")
 
     if not box:
@@ -698,16 +660,11 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
 
     # with g fixed the equation reads f_factor * F = residue
     residue = _lb_add(eq12.rhs, _lb_scale(factors12.get("g", {}), -g_val))
-    if not residue:
-        f_hat = {}
-        forced["f"] = 0
-        trace.append(
-            f"overlap V1/V2 forces f = 0 and c = {_fmt_q(g_val)} "
-            "(the constant value of g and h)"
-            if box
-            else "overlap V1/V2 is satisfied by f = 0"
-        )
-    elif _lb_diag(residue):
+    if residue and not _lb_diag(residue):
+        raise NotCanonicalizable(
+            "expected the V1/V2 residue to vanish or to survive on the "
+            "diagonal")
+    if residue:
         inst = laurent_to_poly(residue)
         from .parser import pretty
 
@@ -718,22 +675,19 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
             "(w - z is not a unit)"
         )
         return CaseAnalysis(False, case, trace, forced)
-    else:
-        f_hat = _lb_try_divide(residue, f_fac, cone=(1, 1))
-        if f_hat is None:
-            trace.append(
-                "overlap V1/V2 leaves a residue with no section solution"
-            )
-            return CaseAnalysis(False, case, trace, forced)
-        trace.append("overlap V1/V2 determines f by exact division")
+    forced["f"] = 0
+    trace.append(
+        f"overlap V1/V2 forces f = 0 and c = {_fmt_q(g_val)} "
+        "(the constant value of g and h)"
+        if box
+        else "overlap V1/V2 is satisfied by f = 0"
+    )
 
-    # consistency of the remaining V1/V3 equation with f and h fixed
+    # consistency of the remaining V1/V3 equation with f = 0 and h fixed
     eq13 = eqs["V1V3.z"]
-    factors13 = dict(eq13.terms)
     h_val = forced.get("h00", Fraction(0))
-    residue13 = _lb_add(eq13.rhs, _lb_scale(factors13.get("h", {}), -h_val))
     residue13 = _lb_add(
-        residue13, _lb_scale(_lb_mul(factors13.get("f", {}), f_hat), -1)
+        eq13.rhs, _lb_scale(dict(eq13.terms).get("h", {}), -h_val)
     )
     if residue13:
         inst = laurent_to_poly(residue13)
@@ -856,8 +810,7 @@ def _sections_from_solution(solution, charts_evens):
     sections = {}
     for chart, evens in charts_evens.items():
         polys = []
-        for component in (0, 1):
-            name = _block_name(chart, component)
+        for name in _BLOCKS[chart]:
             poly = SuperPoly.zero()
             for (block, e, f_), val in solution.items():
                 if block != name or val == 0:
@@ -880,7 +833,7 @@ def is_coboundary(k: int, atlas: Atlas | None = None) -> SplitVerdict:
     bounded solver.  When the subsystem alone is solvable the decision
     escalates to the full four-chart system in both directions, and a
     found solution is verified as an exact certificate."""
-    atlas = atlas or hilb21_atlas(k)
+    atlas = _atlas_for(k, atlas)
     deg_a, deg_b = wedge2_degrees(k, atlas)
     system = build_coboundary_system(k, abs(k) + 4, atlas)
     analysis = analyze_subsystem(system)

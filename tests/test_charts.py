@@ -346,6 +346,36 @@ class TestAtlasSerialization:
         ok, witness = verify_cocycle(loaded)
         assert ok, witness
 
+    def test_each_rule_simplified_once(self, monkeypatch):
+        text = atlas_to_text(hilb21_atlas(2))
+        calls = [0]
+        simplified = LocalizedPoly.simplified
+
+        def counted(self):
+            calls[0] += 1
+            return simplified(self)
+
+        monkeypatch.setattr(LocalizedPoly, "simplified", counted)
+        atlas_from_text(text)
+        assert calls[0] <= 48, calls[0]  # 12 transitions of 4 rules
+
+    def test_missing_end_raises(self):
+        text = atlas_to_text(hilb21_atlas(2))
+        truncated = text[:text.rindex("end")]
+        with pytest.raises(ChartMismatch):
+            atlas_from_text(truncated)
+
+    def test_unexpected_line_raises(self):
+        text = atlas_to_text(hilb11_atlas(3))
+        with pytest.raises(ChartMismatch):
+            atlas_from_text(text.replace("chart B", "chart_B"))
+
+    def test_charts_equal_their_parsed_copies(self):
+        atlas = hilb21_atlas(2)
+        loaded = atlas_from_text(atlas_to_text(atlas))
+        for name in ("V1", "V2"):
+            assert loaded.chart(name) == atlas.chart(name)
+
 
 class TestMirrorClosedForm:
     @pytest.mark.parametrize("k", [-1, 0, 2])
@@ -429,6 +459,10 @@ class TestGoldenFingerprints:
     @pytest.mark.parametrize("build, k, digest", [
         pytest.param(hilb21_atlas, -8, "24780011bdb3244ed4972f4d6341b032"
                      "7028a0f0cb0af0f079ce744eba556fb8", id="hilb21-k-8"),
+        pytest.param(hilb21_atlas, -1, "a5784d3f0af28ce394390d1e1eb9b4fe"
+                     "98260aba391eafdfa3a37a6834df5e05", id="hilb21-k-1"),
+        pytest.param(hilb21_atlas, 0, "395cc4e1a3533d4d220776f7194658333"
+                     "dc6ca4683adc467fab07f6a0ec73600", id="hilb21-k0"),
         pytest.param(hilb21_atlas, 2, "e600332385dea4c9ea4150e49443bd46"
                      "6201e882e983668dba96335751ff4f77", id="hilb21-k2"),
         pytest.param(hilb21_atlas, 63, "bd6f5b5a53043ff608f39f738346b336"

@@ -100,8 +100,15 @@ class TestWedgeDegrees:
 
 class TestCones:
     def test_three_named_cones(self):
-        for chart, cone in CONES.items():
-            assert cone in ((1, 1), (-1, 1), (1, -1), (-1, -1))
+        assert CONES == {
+            "V1": (1, 1), "V2": (-1, 1), "V3": (1, -1), "V4": (-1, -1)
+        }
+
+    def test_block_order(self):
+        assert list(build_coboundary_system(1, 0).blocks) == ["f", "g", "h"]
+        assert list(build_full_coboundary_system(1, 0).blocks) == [
+            "f", "fw", "g", "gw", "h", "hw", "s", "sw"
+        ]
 
 
 class TestCoboundarySystem:
@@ -186,7 +193,43 @@ class TestVerdicts:
         assert solve_laurent_system(full) is None
 
 
+class TestTwistMismatch:
+    """An atlas of another twist is refused, not silently analyzed."""
+
+    def test_is_coboundary(self):
+        with pytest.raises(ValueError):
+            is_coboundary(3, hilb21_atlas(0))
+
+    def test_build_coboundary_system(self):
+        with pytest.raises(ValueError):
+            build_coboundary_system(3, 4, hilb21_atlas(0))
+
+    def test_build_full_coboundary_system(self):
+        with pytest.raises(ValueError):
+            build_full_coboundary_system(3, 4, hilb21_atlas(0))
+
+    def test_wedge2_degrees(self):
+        with pytest.raises(ValueError):
+            wedge2_degrees(5, hilb21_atlas(2))
+
+
 class TestDefensiveGuards:
+    def test_residue_vanishing_on_diagonal_raises(self):
+        """z - w vanishes on the diagonal like the V1 column: a shape the
+        support analysis refuses instead of dividing."""
+        from dataclasses import replace
+
+        from superhilb.errors import NotCanonicalizable
+
+        system = build_coboundary_system(3, 7)
+        equations = tuple(
+            replace(eq, rhs={(1, 0): Fraction(1), (0, 1): Fraction(-1)})
+            if eq.label == "V1V2.z" else eq
+            for eq in system.equations
+        )
+        with pytest.raises(NotCanonicalizable):
+            analyze_subsystem(replace(system, equations=equations))
+
     def test_higher_order_terms_raise(self):
         from superhilb.errors import HigherOrderTerms
         from superhilb.obstruction import _wedge_coeff
