@@ -17,10 +17,12 @@ CertificateError, also under python -O.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ChartMismatch, NotAUnit, NotCanonicalizable, ParityMismatch
+from .errors import (ChartMismatch, HigherOrderTerms, NotAUnit,
+                     NotCanonicalizable, ParityMismatch)
 from .ideals import (_canonical_from_raw_coeffs, _certify, _normal_form,
                      canonical_pair, super_divmod)
 from .localized import LocalizedPoly, PowerTable
@@ -384,7 +386,58 @@ def canonicalize(ideal: IdealOnChart, p: int, q: int, amb: Ambient):
 
 
 # ---------------------------------------------------------------------------
-# Transition inversion
+# The second-order split and transition inversion
+
+
+@dataclass(frozen=True)
+class SecondOrder:
+    """A transition read to second order in the source odds s_n: each
+    even rule is bosonic + wedge * s1*s2, each odd rule sum_n H[m][n] s_n.
+    Every part is a LocalizedPoly in source coordinates over the loci of
+    its rule."""
+
+    bosonic: dict  # target even -> bosonic part
+    wedge: dict  # target even -> s1*s2 coefficient (zero for one odd)
+    odd_block: tuple  # H: one row per target odd, one entry per source odd
+
+    @property
+    def det(self) -> LocalizedPoly:
+        """det H, for a block of size 1 or 2."""
+        h = self.odd_block
+        if len(h) == 1:
+            return h[0][0]
+        return h[0][0] * h[1][1] - h[0][1] * h[1][0]
+
+
+def second_order(tmap: TransitionMap) -> SecondOrder:
+    """Read each rule of tmap once by its monomials in the source odds.
+
+    An even rule with an odd part other than the wedge of exactly two
+    source odds, or an odd rule that is not linear in them, raises
+    HigherOrderTerms."""
+    odds = tmap.source.odds
+    one = SuperMonomial.one()
+    even_subs = (one,)
+    if len(odds) == 2:
+        even_subs += (SuperMonomial.make({o: 1 for o in odds}),)
+    odd_subs = tuple(SuperMonomial.make({o: 1}) for o in odds)
+
+    def parts(coord, subs):
+        rule = tmap.rule(coord)
+        coeffs = rule.num.as_coeff_map(set(odds))
+        if not coeffs.keys() <= set(subs):
+            raise HigherOrderTerms(
+                f"rule for {coord.name} has odd terms beyond second order")
+        return [rule.with_num(coeffs.get(sub, SuperPoly.zero()))
+                for sub in subs]
+
+    bosonic, wedge = {}, {}
+    for coord in tmap.target.evens:
+        bosonic[coord], *rest = parts(coord, even_subs)
+        wedge[coord] = rest[0] if rest else LocalizedPoly(SuperPoly.zero())
+    odd_block = tuple(tuple(parts(coord, odd_subs))
+                      for coord in tmap.target.odds)
+    return SecondOrder(bosonic, wedge, odd_block)
 
 
 def _single_term_rule(poly: SuperPoly):
@@ -402,14 +455,15 @@ def _single_term_rule(poly: SuperPoly):
 
 
 def invert_transition(tmap: TransitionMap) -> TransitionMap:
-    """Exact inverse of a chart transition.
+    """Exact inverse of a chart transition, read off its second-order
+    split.
 
     Bosonic parts must be single powers c*s^(+-1) of distinct source
-    coordinates; the odd block is a square matrix over the bosonic ring
-    inverted through its adjugate, and the quadratic corrections to the
-    even rules follow by differentiating the bosonic inverse (exact,
-    since the corrections square to zero).  Both composition identities
-    are checked before returning.
+    coordinates and rules may carry no loci (NotAUnit); the odd block is
+    a square matrix over the bosonic ring inverted through its adjugate,
+    and the wedge corrections to the even rules follow by differentiating
+    the bosonic inverse (exact, since the corrections square to zero).
+    Both composition identities are checked before returning.
     """
     target, source = tmap.target, tmap.source
     odds_s = source.odds
@@ -420,73 +474,51 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
     if len(target.evens) != len(source.evens):
         raise NotCanonicalizable("transition inversion needs matching even "
                                  "ranks")
+    if not all(rule.is_polynomial() for rule in tmap.rules.values()):
+        raise NotAUnit("transition inversion needs rules without loci")
+    split = second_order(tmap)
 
-    zero_odds = {o: SuperPoly.zero() for o in odds_s}
     bos_inv = {}
     matched = {}
-    for t_coord in target.evens:
-        rule = tmap.rule(t_coord).as_poly()
-        bos = rule.substitute(zero_odds)
-        var, exp, coeff = _single_term_rule(bos)
+    for t_coord, bos in split.bosonic.items():
+        var, exp, coeff = _single_term_rule(bos.num)
         if var in bos_inv:
             raise NotCanonicalizable("two even rules share a source variable")
         if exp == 1:
             bos_inv[var] = V(t_coord) * (Fraction(1) / coeff)
         else:
             bos_inv[var] = SuperPoly.var(t_coord, -1) * coeff
-        matched[t_coord] = (var, exp, coeff)
+        matched[t_coord] = var
     if set(bos_inv) != set(source.evens):
         raise NotCanonicalizable("even rules do not cover the source chart")
 
-    # odd block: tau_m = sum_n H[m][n] sigma_n with even entries
-    h = []
-    for t_odd in odds_t:
-        rule = tmap.rule(t_odd).as_poly()
-        row = []
-        for s_odd in odds_s:
-            entry = rule.coeff_of(SuperMonomial.make({s_odd: 1}), set(odds_s))
-            row.append(entry)
-        h.append(row)
+    # odd block: tau_m = sum_n H[m][n] sigma_n, inverted by its adjugate
+    h, det = split.odd_block, split.det
     if len(odds_s) == 1:
-        det_h = h[0][0]
-        adj = [[SuperPoly.one()]]
+        adj = ((LocalizedPoly(SuperPoly.one()),),)
     else:
-        det_h = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-        adj = [[h[1][1], -h[0][1]], [-h[1][0], h[0][0]]]
-    det_loc = LocalizedPoly(det_h)
+        adj = ((h[1][1], -h[0][1]), (-h[1][0], h[0][0]))
     bos_inv_loc = {v: LocalizedPoly(e) for v, e in bos_inv.items()}
-    det_at_t = det_loc.substitute(bos_inv_loc)
+    det_at_t = det.substitute(bos_inv_loc)
 
     rules = {}
     for n, s_odd in enumerate(odds_s):
         total = LocalizedPoly(SuperPoly.zero())
         for m, t_odd in enumerate(odds_t):
-            entry = LocalizedPoly(adj[n][m]) / det_loc
-            entry = entry.substitute(bos_inv_loc)
+            entry = (adj[n][m] / det).substitute(bos_inv_loc)
             total = total + entry * LocalizedPoly(V(t_odd))
         rules[s_odd] = total
 
-    if len(odds_t) == 2:
-        tau_frame = LocalizedPoly(V(odds_t[0]) * V(odds_t[1]))
-    else:
-        tau_frame = LocalizedPoly(SuperPoly.zero())
-    for t_coord in target.evens:
-        var, exp, coeff = matched[t_coord]
-        rule = tmap.rule(t_coord).as_poly()
-        bos = rule.substitute(zero_odds)
-        quad = rule - bos
+    for t_coord, var in matched.items():
         base = LocalizedPoly(bos_inv[var])
-        if quad.is_zero() or len(odds_s) < 2:
+        wedge = split.wedge[t_coord]
+        if wedge.is_zero():
             rules[var] = base
             continue
-        g_coeff = quad.coeff_of(
-            SuperMonomial.make({odds_s[0]: 1, odds_s[1]: 1}), set(odds_s)
-        )
-        if not (quad - g_coeff * V(odds_s[0]) * V(odds_s[1])).is_zero():
-            raise NotCanonicalizable("even rule has stray odd terms")
+        tau_frame = LocalizedPoly(V(odds_t[0]) * V(odds_t[1]))
         deriv = LocalizedPoly(bos_inv[var].diff(t_coord))
-        g_at_t = LocalizedPoly(g_coeff).substitute(bos_inv_loc)
-        correction = deriv * g_at_t * tau_frame / det_at_t
+        correction = (deriv * wedge.substitute(bos_inv_loc) * tau_frame
+                      / det_at_t)
         rules[var] = base - correction
 
     inverse = TransitionMap(target=source, source=target, rules=rules)
@@ -755,18 +787,20 @@ def atlas_from_text(text: str) -> Atlas:
     from .parser import RingDecl, parse_localized, parse_poly, parse_ring
 
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("atlas "):
-        raise ChartMismatch("missing atlas header")
-    head = lines[0].split()
-    name, twist = head[1], int(head[3])
+    first = lines[0] if lines else ""
+    head = re.fullmatch(r"atlas\s+(\S+)\s+twist\s+(-?\d+)", first)
+    if head is None:
+        raise ChartMismatch(f"missing or malformed atlas header: {first!r}")
+    name, twist = head[1], int(head[2])
     charts = {}
     transitions = {}
     ring = RingDecl()
     i = 1
     while i < len(lines):
-        kind, *args = lines[i].split()
-        if kind not in ("chart", "transition"):
-            raise ChartMismatch(f"unexpected line: {lines[i]}")
+        header = lines[i]
+        kind, *args = header.split()
+        if (kind, len(args)) not in (("chart", 1), ("transition", 2)):
+            raise ChartMismatch(f"unexpected line: {header}")
         body, i = _block(lines, i)
         if kind == "chart":
             units = [ln for ln in body if ln.startswith("unit ")]
@@ -781,12 +815,16 @@ def atlas_from_text(text: str) -> Atlas:
                       for u in units),
             )
             continue
+        if not all(n in charts for n in args):
+            raise ChartMismatch(f"undeclared chart in {header}")
         target, source = (charts[n] for n in args)
         coords = {c.name: c for c in target.coordinates}
         rules = {}
         for item in body:
-            coord_name, expr = item.split(":=")
-            rules[coords[coord_name.strip()]] = parse_localized(
-                expr.strip().rstrip(";"), ring)
+            coord_name, sep, expr = item.partition(":=")
+            coord = coords.get(coord_name.strip())
+            if not sep or coord is None:
+                raise ChartMismatch(f"bad rule in {header}: {item}")
+            rules[coord] = parse_localized(expr.strip().rstrip(";"), ring)
         transitions[tuple(args)] = TransitionMap(target, source, rules)
     return Atlas(name, twist, tuple(charts.values()), transitions)

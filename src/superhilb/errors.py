@@ -66,5 +66,5 @@ class CertificateError(SuperAlgebraError):
     """A computed result failed the exact identity that certifies it."""
 
 
-class HigherOrderTerms(SuperAlgebraError):
-    """An even transition rule carried odd degree above two."""
+class HigherOrderTerms(NotCanonicalizable):
+    """A transition rule carried odd terms beyond its second-order split."""

@@ -502,8 +502,12 @@ def kernel_witnesses(p: int, q: int, tag: str = ""):
     _check_rank(p, q)
     if q < 1:
         raise RankOrderViolation("kernel witnesses need q >= 1")
-    ch = raw_to_canonical(p, q, tag)
-    x, theta = ch.x, ch.theta
+    return _kernel_witnesses(raw_to_canonical(p, q, tag))
+
+
+def _kernel_witnesses(ch: CoordinateChange):
+    """kernel_witnesses for the coordinate change ch, with q >= 1."""
+    p, q, x, theta = ch.p, ch.q, ch.x, ch.theta
     a_p = _poly_from_coeffs([SuperPoly.var(s) for s in ch.a], x)
     alpha_p = _poly_from_coeffs([SuperPoly.var(s) for s in ch.alpha], x)
     f_full = ch.f_canonical + ch.c_poly
@@ -549,7 +553,7 @@ def stratification_generators(p: int, q: int, tag: str = ""):
     ch = raw_to_canonical(p, q, tag)
     gens = [SuperPoly.var(s) for s in (*ch.c, *ch.gamma)]
     if q >= 1:
-        h_vec, k_vec = kernel_witnesses(p, q, tag)
+        h_vec, k_vec = _kernel_witnesses(ch)
         for vec in (h_vec, k_vec):
             for entry in (*vec.evens, *vec.odds):
                 _certify(_in_variable_ideal(entry, (*ch.c, *ch.gamma)),

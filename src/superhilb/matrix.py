@@ -8,8 +8,8 @@ C carry odd entries.  Inverses use the explicit block formula
     [ -S^-1 C A^-1              ,  S^-1        ]
 
 with S = -C A^-1 B + D; the diagonal blocks are inverted through a
-finite geometric series once their numeric reductions are checked
-invertible by fraction-free elimination.
+finite geometric series around the exact inverse of their numeric
+reductions (SingularReduction when a reduction is singular).
 """
 
 from __future__ import annotations
@@ -143,45 +143,6 @@ def _numeric(rows):
     return out
 
 
-def bareiss_determinant(matrix) -> Fraction:
-    """Fraction-free elimination (Bareiss) on an integer-scaled copy."""
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in matrix:
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
-        scale = scale / denom
-        m.append([int(x * denom) for x in row])
-    prev = 1
-    sign = 1
-    m = [row[:] for row in m]
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for swap in range(k + 1, n):
-                if m[swap][k] != 0:
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * scale * m[n - 1][n - 1]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def rational_inverse(matrix):
     """Exact Gauss-Jordan inverse of a rational matrix."""
     n = len(matrix)
@@ -214,8 +175,6 @@ def _even_block_inverse(block):
     if n == 0:
         return []
     reduction = _numeric(block)
-    if bareiss_determinant(reduction) == 0:
-        raise SingularReduction("numeric reduction is singular")
     a0_inv_rat = rational_inverse(reduction)
     a0_inv = [[SuperPoly.const(x) for x in row] for row in a0_inv_rat]
     nil = [

@@ -1,14 +1,16 @@
 """Second-order splitness analysis of the Hilbert-scheme atlases.
 
-Every even transition rule of a two-odd-coordinate atlas splits as a
+Every transition is read through its second-order split,
+`charts.second_order`: each even rule of a two-odd-coordinate atlas is a
 bosonic part plus a coefficient times the product of the two source odd
-coordinates.  Those coefficients form a vector-field-valued 1-cochain;
-the family is split at second order exactly when the cochain is a
-coboundary of chart-level sections.  Chart sections are polynomial in
-the chart coordinates, so the coboundary equations become linear systems
-over bivariate Laurent polynomials in the global coordinates
-z = z1/z0 and w = w1/w0, with each unknown block supported on the
-quadrant cone belonging to its chart.  A failed certificate raises
+coordinates, and each odd rule is the odd block H applied to the source
+odds.  The coefficients form a vector-field-valued 1-cochain; the family
+is split at second order exactly when the cochain is a coboundary of
+chart-level sections.  Chart sections are polynomial in the chart
+coordinates, so the coboundary equations become linear systems over
+bivariate Laurent polynomials in the global coordinates z = z1/z0 and
+w = w1/w0, with each unknown block supported on the quadrant cone
+belonging to its chart.  A failed certificate raises
 CertificateError and an input system of the wrong shape raises
 NotCanonicalizable, also under python -O.
 """
@@ -19,11 +21,12 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .charts import HILB21_LAYOUT, Atlas, hilb11_atlas, hilb21_atlas
-from .errors import HigherOrderTerms, NotCanonicalizable
+from .charts import (HILB21_LAYOUT, Atlas, hilb11_atlas, hilb21_atlas,
+                     second_order)
+from .errors import NotCanonicalizable
 from .ideals import _certify
 from .localized import LocalizedPoly, substitute_localized
-from .ring import SuperMonomial, SuperPoly, even
+from .ring import SuperPoly, even
 
 V = SuperPoly.var
 
@@ -68,35 +71,15 @@ class CechCochain1:
         return all(v.is_zero() for _, v in self.entries[(target, source)])
 
 
-def _rule_bosonic(rule: LocalizedPoly, odds) -> LocalizedPoly:
-    # loci carry no odd variables
-    kill = {o: SuperPoly.zero() for o in odds}
-    return rule.with_num(rule.num.substitute(kill))
-
-
-def _wedge_coeff(rule: LocalizedPoly, odds) -> LocalizedPoly:
-    for mono in rule.num.terms:
-        if sum(1 for v in mono.odd_variables() if v in odds) > 2:
-            raise HigherOrderTerms("even rule carries odd degree above two")
-    if len(odds) < 2:
-        return LocalizedPoly(SuperPoly.zero())
-    return rule.with_num(rule.num.coeff_of(
-        SuperMonomial.make({odds[0]: 1, odds[1]: 1}), set(odds)
-    ))
-
-
 def extract_obstruction(atlas: Atlas) -> CechCochain1:
-    """Split every even rule as bosonic part + coefficient * odd1*odd2
-    and collect the coefficients; zero for one odd coordinate."""
+    """Collect the wedge coefficient of every even rule from the
+    second-order split; zero for one odd coordinate."""
     entries = {}
     frames = {}
-    for (target, source), tmap in atlas.transitions.items():
-        odds = tmap.source.odds
-        row = []
-        for coord in tmap.target.evens:
-            row.append((coord.name, _wedge_coeff(tmap.rule(coord), odds)))
-        entries[(target, source)] = tuple(row)
-        frames[(target, source)] = tuple(o.name for o in odds)
+    for pair, tmap in atlas.transitions.items():
+        entries[pair] = tuple((coord.name, value) for coord, value
+                              in second_order(tmap).wedge.items())
+        frames[pair] = tuple(o.name for o in tmap.source.odds)
     return CechCochain1(atlas, entries, frames)
 
 
@@ -107,7 +90,7 @@ def frame_transport_identity(atlas: Atlas, target: str, source: str) -> bool:
     the diagonal denominator cleared."""
     tmap = atlas.transition(target, source)
     t1, t2 = tmap.target.evens
-    psi = _wedge_coeff(tmap.rule(t1), tmap.source.odds)
+    psi = second_order(tmap).wedge[t1]
     o1, o2 = tmap.target.odds
     s1, s2 = tmap.source.odds
     frame = LocalizedPoly(V(s1) * V(s2))
@@ -120,46 +103,18 @@ def antisymmetry_holds(atlas: Atlas, i: str, j: str) -> bool:
     """Transporting the (i, j) entry through the reverse transition must
     negate the (j, i) entry."""
     t_ij = atlas.transition(i, j)
-    t_ji = atlas.transition(j, i)
-    odds_j = t_ij.source.odds
-    odds_i = t_ji.source.odds
+    ij, ji = second_order(t_ij), second_order(atlas.transition(j, i))
     # frame: tau1*tau2 = det(H) sigma1*sigma2 under the (i,j) odd rules;
     # coefficients transport through the bosonic rules because the
     # quadratic corrections die against the frame
-    det_ij = _odd_frame_det(t_ij)
-    bos_ij = {
-        coord: _rule_bosonic(t_ij.rule(coord), odds_j)
-        for coord in t_ij.target.evens
-    }
-    for n, s_coord in enumerate(t_ij.source.evens):
-        psi_ji = _wedge_coeff(t_ji.rule(s_coord), odds_i)
-        psi_ji_in_j = psi_ji.substitute(bos_ij)
-        total = LocalizedPoly(SuperPoly.zero())
-        for m, t_coord in enumerate(t_ij.target.evens):
-            psi_ij = _wedge_coeff(t_ij.rule(t_coord), odds_j)
-            jac = _rule_bosonic(t_ji.rule(s_coord), odds_i).diff(t_coord)
-            jac_in_j = jac.substitute(bos_ij)
-            total = total + psi_ij * jac_in_j
-        if not (total + psi_ji_in_j * det_ij).is_zero():
+    for s_coord in t_ij.source.evens:
+        total = ji.wedge[s_coord].substitute(ij.bosonic) * ij.det
+        for t_coord in t_ij.target.evens:
+            jac = ji.bosonic[s_coord].diff(t_coord)
+            total = total + ij.wedge[t_coord] * jac.substitute(ij.bosonic)
+        if not total.is_zero():
             return False
     return True
-
-
-def _odd_frame_det(tmap) -> LocalizedPoly:
-    odds_s = tmap.source.odds
-    odds_t = tmap.target.odds
-    h = []
-    for t_odd in odds_t:
-        rule = tmap.rule(t_odd)
-        h.append([
-            rule.with_num(rule.num.coeff_of(
-                SuperMonomial.make({s_odd: 1}), set(odds_s)
-            ))
-            for s_odd in odds_s
-        ])
-    if len(odds_s) == 1:
-        return h[0][0]
-    return h[0][0] * h[1][1] - h[0][1] * h[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -168,23 +123,16 @@ def _odd_frame_det(tmap) -> LocalizedPoly:
 
 def wedge2_degrees(k: int, atlas: Atlas | None = None):
     """Laurent degrees (on the two axis curves) of the wedge-square
-    transition data of the rank-(2|1) atlas; returns (k-3, -k-1)."""
+    transition data of the rank-(2|1) atlas, read off det H of the maps
+    out of V2 on the axes b2 = 0 and b1 = 0; returns (k-3, -k-1)."""
     atlas = _atlas_for(k, atlas)
-    t12 = atlas.transition("V1", "V2")
-    b1, b2 = t12.source.evens
-    al1, al2 = t12.target.odds
-    prod = (t12.rule(al1) * t12.rule(al2)).as_poly()
-    at_axis = prod.substitute({b2: SuperPoly.zero()})
-    # frame change by the unit b1*b2 - 1, evaluated on the axis b2 = 0
-    at_axis = at_axis * Fraction(-1)
-    deg_a = _monomial_degree(at_axis, b1)
-
-    t42 = atlas.transition("V4", "V2")
-    de1, de2 = t42.target.odds
-    prod = (t42.rule(de1) * t42.rule(de2)).as_poly()
-    at_axis = prod.substitute({b1: SuperPoly.zero()})
-    deg_b = _monomial_degree(at_axis, b2)
-    return deg_a, deg_b
+    b1, b2 = atlas.chart("V2").evens
+    return tuple(
+        _monomial_degree(
+            second_order(atlas.transition(target, "V2")).det.as_poly()
+            .substitute({axis: SuperPoly.zero()}), var)
+        for target, var, axis in (("V1", b1, b2), ("V4", b2, b1))
+    )
 
 
 def _monomial_degree(poly: SuperPoly, var) -> int:
@@ -200,15 +148,20 @@ def _monomial_degree(poly: SuperPoly, var) -> int:
 # Laurent data on the global bosonic coordinates
 
 
-def _lb_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, c in b.items():
+def _lb_sum(pairs) -> dict:
+    """The Laurent dict summing (key, coefficient) pairs, zeros dropped."""
+    out = {}
+    for key, c in pairs:
         s = out.get(key, Fraction(0)) + c
         if s:
             out[key] = s
         else:
             out.pop(key, None)
     return out
+
+
+def _lb_add(a: dict, b: dict) -> dict:
+    return _lb_sum((*a.items(), *b.items()))
 
 
 def _lb_scale(a: dict, c) -> dict:
@@ -217,15 +170,7 @@ def _lb_scale(a: dict, c) -> dict:
 
 def _lb_diag(a: dict) -> dict:
     """Substitute w := z (restriction to the diagonal direction)."""
-    out = {}
-    for (ez, ew), c in a.items():
-        key = ez + ew
-        s = out.get(key, Fraction(0)) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+    return _lb_sum((ez + ew, c) for (ez, ew), c in a.items())
 
 
 def embed_chart_poly(poly: SuperPoly, chart_name: str, evens) -> dict:
@@ -233,7 +178,7 @@ def embed_chart_poly(poly: SuperPoly, chart_name: str, evens) -> dict:
     identification (first coord, second coord) = (-z^s, -w^s)."""
     sz, sw = CONES[chart_name]
     e1, e2 = evens
-    out = {}
+    pairs = []
     for mono, coeff in poly.terms.items():
         if mono.odd_variables():
             raise ValueError("embedding expects a bosonic polynomial")
@@ -241,14 +186,8 @@ def embed_chart_poly(poly: SuperPoly, chart_name: str, evens) -> dict:
         d2 = mono.exponent(e2)
         if mono.total_degree() != d1 + d2:
             raise ValueError("embedding expects a chart-coordinate polynomial")
-        key = (sz * d1, sw * d2)
-        sign = -1 if (d1 + d2) % 2 else 1
-        s = out.get(key, Fraction(0)) + coeff * sign
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return out
+        pairs.append(((sz * d1, sw * d2), -coeff if (d1 + d2) % 2 else coeff))
+    return _lb_sum(pairs)
 
 
 def laurent_to_poly(data: dict) -> SuperPoly:
@@ -284,21 +223,13 @@ class LaurentSystem:
 
 def _transition_factors(atlas: Atlas, target: str, source: str):
     """(psi list, frame det, jacobian matrix, bosonic rules) for the
-    stored transition, all as LocalizedPoly in source coordinates."""
+    stored transition, read off its second-order split, all as
+    LocalizedPoly in source coordinates."""
     tmap = atlas.transition(target, source)
-    odds = tmap.source.odds
-    psi = []
-    bos_rules = {}
-    for coord in tmap.target.evens:
-        rule = tmap.rule(coord)
-        psi.append(_wedge_coeff(rule, odds))
-        bos_rules[coord] = _rule_bosonic(rule, odds)
-    det = _odd_frame_det(tmap)
-    jac = [
-        [bos_rules[coord].diff(s) for s in tmap.source.evens]
-        for coord in tmap.target.evens
-    ]
-    return tmap, psi, det, jac, bos_rules
+    split = second_order(tmap)
+    jac = [[bos.diff(s) for s in tmap.source.evens]
+           for bos in split.bosonic.values()]
+    return tmap, list(split.wedge.values()), split.det, jac, split.bosonic
 
 
 def _equation_for_overlap(atlas: Atlas, target: str, source: str,
@@ -758,14 +689,8 @@ def split_check_11(k: int) -> SplitVerdict:
     """The rank-(1|1) family: the single odd transition rule is linear
     with a monomial coefficient, so the family is split of twist -k+2."""
     atlas = hilb11_atlas(k)
-    t_ba = atlas.transition("B", "A")
-    beta = atlas.chart("B").odds[0]
-    alpha = atlas.chart("A").odds[0]
-    a = atlas.chart("A").evens[0]
-    coeff = t_ba.rule(beta).as_poly().coeff_of(
-        SuperMonomial.make({alpha: 1}), {alpha}
-    )
-    degree = _monomial_degree(coeff, a)
+    h = second_order(atlas.transition("B", "A")).odd_block
+    degree = _monomial_degree(h[0][0].as_poly(), atlas.chart("A").evens[0])
     cochain = extract_obstruction(atlas)
     _certify(all(cochain.is_zero_on(t, s) for (t, s) in atlas.transitions),
              "the rank-1 odd direction carries no wedge-square term")
@@ -791,14 +716,11 @@ def _verify_certificate(atlas: Atlas, sections) -> bool:
         tmap, psi, det, jac, bos_rules = _transition_factors(
             atlas, target, source
         )
-        t_evens = tmap.target.evens
-        s_evens = tmap.source.evens
-        bos_map = {coord: bos_rules[coord] for coord in t_evens}
-        for m in range(len(t_evens)):
+        for m in range(len(tmap.target.evens)):
             lhs = psi[m]
-            composed = substitute_localized(sections[target][m], bos_map)
+            composed = substitute_localized(sections[target][m], bos_rules)
             rhs = det * composed
-            for n in range(len(s_evens)):
+            for n in range(len(tmap.source.evens)):
                 rhs = rhs - jac[m][n] * LocalizedPoly(sections[source][n])
             if not (lhs - rhs).is_zero():
                 return False

@@ -19,10 +19,12 @@ from superhilb.charts import (
     pi_v_atlas,
     product_ideal,
     rules_equal,
+    second_order,
     transport_point,
     verify_cocycle,
 )
-from superhilb.errors import ChartMismatch, NotCanonicalizable
+from superhilb.errors import (ChartMismatch, HigherOrderTerms,
+                              NotCanonicalizable)
 from superhilb.localized import LocalizedPoly, PowerTable
 from superhilb.ring import SuperMonomial, SuperPoly, even, odd
 
@@ -321,6 +323,45 @@ class TestInvertTransition:
         inv = invert_transition(tmap)  # asserts both compositions internally
         assert inv.target is source and inv.source is target
 
+    def test_term_beyond_the_wedge_raises(self):
+        s1 = even("s1h", invertible=True)
+        o1, o2, stray = odd("o1h"), odd("o2h"), odd("o3h")
+        t1 = even("t1h", invertible=True)
+        p1, p2 = odd("p1h"), odd("p2h")
+        rules = {
+            # o1*stray is even but is not a multiple of o1*o2
+            t1: LocalizedPoly(V(s1, -1) + V(o1) * V(o2) + V(o1) * V(stray)),
+            p1: LocalizedPoly(V(o1)),
+            p2: LocalizedPoly(V(o2)),
+        }
+        tmap = TransitionMap(target=SuperChart("T", (t1,), (p1, p2)),
+                             source=SuperChart("S", (s1,), (o1, o2)),
+                             rules=rules)
+        with pytest.raises(HigherOrderTerms):
+            invert_transition(tmap)
+        with pytest.raises(NotCanonicalizable):
+            invert_transition(tmap)
+
+
+class TestSecondOrder:
+    @pytest.mark.parametrize("build,k", [
+        *((hilb21_atlas, k) for k in (-3, 0, 2, 7)), (hilb11_atlas, 4),
+    ])
+    def test_parts_rebuild_every_rule(self, build, k):
+        for label, tmap in build(k).transitions.items():
+            split = second_order(tmap)
+            odds = tmap.source.odds
+            frame = V(odds[0]) * V(odds[1]) if len(odds) == 2 else 0
+            for coord in tmap.target.evens:
+                rebuilt = split.bosonic[coord] + split.wedge[coord] * frame
+                assert rebuilt == tmap.rule(coord), (label, coord)
+                assert split.bosonic[coord].num.odd_variables() == set()
+            for m, coord in enumerate(tmap.target.odds):
+                rebuilt = LocalizedPoly.sum(
+                    entry * V(s) for entry, s in zip(split.odd_block[m], odds)
+                )
+                assert rebuilt == tmap.rule(coord), (label, coord)
+
 
 class TestAtlasSerialization:
     @pytest.mark.parametrize("k", [0, 2])
@@ -369,6 +410,20 @@ class TestAtlasSerialization:
         text = atlas_to_text(hilb11_atlas(3))
         with pytest.raises(ChartMismatch):
             atlas_from_text(text.replace("chart B", "chart_B"))
+
+    @pytest.mark.parametrize("text", [
+        "atlas hilb21\n",
+        "atlas hilb21 twist x\n",
+        "atlas hilb21 twist 2\ntransition V1 V2\nend\n",
+        "atlas t twist 0\nchart A\n  even a1 inv;\nend\n"
+        "transition A A\n  q1 := a1;\nend\n",
+        "atlas t twist 0\nchart A\n  even a1 inv;\nend\n"
+        "transition A A\n  a1 = a1;\nend\n",
+    ], ids=["no-twist", "twist-not-int", "undeclared-chart",
+            "undeclared-coordinate", "rule-without-assign"])
+    def test_malformed_text_raises(self, text):
+        with pytest.raises(ChartMismatch):
+            atlas_from_text(text)
 
     def test_charts_equal_their_parsed_copies(self):
         atlas = hilb21_atlas(2)

@@ -294,6 +294,20 @@ class TestStratification:
         with pytest.raises(RankOrderViolation):
             stratification_generators(1, 2)
 
+    def test_one_coordinate_change(self, monkeypatch):
+        import superhilb.ideals as ideals
+
+        calls = []
+        build = ideals.raw_to_canonical
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ideals, "raw_to_canonical", counted)
+        stratification_generators(2, 1)
+        assert len(calls) == 1, calls
+
 
 class TestSerialization:
     def test_canonical_serialize_round_trip(self):

@@ -231,16 +231,20 @@ class TestDefensiveGuards:
             analyze_subsystem(replace(system, equations=equations))
 
     def test_higher_order_terms_raise(self):
+        from superhilb.charts import SuperChart, TransitionMap, second_order
         from superhilb.errors import HigherOrderTerms
-        from superhilb.obstruction import _wedge_coeff
-        from superhilb.ring import odd
+        from superhilb.ring import even, odd
 
         odds = tuple(odd(f"hot{i}") for i in range(4))
         term = SuperPoly.one()
         for v in odds:
             term = term * V(v)
+        s, t = even("hots"), even("hott")
+        tmap = TransitionMap(target=SuperChart("T", (t,), ()),
+                             source=SuperChart("S", (s,), odds),
+                             rules={t: LocalizedPoly(V(s) + term)})
         with pytest.raises(HigherOrderTerms):
-            _wedge_coeff(LocalizedPoly(term), odds)
+            second_order(tmap)
 
 
 def _solution_satisfies(system, solution):
