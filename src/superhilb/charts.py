@@ -549,17 +549,8 @@ def pi_v_atlas(k: int) -> Atlas:
             amb.psi: LocalizedPoly(V(amb.x, -k) * V(amb.theta)),
         },
     )
-    t01 = TransitionMap(
-        target=u0,
-        source=u1,
-        rules={
-            amb.x: LocalizedPoly(V(amb.y, -1)),
-            amb.theta: LocalizedPoly(V(amb.y, -k) * V(amb.psi)),
-        },
-    )
-    return Atlas(
-        "pi_v", k, (u0, u1), {("U1", "U0"): t10, ("U0", "U1"): t01}
-    )
+    return Atlas("pi_v", k, (u0, u1),
+                 {("U1", "U0"): t10, ("U0", "U1"): invert_transition(t10)})
 
 
 def _point_chart_symbols():
@@ -576,8 +567,9 @@ def hilb11_atlas(k: int) -> Atlas:
 
     Chart A parameterizes the family located at x = a + alpha*theta
     (generator x - a - alpha*theta), chart B its mirror over y.  The
-    transition is computed by moving the generator across the gluing,
-    and comes out as b = 1/a, beta = -a^(k-2) alpha.
+    map B<-A is computed by moving the generator across the gluing, and
+    comes out as b = 1/a, beta = -a^(k-2) alpha; A<-B is its exact
+    inverse.
     """
     amb = Ambient.fresh(k)
     syms = _point_chart_symbols()
@@ -592,19 +584,13 @@ def hilb11_atlas(k: int) -> Atlas:
         source=chart_a,
         rules={b: LocalizedPoly(u_ba), beta: LocalizedPoly(v_ba)},
     )
-    u_ab, v_ab = transport_point(amb, "11", "x", -1, V(b), V(beta))
-    t_ab = TransitionMap(
-        target=chart_a,
-        source=chart_b,
-        rules={a: LocalizedPoly(u_ab), alpha: LocalizedPoly(v_ab)},
-    )
     expected_beta = -SuperPoly.var(a, k - 2) * V(alpha)
     _certify(t_ba.rule(b) == LocalizedPoly(V(a, -1)), "hilb11 rule b = 1/a")
     _certify(t_ba.rule(beta) == LocalizedPoly(expected_beta),
              "hilb11 rule beta = -a^(k-2) alpha")
     atlas = Atlas(
         "hilb11", k, (chart_a, chart_b),
-        {("B", "A"): t_ba, ("A", "B"): t_ab},
+        {("B", "A"): t_ba, ("A", "B"): invert_transition(t_ba)},
     )
     ok, witness = verify_cocycle(atlas)
     _certify(ok, f"hilb11 cocycle at {witness}")
@@ -803,9 +789,15 @@ def atlas_from_text(text: str) -> Atlas:
             raise ChartMismatch(f"unexpected line: {header}")
         body, i = _block(lines, i)
         if kind == "chart":
+            if args[0] in charts:
+                raise ChartMismatch(f"duplicate block: {header}")
             units = [ln for ln in body if ln.startswith("unit ")]
             decls = [ln for ln in body if not ln.startswith("unit ")]
             chart_ring = parse_ring(" ".join(decls))
+            for v in chart_ring:
+                if v.name in ring and ring.lookup(v.name) is not v:
+                    raise ChartMismatch(
+                        f"{header} redeclares variable {v.name!r}")
             ring = ring.merged(chart_ring)
             charts[args[0]] = SuperChart(
                 args[0],
@@ -817,6 +809,8 @@ def atlas_from_text(text: str) -> Atlas:
             continue
         if not all(n in charts for n in args):
             raise ChartMismatch(f"undeclared chart in {header}")
+        if tuple(args) in transitions:
+            raise ChartMismatch(f"duplicate block: {header}")
         target, source = (charts[n] for n in args)
         coords = {c.name: c for c in target.coordinates}
         rules = {}

@@ -10,17 +10,22 @@ first by name) with a unit monomial coefficient whose rational factor is
 coprime irreducibles and never zero divisors, so `*` adds exponents, `==`
 and `+` raise both sides to the larger exponent of each locus and compare
 or add numerators, inversion moves the monomial content into the
-numerator and clears the nilpotent soul with a finite series, and
+numerator and clears the nilpotent soul with `ring.soul_series`, and
 `simplified` cancels by exact division in each pivot, bounded by the
-exponent.  Substitutions through one `PowerTable` share the powers of
-the substituted values.
+exponent.  Substitution runs through `ring.PowerTable`; `PowerTable`
+here is its form with LocalizedPoly values, and substitutions through
+one table share the powers of the substituted values.
 """
 
 from __future__ import annotations
 
-from .errors import NotAUnit, ParityMismatch
+from fractions import Fraction
+
+from . import ring
+from .errors import NotAUnit
 from .ideals import super_divmod
-from .ring import ParityClass, SuperMonomial, SuperPoly, VarSymbol, invert
+from .ring import (ParityClass, SuperMonomial, SuperPoly, VarSymbol, invert,
+                   soul_series)
 
 
 class Locus:
@@ -88,12 +93,7 @@ def _inverse(p: SuperPoly) -> "LocalizedPoly":
         raise NotAUnit("cannot invert a nilpotent element")
     unit, loci = _factor_body(body)
     body_inv = LocalizedPoly._of(invert(unit), loci)
-    neg_soul = LocalizedPoly(-p.soul())
-    term, terms = body_inv, []
-    while not term.is_zero():
-        terms.append(term)
-        term = term * neg_soul * body_inv
-    return LocalizedPoly.sum(terms)
+    return soul_series(body_inv, LocalizedPoly(-p.soul()))
 
 
 def _divide_out(num: SuperPoly, locus: Locus, e: int):
@@ -218,6 +218,9 @@ class LocalizedPoly:
     # -- arithmetic --------------------------------------------------
 
     def __eq__(self, other):
+        if not isinstance(other, (LocalizedPoly, SuperPoly, VarSymbol, int,
+                                  Fraction)):
+            return NotImplemented
         (lhs, rhs), _ = _aligned((self, LocalizedPoly.promote(other)))
         return lhs == rhs
 
@@ -270,9 +273,9 @@ class LocalizedPoly:
         """Substitute into the numerator and every locus through one
         power table (`assignment` may already be a `PowerTable`)."""
         table = PowerTable.of(assignment)
-        out = substitute_localized(self.num, table)
+        out = table.apply(self.num)
         for locus, e in self.loci.items():
-            out = out * substitute_localized(locus.poly, table) ** -e
+            out = out * table.apply(locus.poly) ** -e
         return out
 
     def diff(self, var) -> "LocalizedPoly":
@@ -291,62 +294,10 @@ class LocalizedPoly:
         return f"LocalizedPoly({pretty_localized(self)})"
 
 
-class PowerTable:
-    """The values of one assignment and the powers of them built so far.
+class PowerTable(ring.PowerTable):
+    """A `superhilb.ring.PowerTable` whose values are LocalizedPolys."""
 
-    Substitutions through one table share its powers: each rep^e is built
-    once, from the nearest power already in the table (`_power`), and
-    every negative power is a power of one cached reciprocal.  The table
-    holds only values derived from the assignment and lives as long as
-    its holder keeps it; a changed value needs a new table.
-    """
-
-    __slots__ = ("values", "_powers")
-
-    def __init__(self, assignment):
-        values = {v: LocalizedPoly.promote(val) for v, val in assignment.items()}
-        for v, val in values.items():
-            if val.is_zero():
-                continue
-            want = ParityClass.EVEN if v.parity.value == 0 else ParityClass.ODD
-            if val.parity_class() is not want:
-                raise ParityMismatch(
-                    f"replacement for {v.name} has parity "
-                    f"{val.parity_class().value}"
-                )
-        self.values = values
-        self._powers = {}  # (var, +1 or -1) -> {n: value^(+-n)}
-
-    @staticmethod
-    def of(assignment) -> "PowerTable":
-        if isinstance(assignment, PowerTable):
-            return assignment
-        return PowerTable(assignment)
-
-    def power(self, v: VarSymbol, e: int) -> LocalizedPoly:
-        """rep^e for the value rep of v."""
-        sign = 1 if e >= 0 else -1
-        built = self._powers.get((v, sign))
-        if built is None:
-            base = self.values[v]
-            built = {0: LocalizedPoly(SuperPoly.one()),
-                     1: base if sign > 0 else base.reciprocal()}
-            self._powers[(v, sign)] = built
-        return _power(built, abs(e))
-
-
-def _power(built: dict, n: int) -> LocalizedPoly:
-    """base^n from {exponent: base^exponent}, which holds 0 and 1, storing
-    every power built on the way: the largest power below n times the
-    rest, or two halves when that power is below n/2, so the recursion
-    depth stays logarithmic in n."""
-    out = built.get(n)
-    if out is None:
-        d = max(d for d in built if d < n)
-        if 2 * d < n:
-            d = n // 2
-        out = built[n] = _power(built, d) * _power(built, n - d)
-    return out
+    kind = LocalizedPoly
 
 
 def substitute_localized(p: SuperPoly, assignment) -> LocalizedPoly:
@@ -356,15 +307,4 @@ def substitute_localized(p: SuperPoly, assignment) -> LocalizedPoly:
     multiply in the monomial's canonical variable order, which keeps the
     Koszul signs consistent with `SuperPoly.substitute`.
     """
-    table = PowerTable.of(assignment)
-    values = table.values
-    terms = []
-    for m, c in p.terms.items():
-        acc = LocalizedPoly(SuperPoly.const(c))
-        for v, e in m.factors:
-            if v in values:
-                acc = acc * table.power(v, e)
-            else:
-                acc = acc * LocalizedPoly(SuperPoly.var(v, e))
-        terms.append(acc)
-    return LocalizedPoly.sum(terms)
+    return PowerTable.of(assignment).apply(p)

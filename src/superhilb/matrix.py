@@ -89,17 +89,7 @@ def matmul(m: SuperMatrix, n: SuperMatrix) -> SuperMatrix:
         raise ShapeMismatch(
             f"({m.p}|{m.q}) and ({n.p}|{n.q}) matrices cannot be multiplied"
         )
-    size = m.size
-    rows = [
-        [
-            sum(
-                (m.rows[i][k] * n.rows[k][j] for k in range(size)),
-                SuperPoly.zero(),
-            )
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
+    rows = _lists_matmul(m.rows, n.rows)
     return SuperMatrix(m.p, m.q, tuple(tuple(r) for r in rows))
 
 

@@ -20,13 +20,12 @@ from fractions import Fraction
 from .errors import (
     DuplicateVariable,
     ExprSyntaxError,
-    InvertibleOddVariable,
     NegativePowerOfNonInvertible,
     NotAUnit,
     UnknownVariable,
 )
 from .localized import LocalizedPoly
-from .ring import Parity, SuperPoly, VarSymbol, invert
+from .ring import Parity, SuperPoly, VarSymbol
 
 _MAX_DEPTH = 400
 _IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
@@ -169,10 +168,6 @@ def parse_ring(text: str) -> RingDecl:
             stream.next()
             invertible = True
         stream.expect(";")
-        if invertible and parity is Parity.ODD:
-            raise InvertibleOddVariable(
-                f"odd variable {name_tok.value!r} cannot be invertible"
-            )
         ring.add(VarSymbol(name_tok.value, parity, invertible))
     return ring
 
@@ -272,65 +267,38 @@ def _var_power(node, ring: RingDecl):
     return None
 
 
-def _eval_poly(node, ring: RingDecl) -> SuperPoly:
-    kind = node[0]
-    if kind == "rat":
-        return SuperPoly.const(node[1])
-    if kind == "var":
-        return SuperPoly.var(ring.lookup(node[1]))
-    if kind == "neg":
-        return -_eval_poly(node[1], ring)
-    if kind == "sum":
-        return SuperPoly.sum(_eval_poly(sub, ring) if op == "+"
-                             else -_eval_poly(sub, ring) for op, sub in node[1])
-    if kind == "*":
-        return _eval_poly(node[1], ring) * _eval_poly(node[2], ring)
-    if kind == "^":
-        power = _var_power(node, ring)
-        if power is not None:
-            return power
-        base = _eval_poly(node[1], ring)
-        n = node[2]
-        if n >= 0:
-            return base ** n
-        try:
-            return invert(base) ** (-n)
-        except NotAUnit as exc:
-            raise NegativePowerOfNonInvertible(str(exc)) from exc
-    raise AssertionError(f"bad AST node {node!r}")
-
-
-def _eval_localized(node, ring: RingDecl) -> LocalizedPoly:
-    kind = node[0]
-    if kind == "rat":
-        return LocalizedPoly(SuperPoly.const(node[1]))
-    if kind == "var":
-        return LocalizedPoly(SuperPoly.var(ring.lookup(node[1])))
-    if kind == "neg":
-        return -_eval_localized(node[1], ring)
-    if kind == "sum":
-        return LocalizedPoly.sum(-_eval_localized(sub, ring) if op == "-"
-                                 else _eval_localized(sub, ring)
-                                 for op, sub in node[1])
-    if kind == "*":
-        return _eval_localized(node[1], ring) * _eval_localized(node[2], ring)
-    if kind == "^":
-        power = _var_power(node, ring)
-        if power is not None:
-            return LocalizedPoly(power)
-        return _eval_localized(node[1], ring) ** node[2]
-    raise AssertionError(f"bad AST node {node!r}")
+def _eval(node, ring: RingDecl, kind):
+    """Evaluate an AST to a value of kind, SuperPoly or LocalizedPoly."""
+    tag = node[0]
+    if tag == "rat":
+        return kind.promote(node[1])
+    if tag == "var":
+        return kind.promote(ring.lookup(node[1]))
+    if tag == "neg":
+        return -_eval(node[1], ring, kind)
+    if tag == "sum":
+        return kind.sum(_eval(sub, ring, kind) if op == "+"
+                        else -_eval(sub, ring, kind) for op, sub in node[1])
+    if tag == "*":
+        return _eval(node[1], ring, kind) * _eval(node[2], ring, kind)
+    power = _var_power(node, ring)
+    if power is not None:
+        return kind.promote(power)
+    return _eval(node[1], ring, kind) ** node[2]
 
 
 def parse_poly(text: str, ring: RingDecl) -> SuperPoly:
-    return _eval_poly(_parse_to_ast(text), ring)
+    try:
+        return _eval(_parse_to_ast(text), ring, SuperPoly)
+    except NotAUnit as exc:
+        raise NegativePowerOfNonInvertible(str(exc)) from exc
 
 
 def parse_localized(text: str, ring: RingDecl) -> LocalizedPoly:
     """Like parse_poly but evaluates in the localized ring: the base of a
     negative power of a parenthesized sum is read as a unit times a
     locus (NotAUnit when it is not one)."""
-    return _eval_localized(_parse_to_ast(text), ring)
+    return _eval(_parse_to_ast(text), ring, LocalizedPoly)
 
 
 # ---------------------------------------------------------------------------

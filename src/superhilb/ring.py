@@ -6,6 +6,10 @@ global order (by name) with the Koszul sign of any reordering absorbed
 into the coefficient, so equality of polynomials is equality of term
 maps.  All values are immutable after construction and every operation
 is a pure function, safe for unrestricted concurrent use.
+
+The jobs shared with `superhilb.localized` live here once, for both
+value types: `PowerTable` substitutes (its `apply`), `_power` builds every
+positive power, and `soul_series` inverts a unit through its soul.
 """
 
 from __future__ import annotations
@@ -423,15 +427,12 @@ class SuperPoly:
 
     def __pow__(self, n: int):
         if n < 0:
-            return invert(self) ** (-n)
-        result = _ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+            return self.reciprocal() ** (-n)
+        return _power({0: _ONE, 1: self}, n)
+
+    def reciprocal(self) -> "SuperPoly":
+        """The inverse of a unit, by `invert`; NotAUnit otherwise."""
+        return invert(self)
 
     # -- structure ---------------------------------------------------
 
@@ -457,35 +458,10 @@ class SuperPoly:
 
         Unassigned variables map to themselves.  Values must match the
         variable's parity; negative powers of a replaced invertible
-        variable resolve through `invert`.
+        variable resolve through `invert`.  `assignment` may already be
+        a `PowerTable`.
         """
-        assignment = {v: SuperPoly.promote(val) for v, val in assignment.items()}
-        for v, val in assignment.items():
-            if val.is_zero():
-                continue
-            want = ParityClass.EVEN if v.parity is Parity.EVEN else ParityClass.ODD
-            if val.parity_class() is not want:
-                raise ParityMismatch(
-                    f"replacement for {v.name} has parity "
-                    f"{val.parity_class().value}, expected {want.value}"
-                )
-        out = _ZERO
-        cache = {}
-        for m, c in self._terms.items():
-            acc = SuperPoly.const(c)
-            for v, e in m.factors:
-                rep = assignment.get(v)
-                if rep is None:
-                    acc = acc * SuperPoly.var(v, e)
-                    continue
-                key = (v, e)
-                val = cache.get(key)
-                if val is None:
-                    val = rep ** e if e >= 0 else invert(rep) ** (-e)
-                    cache[key] = val
-                acc = acc * val
-            out = out + acc
-        return out
+        return PowerTable.of(assignment).apply(self)
 
     def diff(self, var: VarSymbol) -> "SuperPoly":
         """Formal partial derivative with respect to an even variable."""
@@ -532,18 +508,92 @@ def invert(p: SuperPoly) -> SuperPoly:
     u_inv = SuperPoly(
         {SuperMonomial.make({v: -e for v, e in m0.factors}): Fraction(1) / c0}
     )
-    soul = p.soul()
-    if soul.is_zero():
-        return u_inv
-    n = u_inv * soul
-    neg_n = -n
-    acc = _ONE
-    term = _ONE
-    for _ in range(len(n.odd_variables()) + 2):
-        term = term * neg_n
-        if term.is_zero():
-            break
-        acc = acc + term
-    else:
-        raise AssertionError("nilpotent series failed to terminate")
-    return acc * u_inv
+    return soul_series(u_inv, -p.soul())
+
+
+def soul_series(body_inv, neg_soul):
+    """1/(B + N) = sum (-N)^j B^-(j+1) from B^-1 and -N, for an even
+    nilpotent soul N; the series ends at the first zero term, which comes
+    once j exceeds half the number of odd variables.  The values are
+    SuperPolys or LocalizedPolys, and the sum is of their type."""
+    if neg_soul.is_zero():
+        return body_inv
+    term, terms = body_inv, []
+    while not term.is_zero():
+        terms.append(term)
+        term = term * neg_soul * body_inv
+    return type(body_inv).sum(terms)
+
+
+def _power(built: dict, n: int):
+    """base^n from {exponent: base^exponent}, which holds 0 and 1, storing
+    every power built on the way: the largest power below n times the
+    rest, or two halves when that power is below n/2, so the recursion
+    depth stays logarithmic in n."""
+    out = built.get(n)
+    if out is None:
+        d = max(d for d in built if d < n)
+        if 2 * d < n:
+            d = n // 2
+        out = built[n] = _power(built, d) * _power(built, n - d)
+    return out
+
+
+class PowerTable:
+    """The values of one assignment and the powers of them built so far.
+
+    Substitutions through one table share its powers: each rep^e is built
+    once, from the nearest power already in the table (`_power`), and
+    every negative power is a power of one cached reciprocal.  Values are
+    promoted to `kind`, the type `apply` returns.  The table holds only
+    values derived from the assignment and lives as long as its holder
+    keeps it; a changed value needs a new table.
+    """
+
+    __slots__ = ("values", "_powers")
+    kind = SuperPoly
+
+    def __init__(self, assignment):
+        values = {v: self.kind.promote(val) for v, val in assignment.items()}
+        for v, val in values.items():
+            if val.is_zero():
+                continue
+            want = ParityClass.EVEN if v.parity is Parity.EVEN else ParityClass.ODD
+            if val.parity_class() is not want:
+                raise ParityMismatch(
+                    f"replacement for {v.name} has parity "
+                    f"{val.parity_class().value}, expected {want.value}"
+                )
+        self.values = values
+        self._powers = {}  # (var, +1 or -1) -> {n: value^(+-n)}
+
+    @classmethod
+    def of(cls, assignment) -> "PowerTable":
+        if isinstance(assignment, cls):
+            return assignment
+        return cls(assignment)
+
+    def power(self, v: VarSymbol, e: int):
+        """rep^e for the value rep of v."""
+        sign = 1 if e >= 0 else -1
+        built = self._powers.get((v, sign))
+        if built is None:
+            base = self.values[v]
+            built = {0: self.kind.promote(1),
+                     1: base if sign > 0 else base.reciprocal()}
+            self._powers[(v, sign)] = built
+        return _power(built, abs(e))
+
+    def apply(self, p: SuperPoly):
+        """p with the values substituted, term by term; factors multiply
+        in the monomial's canonical variable order, which keeps the
+        Koszul signs, and the terms are summed in one pass."""
+        kind, values = self.kind, self.values
+        terms = []
+        for m, c in p.terms.items():
+            acc = kind.promote(c)
+            for v, e in m.factors:
+                acc = acc * (self.power(v, e) if v in values
+                             else kind.promote(SuperPoly.var(v, e)))
+            terms.append(acc)
+        return kind.sum(terms)

@@ -425,6 +425,20 @@ class TestAtlasSerialization:
         with pytest.raises(ChartMismatch):
             atlas_from_text(text)
 
+    @pytest.mark.parametrize("text, line", [
+        ("atlas t twist 0\nchart A\n  even a inv;\nend\n"
+         "chart A\n  even b inv;\nend\n", "chart A"),
+        ("atlas t twist 0\nchart A\n  even a inv;\nend\n"
+         "chart B\n  even b inv;\nend\n"
+         "transition B A\n  b := a^-1;\nend\n"
+         "transition B A\n  b := 2*a^-1;\nend\n", "transition B A"),
+        ("atlas t twist 0\nchart A\n  even c;\nend\n"
+         "chart B\n  even c inv;\nend\n", "chart B"),
+    ], ids=["duplicate-chart", "duplicate-transition", "redeclared-variable"])
+    def test_duplicate_declaration_raises(self, text, line):
+        with pytest.raises(ChartMismatch, match=line):
+            atlas_from_text(text)
+
     def test_charts_equal_their_parsed_copies(self):
         atlas = hilb21_atlas(2)
         loaded = atlas_from_text(atlas_to_text(atlas))

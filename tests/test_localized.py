@@ -55,6 +55,13 @@ class TestLocusForm:
         value = LocalizedPoly(V(a1), V(a2, 3) - V(a1) * V(a2, 2))
         assert pretty_localized(value) == "(- a1*a2^-2) * (- a2 + a1)^-1"
 
+    def test_comparison_with_non_polynomials_is_false(self):
+        a1 = self.ring.lookup("a1")
+        value = LocalizedPoly(V(a1))
+        assert value != "a1" and not value == None  # noqa: E711
+        assert value != object()
+        assert value == V(a1) and value == a1 and LocalizedPoly(1) == 1
+
     @pytest.mark.parametrize("k", [-3, 0, 2, 7])
     def test_hilb21_loci_are_removed_loci(self, k):
         a = atlas(k)
