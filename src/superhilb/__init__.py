@@ -23,6 +23,7 @@ from .errors import (
     CertificateError,
     ChartMismatch,
     DuplicateVariable,
+    ExponentOverflow,
     ExprSyntaxError,
     HigherOrderTerms,
     InvertibleOddVariable,

@@ -2,8 +2,9 @@
 splitness checks with deterministic text or JSON output.
 
 Exit codes: 0 for a completed computation (a non-split verdict is a
-successful computation), 2 for input or parse errors, 3 for mathematical
-precondition failures.
+successful computation), 2 for input or parse errors (an exponent beyond
+the kernel's range of +-32767 among them), 3 for mathematical precondition
+failures.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import sys
 
 from .charts import hilb21_atlas, verify_cocycle
 from .errors import (
+    ExponentOverflow,
     ExprSyntaxError,
     DuplicateVariable,
     InvertibleOddVariable,
@@ -33,6 +35,7 @@ from .parser import RingDecl, parse_poly, parse_ring, pretty, pretty_localized
 from .ring import SuperPoly
 
 PARSE_ERRORS = (
+    ExponentOverflow,
     ExprSyntaxError,
     DuplicateVariable,
     InvertibleOddVariable,

@@ -21,6 +21,10 @@ class NegativePowerOfNonInvertible(SuperAlgebraError):
     """Negative exponent on a variable that was not declared invertible."""
 
 
+class ExponentOverflow(SuperAlgebraError):
+    """An exponent beyond the range a packed monomial key holds."""
+
+
 class ExprSyntaxError(SuperAlgebraError):
     """Positioned syntax error in the expression grammar."""
 

@@ -48,10 +48,8 @@ def _poly_from_coeffs(coeffs, x: VarSymbol, offset: int = 0) -> SuperPoly:
 
 def coeff_list(poly: SuperPoly, x: VarSymbol, length: int):
     """Coefficients of 1, x, ..., x^{length-1}; fails if higher powers remain."""
-    cmap = poly.as_coeff_map({x})
     out = [SuperPoly.zero()] * length
-    for mono, coeff in cmap.items():
-        e = mono.exponent(x)
+    for (e,), coeff in poly.coefficients((x,)).items():
         if e >= length or e < 0:
             raise ValueError(f"unexpected x-degree {e}")
         out[e] = coeff
@@ -62,31 +60,34 @@ def coeff_list(poly: SuperPoly, x: VarSymbol, length: int):
 # Normal form modulo monic generators
 
 
-def _split(poly: SuperPoly, split_vars, x, theta):
-    """{(x-degree, theta-exponent, odd degree of the term): coefficient}."""
+def _split(poly: SuperPoly, x, theta):
+    """{(x-degree, theta-exponent, odd degree of the term): coefficient},
+    split on x alone when theta is None."""
     out = {}
-    for mono, coeff in poly.as_coeff_map(split_vars).items():
-        e, eps = mono.exponent(x), mono.exponent(theta)
-        for m, c in coeff.terms.items():
-            out.setdefault((e, eps, len(m.odds)), {})[m] = c
-    return {key: SuperPoly(terms) for key, terms in out.items()}
+    for exps, coeff in poly.coefficients((x,) if theta is None
+                                         else (x, theta)).items():
+        e, eps = exps if theta is not None else (exps[0], 0)
+        for d, part in coeff.by_odd_degree().items():
+            out[(e, eps, d)] = part
+    return out
 
 
 def _merge_levels(buckets):
     """{(e, eps, d): c} -> {(e, eps): sum over d}; the parts share no term."""
     out = {}
     for (e, eps, _), coeff in buckets.items():
-        out.setdefault((e, eps), {}).update(coeff.terms)
-    return {key: SuperPoly(terms) for key, terms in out.items()}
+        out.setdefault((e, eps), []).append(coeff)
+    return {key: SuperPoly.sum(parts) for key, parts in out.items()}
 
 
 def _join(buckets, x, theta) -> SuperPoly:
     """The sum of coeff * x^e theta^eps over {(e, eps): coeff}."""
-    terms = {}
-    for (e, eps), coeff in buckets.items():
-        sub = SuperMonomial.make({x: e, theta: 1} if eps else {x: e})
-        terms.update((coeff * SuperPoly({sub: 1})).terms)
-    return SuperPoly(terms)
+    def monomial(e, eps):
+        power = SuperPoly.var(x, e)
+        return power * SuperPoly.var(theta) if eps else power
+
+    return SuperPoly.sum(coeff * monomial(e, eps)
+                         for (e, eps), coeff in buckets.items())
 
 
 def _normal_form(dividend: SuperPoly, x: VarSymbol, f: SuperPoly, p: int,
@@ -109,12 +110,12 @@ def _normal_form(dividend: SuperPoly, x: VarSymbol, f: SuperPoly, p: int,
     it clears, each bucket is cleared once, and d is bounded by the
     number of odd variables.
     """
-    split = {x} if g is None else {x, theta}
+    split_theta = None if g is None else theta
     gens = []
     for gen, (lead_e, lead_eps) in ((f, (p, 0)), (g, (q, 1))):
         if gen is None:
             continue
-        tail = _split(gen, split, x, theta)
+        tail = _split(gen, x, split_theta)
         if tail.pop((lead_e, lead_eps, 0), None) != SuperPoly.one():
             raise NonMonicDivisor("leading coefficient is not 1")
         lead_rank = (p, 1 - lead_eps)
@@ -122,7 +123,7 @@ def _normal_form(dividend: SuperPoly, x: VarSymbol, f: SuperPoly, p: int,
                for e, eps, d in tail):
             raise NonMonicDivisor("a non-leading term outranks the lead")
         gens.append((lead_eps, tail.items(), {}))
-    rem = _split(dividend, split, x, theta)
+    rem = _split(dividend, x, split_theta)
     if any(e < 0 for e, _, _ in rem):
         raise NonMonicDivisor("dividend has negative x-powers")
 
@@ -161,7 +162,7 @@ def super_divmod(dividend: SuperPoly, divisor: SuperPoly, x: VarSymbol,
     deg = divisor.degree_in(x)
     if deg is None:
         raise NonMonicDivisor("divisor is zero")
-    if theta is not None and theta in divisor.variables():
+    if theta is not None and divisor.degree_in(theta):
         raise NonMonicDivisor("divisor coefficients involve theta")
     low = dividend.min_degree_in(x) or 0
     if low < 0:

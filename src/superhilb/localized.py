@@ -60,17 +60,10 @@ def _factor_body(body: SuperPoly):
     """(unit, loci) with body == unit * prod(L^e): a nonzero rational
     times an invertible Laurent monomial, and at most one locus besides
     the non-invertible variables of the monomial content."""
-    content = {
-        v: min(m.exponent(v) for m in body.terms) for v in body.variables()
-    }
+    content, rest = body.content()
     unit = {v: e for v, e in content.items() if v.invertible}
     loci = {Locus(SuperPoly.var(v), v): e
-            for v, e in content.items() if e and not v.invertible}
-    rest = SuperPoly({
-        SuperMonomial.make({v: m.exponent(v) - e
-                            for v, e in content.items()}): c
-        for m, c in body.terms.items()
-    })
+            for v, e in content.items() if not v.invertible}
     if len(rest.terms) == 1:
         scale = rest.as_constant()
     else:
@@ -247,7 +240,8 @@ class LocalizedPoly:
             loci[locus] = loci.get(locus, 0) + e
         return LocalizedPoly._of(self.num * other.num, loci)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return LocalizedPoly.promote(other) * self
 
     def reciprocal(self) -> "LocalizedPoly":
         """prod L^e / num; a locus shared with 1/num cancels on the spot."""

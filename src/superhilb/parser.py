@@ -305,44 +305,40 @@ def parse_localized(text: str, ring: RingDecl) -> LocalizedPoly:
 # Pretty printing
 
 
-def _var_sort_names(p: SuperPoly):
-    return sorted({v.name for v in p.variables()}, reverse=True)
-
-
-def _term_key(mono, names):
-    exps = {v.name: e for v, e in mono.factors}
-    return tuple(exps.get(nm, 0) for nm in names)
-
-
-def _format_monomial(mono: "SuperMonomial") -> str:
-    parts = []
-    for v, e in mono.factors:
-        parts.append(v.name if e == 1 else f"{v.name}^{e}")
-    return "*".join(parts)
+def _format_monomial(factors) -> str:
+    return "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in factors)
 
 
 def pretty(p: SuperPoly) -> str:
-    """Deterministic textual form; parse_poly(pretty(p)) == p."""
+    """Deterministic textual form; parse_poly(pretty(p)) == p.
+
+    Terms are sorted by their exponent vectors over the variable names in
+    reverse order, each monomial's factors written in name order."""
     if p.is_zero():
         return "0"
-    names = _var_sort_names(p)
-    items = sorted(
-        p.terms.items(), key=lambda mc: _term_key(mc[0], names), reverse=True
-    )
+    terms = p.named_terms()
+    names = sorted({v.name for factors, _ in terms for v, _ in factors},
+                   reverse=True)
+
+    def term_key(term):
+        exps = {v.name: e for v, e in term[0]}
+        return tuple(exps.get(nm, 0) for nm in names)
+
     chunks = []
-    for i, (mono, coeff) in enumerate(items):
+    for i, (factors, coeff) in enumerate(sorted(terms, key=term_key,
+                                                reverse=True)):
         negative = coeff < 0
         mag = -coeff if negative else coeff
-        if mono.is_one:
+        if not factors:
             body = _format_rational(mag)
         elif mag == 1:
-            body = _format_monomial(mono)
+            body = _format_monomial(factors)
             # After a leading unary minus, '^' would bind before the sign;
             # "- 1*x^2" keeps the minus attached to the rational atom.
-            if i == 0 and negative and mono.factors[0][1] != 1:
+            if i == 0 and negative and factors[0][1] != 1:
                 body = f"1*{body}"
         else:
-            body = f"{_format_rational(mag)}*{_format_monomial(mono)}"
+            body = f"{_format_rational(mag)}*{_format_monomial(factors)}"
         if i == 0:
             chunks.append(f"- {body}" if negative else body)
         else:

@@ -1,11 +1,28 @@
 """Exact arithmetic in supercommutative polynomial rings.
 
-Coefficients are exact rationals (`fractions.Fraction`); there is no
-floating point anywhere.  Monomials keep their variables in a single
-global order (by name) with the Koszul sign of any reordering absorbed
-into the coefficient, so equality of polynomials is equality of term
-maps.  All values are immutable after construction and every operation
-is a pure function, safe for unrestricted concurrent use.
+A `SuperPoly` is stored by its odd expansion f = sum_I f_I theta^I as a
+map {odd bitmask I: {packed bosonic exponents: coefficient}}.  Every
+variable gets an index when it is interned, odd and even variables
+counted apart.  Bit i of a mask is the odd variable of index i, and
+theta^I is the product of those variables in ascending index order.  The
+exponents of the even variables pack into one int, sum e_i * 2^(16 i),
+each field a balanced digit in [-2^15, 2^15), so the product of two
+monomials adds their keys.  Coefficients are `int` while integral and
+`fractions.Fraction` otherwise; there is no floating point anywhere.  The
+map is the normal form, so equality of polynomials is equality of maps.
+
+A product visits only pairs of disjoint masks (theta^I theta^J = 0 when
+I & J), with the Koszul sign of theta^I theta^J -> theta^(I|J) taken from
+popcounts of I above each bit of J.  |exponent| <= `EXPONENT_LIMIT`: a
+product checks once, from its operands' exponent bounds, that its keys
+cannot overflow, and raises `ExponentOverflow` otherwise.
+
+Index order is intern order, not name order.  The public views order the
+variables of a monomial by name and carry the sign of that reordering:
+`terms` (keyed by `SuperMonomial`), `named_terms`, `as_coeff_map` and the
+printer built on them.  `SuperMonomial`s are built only there, on demand.
+All values are immutable after construction and every operation is a pure
+function, safe for unrestricted concurrent use.
 
 The jobs shared with `superhilb.localized` live here once, for both
 value types: `PowerTable` substitutes (its `apply`), `_power` builds every
@@ -15,14 +32,22 @@ positive power, and `soul_series` inverts a unit through its soul.
 from __future__ import annotations
 
 import enum
+import threading
+from collections.abc import Mapping
 from fractions import Fraction
 
 from .errors import (
+    ExponentOverflow,
     InvertibleOddVariable,
     NegativePowerOfNonInvertible,
     NotAUnit,
     ParityMismatch,
 )
+
+_WIDTH = 16  # bits per packed exponent
+_HALF = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+EXPONENT_LIMIT = _HALF - 1  # the largest |exponent| a packed key holds
 
 
 class Parity(enum.Enum):
@@ -43,30 +68,56 @@ class ParityClass(enum.Enum):
 
 class VarSymbol:
     """Interned variable symbol: equal (name, parity, invertible) triples
-    are the same object, so hashing and comparison go by identity."""
+    are the same object, so hashing and comparison go by identity.  Its
+    `index` is its bit (odd) or its packed field (even)."""
 
-    __slots__ = ("name", "parity", "invertible")
+    __slots__ = ("name", "parity", "invertible", "index")
     _intern: dict = {}
+    _evens: list = []  # even variables by index
+    _odds: list = []  # odd variables by index
+    _clashes: list = []  # (u, v, masks of u, masks of v): u, v share a name
+    _bias = 0  # _HALF in the field of every even variable
+    _lock = threading.Lock()
 
     def __new__(cls, name, parity, invertible=False):
         key = (name, parity, invertible)
         obj = cls._intern.get(key)
-        if obj is None:
-            if invertible and parity is Parity.ODD:
-                raise InvertibleOddVariable(
-                    f"odd variable {name!r} cannot be invertible"
-                )
-            obj = object.__new__(cls)
-            obj.name = name
-            obj.parity = parity
-            obj.invertible = invertible
-            cls._intern[key] = obj
+        if obj is not None:
+            return obj
+        if invertible and parity is Parity.ODD:
+            raise InvertibleOddVariable(
+                f"odd variable {name!r} cannot be invertible"
+            )
+        with cls._lock:  # one symbol and one index per key, across threads
+            obj = cls._intern.get(key)
+            if obj is None:
+                obj = object.__new__(cls)
+                obj.name = name
+                obj.parity = parity
+                obj.invertible = invertible
+                table = cls._odds if parity is Parity.ODD else cls._evens
+                obj.index = len(table)
+                table.append(obj)
+                if parity is Parity.EVEN:
+                    cls._bias += _HALF << (_WIDTH * obj.index)
+                cls._clashes.extend((other, obj, *_mask_pair(other),
+                                     *_mask_pair(obj))
+                                    for other in cls._intern.values()
+                                    if other.name == name)
+                cls._intern[key] = obj
         return obj
 
     def __repr__(self):
         tag = "even" if self.parity is Parity.EVEN else "odd"
         inv = " inv" if self.invertible else ""
         return f"<{tag} {self.name}{inv}>"
+
+
+def _mask_pair(var: VarSymbol):
+    """(odd mask, even field mask) selecting var in a `_support` pair."""
+    if var.parity is Parity.ODD:
+        return 1 << var.index, 0
+    return 0, _FIELD << (_WIDTH * var.index)
 
 
 def even(name: str, invertible: bool = False) -> VarSymbol:
@@ -77,28 +128,137 @@ def odd(name: str) -> VarSymbol:
     return VarSymbol(name, Parity.ODD)
 
 
-def _inversions(left, right):
-    """Number of pairs (u, v) in left x right with u.name > v.name."""
-    count = 0
-    for u in left:
-        for v in right:
-            if u.name > v.name:
-                count += 1
-    return count
+# -- packed keys and masks ----------------------------------------------
+
+
+def _field(key: int, var: VarSymbol) -> int:
+    """The exponent of the even variable var in a packed key."""
+    return (((key + VarSymbol._bias) >> (_WIDTH * var.index)) & _FIELD) - _HALF
+
+
+def _even_factors(key: int) -> list:
+    """[(variable, exponent)] for the nonzero fields of a packed key, in
+    index order: with the bias added and xor-ed back, field i holds e_i
+    modulo 2^16, and only the nonzero fields are visited."""
+    evens, bias = VarSymbol._evens, VarSymbol._bias
+    rest, out = (key + bias) ^ bias, []
+    while rest:
+        shift = ((rest & -rest).bit_length() - 1) // _WIDTH * _WIDTH
+        f = (rest >> shift) & _FIELD
+        out.append((evens[shift // _WIDTH], f - ((f & _HALF) << 1)))
+        rest ^= f << shift
+    return out
+
+
+def _odd_vars(mask: int) -> list:
+    """The odd variables of a mask in ascending index order."""
+    odds, out = VarSymbol._odds, []
+    while mask:
+        low = mask & -mask
+        out.append(odds[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+def _flips(a: int, b: int) -> int:
+    """1 when theta^a theta^b == -theta^(a|b), else 0: the parity of the
+    pairs (i in a, j in b) with i > j, a popcount of a above each bit of b."""
+    n = 0
+    while b:
+        low = b & -b
+        n += (a & -(low << 1)).bit_count()
+        b ^= low
+    return n & 1
+
+
+def _order_flips(odd_vars) -> int:
+    """1 when the product of odd_vars in the given order is -theta^I, I
+    their mask, else 0: the parity of the inversions of their indices."""
+    idx = [v.index for v in odd_vars]
+    return sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:]) & 1
+
+
+def _name_flips(mask: int) -> int:
+    """_order_flips of the odd variables of a mask in name order."""
+    return _order_flips(sorted(_odd_vars(mask), key=lambda v: v.name))
+
+
+def _by_name(factor):
+    return factor[0].name
+
+
+def _coeff(x):
+    """x as a coefficient: an int when integral, else a Fraction."""
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _checked(v: VarSymbol, e: int) -> int:
+    """e, a nonzero exponent of v; raises when it is not a legal one."""
+    if v.parity is Parity.ODD and e != 1:
+        raise ValueError(f"odd variable {v.name} with exponent {e}")
+    if e < 0 and not v.invertible:
+        raise NegativePowerOfNonInvertible(
+            f"negative power of non-invertible variable {v.name}"
+        )
+    if abs(e) > EXPONENT_LIMIT:
+        raise _overflow(e)
+    return e
+
+
+def _overflow(e: int) -> ExponentOverflow:
+    return ExponentOverflow(
+        f"exponent {e} is beyond the packed range |e| <= {EXPONENT_LIMIT}"
+    )
+
+
+def _cleaned(parts: dict) -> dict:
+    """parts without zero coefficients or empty masks, integral Fractions
+    made ints."""
+    out = {}
+    for mask, part in parts.items():
+        part = {k: (c.numerator if type(c) is Fraction and c.denominator == 1
+                    else c)
+                for k, c in part.items() if c}
+        if part:
+            out[mask] = part
+    return out
+
+
+def _bound_of(polys) -> int:
+    """A bound on the |exponents| of a product of polys: the sum of their
+    bounds.  Past EXPONENT_LIMIT the bounds are tightened to the largest
+    exponents present, and ExponentOverflow is raised when the sum still
+    exceeds it, before any key could wrap."""
+    bound = sum(p._bound for p in polys)
+    if bound > EXPONENT_LIMIT:
+        for p in polys:
+            p._bound = p._max_exponent()
+        bound = sum(p._bound for p in polys)
+        if bound > EXPONENT_LIMIT:
+            raise _overflow(bound)
+    return bound
+
+
+# -- the boundary key type ----------------------------------------------
 
 
 class SuperMonomial:
-    """Product of variable powers, stored sorted by variable name.
+    """A monomial as a key of `SuperPoly.terms`: its (variable, exponent)
+    factors sorted by variable name.
 
     Odd exponents are exactly 0 or 1; negative exponents are only legal
     on invertible variables.  Instances are immutable with a cached hash.
+    Built on demand by the name-ordered views; no ring operation makes one.
     """
 
-    __slots__ = ("factors", "odds", "_hash")
+    __slots__ = ("factors", "_hash")
 
     def __init__(self, factors: tuple):
         self.factors = factors
-        self.odds = tuple(v for v, _ in factors if v.parity is Parity.ODD)
         self._hash = hash(factors)
 
     def __hash__(self):
@@ -113,27 +273,18 @@ class SuperMonomial:
 
     @staticmethod
     def make(exponents) -> "SuperMonomial":
-        items = []
-        for v, e in exponents.items():
-            if e == 0:
-                continue
-            if v.parity is Parity.ODD and e != 1:
-                raise ValueError(f"odd variable {v.name} with exponent {e}")
-            if e < 0 and not v.invertible:
-                raise NegativePowerOfNonInvertible(
-                    f"negative power of non-invertible variable {v.name}"
+        items = sorted(((v, _checked(v, e)) for v, e in exponents.items()
+                        if e), key=_by_name)
+        for (u, _), (v, _) in zip(items, items[1:]):
+            if u.name == v.name:
+                raise ValueError(
+                    f"distinct variables share the name {u.name!r}"
                 )
-            items.append((v, e))
-        items.sort(key=lambda it: it[0].name)
         return SuperMonomial(tuple(items))
 
     @staticmethod
     def one() -> "SuperMonomial":
         return _MONOMIAL_ONE
-
-    @property
-    def is_one(self) -> bool:
-        return not self.factors
 
     def exponent(self, var: VarSymbol) -> int:
         for v, e in self.factors:
@@ -145,71 +296,25 @@ class SuperMonomial:
         return tuple(v for v, _ in self.factors)
 
     def odd_variables(self):
-        return self.odds
+        return tuple(v for v, _ in self.factors if v.parity is Parity.ODD)
 
     def parity(self) -> Parity:
-        return Parity(len(self.odds) % 2)
+        return Parity(len(self.odd_variables()) % 2)
 
     def total_degree(self) -> int:
         return sum(e for _, e in self.factors)
 
-    def mul(self, other: "SuperMonomial"):
-        """Product with Koszul sign; returns (sign, monomial) or None if zero."""
-        o1 = self.odds
-        o2 = other.odds
-        if o1 and o2:
-            if set(o1) & set(o2):
-                return None
-            sign = -1 if _inversions(o1, o2) % 2 else 1
-        else:
-            sign = 1
-        f1, f2 = self.factors, other.factors
-        if not f1:
-            return sign, other
-        if not f2:
-            return sign, self
-        merged = []
-        i = j = 0
-        n1, n2 = len(f1), len(f2)
-        while i < n1 and j < n2:
-            v1, e1 = f1[i]
-            v2, e2 = f2[j]
-            if v1 is v2:
-                e = e1 + e2
-                if e:
-                    merged.append((v1, e))
-                i += 1
-                j += 1
-            elif v1.name < v2.name:
-                merged.append(f1[i])
-                i += 1
-            elif v1.name > v2.name:
-                merged.append(f2[j])
-                j += 1
+    def _packed(self):
+        """(mask, key, flip, bound): the monomial is (-1)^flip theta^mask
+        times the even monomial of key, with |exponents| <= bound."""
+        mask = key = bound = 0
+        for v, e in self.factors:
+            if v.parity is Parity.ODD:
+                mask |= 1 << v.index
             else:
-                raise ValueError(
-                    f"distinct variables share the name {v1.name!r}"
-                )
-        merged.extend(f1[i:])
-        merged.extend(f2[j:])
-        return sign, SuperMonomial(tuple(merged))
-
-    def split(self, split_vars):
-        """Split into (rest, sub, sign) with sub over split_vars.
-
-        The sign is such that rest * sub == sign * self as ring elements.
-        """
-        sub = []
-        rest = []
-        for item in self.factors:
-            if item[0] in split_vars:
-                sub.append(item)
-            else:
-                rest.append(item)
-        rest_m = SuperMonomial(tuple(rest))
-        sub_m = SuperMonomial(tuple(sub))
-        inv = _inversions(rest_m.odds, sub_m.odds)
-        return rest_m, sub_m, (-1 if inv % 2 else 1)
+                key += e << (_WIDTH * v.index)
+                bound = max(bound, abs(e))
+        return mask, key, _name_flips(mask), bound
 
     def __repr__(self):
         if not self.factors:
@@ -222,37 +327,63 @@ class SuperMonomial:
 _MONOMIAL_ONE = SuperMonomial(())
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"not an exact rational: {x!r}")
+class _Terms(Mapping):
+    """The {SuperMonomial: Fraction} view of a SuperPoly; its length is
+    the term count, and the map is built on first use."""
+
+    __slots__ = ("_poly", "_map")
+
+    def __init__(self, poly):
+        self._poly, self._map = poly, None
+
+    def _built(self) -> dict:
+        if self._map is None:
+            self._map = {SuperMonomial(f): Fraction(c)
+                         for f, c in self._poly.named_terms()}
+        return self._map
+
+    def __len__(self):
+        return sum(map(len, self._poly._parts.values()))
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __getitem__(self, mono):
+        return self._built()[mono]
+
+    def __repr__(self):
+        return repr(self._built())
+
+
+# -- polynomials --------------------------------------------------------
 
 
 class SuperPoly:
     """Finite sum of monomials with exact rational coefficients.
 
-    The term map is the normal form: two polynomials are equal iff their
-    maps are equal.
+    `_parts` is the normal form {odd mask: {packed key: coefficient}}
+    with no zero coefficient and no empty part; `_bound` bounds the
+    |exponents| of its keys.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_parts", "_bound")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = _frac(c)
-                if c != 0:
-                    clean[m] = c
-        self._terms = clean
+        """The polynomial of a {SuperMonomial: coefficient} map."""
+        parts, bound = {}, 0
+        for m, c in (terms or {}).items():
+            c = _coeff(c)
+            if c:
+                mask, key, flip, b = m._packed()
+                parts.setdefault(mask, {})[key] = -c if flip else c
+                bound = max(bound, b)
+        self._parts, self._bound = parts, bound
 
     @staticmethod
-    def _of(terms: dict) -> "SuperPoly":
-        """Wrap a term map that already holds only nonzero Fractions."""
+    def _of(parts: dict, bound: int) -> "SuperPoly":
+        """Wrap parts already in normal form."""
         out = SuperPoly.__new__(SuperPoly)
-        out._terms = terms
+        out._parts, out._bound = parts, bound
         return out
 
     # -- constructors ------------------------------------------------
@@ -267,22 +398,33 @@ class SuperPoly:
 
     @staticmethod
     def const(c) -> "SuperPoly":
-        return SuperPoly({SuperMonomial.one(): _frac(c)})
+        c = _coeff(c)
+        return SuperPoly._of({0: {0: c}}, 0) if c else _ZERO
 
     @staticmethod
     def var(v: VarSymbol, exp: int = 1) -> "SuperPoly":
         if exp == 0:
             return _ONE
-        return SuperPoly({SuperMonomial.make({v: exp}): Fraction(1)})
+        _checked(v, exp)
+        if v.parity is Parity.ODD:
+            return SuperPoly._of({1 << v.index: {0: 1}}, 0)
+        return SuperPoly._of({0: {exp << (_WIDTH * v.index): 1}}, abs(exp))
 
     @staticmethod
     def sum(polys) -> "SuperPoly":
         """Sum in one pass over the terms, in time linear in their number."""
-        out = {}
+        out, bound = {}, 0
         for poly in polys:
-            for mono, coeff in poly._terms.items():
-                out[mono] = out.get(mono, 0) + coeff
-        return SuperPoly(out)
+            bound = max(bound, poly._bound)
+            for mask, part in poly._parts.items():
+                acc = out.get(mask)
+                if acc is None:
+                    out[mask] = dict(part)
+                    continue
+                get = acc.get
+                for k, c in part.items():
+                    acc[k] = get(k, 0) + c
+        return SuperPoly._of(_cleaned(out), bound)
 
     @staticmethod
     def promote(x) -> "SuperPoly":
@@ -295,101 +437,153 @@ class SuperPoly:
     # -- inspection --------------------------------------------------
 
     @property
-    def terms(self):
-        return self._terms
+    def terms(self) -> Mapping:
+        """{SuperMonomial: coefficient}, the monomials in name order."""
+        return _Terms(self)
+
+    def named_terms(self) -> list:
+        """[(factors, coefficient)]: the (variable, exponent) factors of
+        each term sorted by name, and its coefficient for that order."""
+        out = []
+        for mask, part in self._parts.items():
+            odds = [(v, 1) for v in _odd_vars(mask)]
+            flip = _name_flips(mask)
+            for key, c in part.items():
+                factors = odds + _even_factors(key)
+                factors.sort(key=_by_name)
+                out.append((tuple(factors), -c if flip else c))
+        return out
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._parts
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._parts)
 
     def as_constant(self) -> Fraction:
-        if not self._terms:
+        parts = self._parts
+        if not parts:
             return Fraction(0)
-        if len(self._terms) == 1 and SuperMonomial.one() in self._terms:
-            return self._terms[SuperMonomial.one()]
+        if len(parts) == 1 and len(parts.get(0, ())) == 1 and 0 in parts[0]:
+            return Fraction(parts[0][0])
         raise ValueError(f"not a constant: {self!r}")
 
     def parity_class(self) -> ParityClass:
-        seen = set()
-        for m in self._terms:
-            seen.add(m.parity())
-            if len(seen) == 2:
-                return ParityClass.MIXED
-        if not seen or seen == {Parity.EVEN}:
-            return ParityClass.EVEN
-        return ParityClass.ODD
+        seen = {mask.bit_count() & 1 for mask in self._parts}
+        if len(seen) == 2:
+            return ParityClass.MIXED
+        return ParityClass.ODD if seen == {1} else ParityClass.EVEN
 
     def variables(self):
-        out = set()
-        for m in self._terms:
-            out.update(m.variables())
-        return out
+        odds, evens = self._support()
+        return set(_odd_vars(odds)).union(
+            v for v in VarSymbol._evens
+            if evens >> (_WIDTH * v.index) & _FIELD)
 
     def odd_variables(self):
-        out = set()
-        for m in self._terms:
-            out.update(m.odd_variables())
-        return out
+        mask = 0
+        for m in self._parts:
+            mask |= m
+        return set(_odd_vars(mask))
 
     def bosonic(self) -> "SuperPoly":
         """The part of the polynomial free of odd variables."""
-        return SuperPoly(
-            {m: c for m, c in self._terms.items() if not m.odd_variables()}
-        )
+        part = self._parts.get(0)
+        return SuperPoly._of({0: part}, self._bound) if part else _ZERO
 
     def soul(self) -> "SuperPoly":
-        return SuperPoly(
-            {m: c for m, c in self._terms.items() if m.odd_variables()}
+        return SuperPoly._of(
+            {m: p for m, p in self._parts.items() if m}, self._bound
         )
+
+    def by_odd_degree(self) -> dict:
+        """{d: the terms with d odd variables}."""
+        out = {}
+        for mask, part in self._parts.items():
+            out.setdefault(mask.bit_count(), {})[mask] = part
+        return {d: SuperPoly._of(parts, self._bound)
+                for d, parts in out.items()}
+
+    def _exponents_of(self, var: VarSymbol):
+        if var.parity is Parity.ODD:
+            bit = 1 << var.index
+            return [1 if mask & bit else 0 for mask in self._parts]
+        return [_field(k, var) for part in self._parts.values() for k in part]
 
     def degree_in(self, var: VarSymbol):
         """Max exponent of var over the support; None for the zero polynomial."""
-        if not self._terms:
-            return None
-        return max(m.exponent(var) for m in self._terms)
+        return max(self._exponents_of(var)) if self._parts else None
 
     def min_degree_in(self, var: VarSymbol):
-        if not self._terms:
-            return None
-        return min(m.exponent(var) for m in self._terms)
+        return min(self._exponents_of(var)) if self._parts else None
+
+    def _max_exponent(self) -> int:
+        return max((abs(e) for part in self._parts.values() for k in part
+                    for _, e in _even_factors(k)), default=0)
+
+    def _support(self):
+        """(odd mask, even support): bit i of the mask is set when the odd
+        variable of index i occurs, field i of the support is nonzero when
+        the even one does (its exponent field minus the bias, bitwise)."""
+        bias = VarSymbol._bias
+        odds = evens = 0
+        for mask, part in self._parts.items():
+            odds |= mask
+            for k in part:
+                evens |= (k + bias) ^ bias
+        return odds, evens
 
     # -- arithmetic --------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SuperPoly.const(other)
+        if isinstance(other, (int, Fraction, VarSymbol)):
+            other = SuperPoly.promote(other)
         if not isinstance(other, SuperPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._parts == other._parts
 
     __hash__ = None
 
     def __add__(self, other):
         other = SuperPoly.promote(other)
-        if not self._terms:
+        if not self._parts:
             return other
-        if not other._terms:
+        if not other._parts:
             return self
-        out = dict(self._terms)
-        get = out.get
-        for m, c in other._terms.items():
-            s = get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s += c
-                if s:
-                    out[m] = s
+        out = dict(self._parts)
+        for mask, part in other._parts.items():
+            mine = out.get(mask)
+            if mine is None:
+                out[mask] = part
+                continue
+            merged = dict(mine)
+            get = merged.get
+            for k, c in part.items():
+                s = get(k)
+                if s is None:
+                    merged[k] = c
                 else:
-                    del out[m]
-        return SuperPoly._of(out)
+                    s += c
+                    if not s:
+                        del merged[k]
+                    elif type(s) is Fraction and s.denominator == 1:
+                        merged[k] = s.numerator
+                    else:
+                        merged[k] = s
+            if merged:
+                out[mask] = merged
+            else:
+                del out[mask]
+        return SuperPoly._of(out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SuperPoly._of({m: -c for m, c in self._terms.items()})
+        return SuperPoly._of(
+            {m: {k: -c for k, c in part.items()}
+             for m, part in self._parts.items()},
+            self._bound,
+        )
 
     def __sub__(self, other):
         return self + (-SuperPoly.promote(other))
@@ -398,32 +592,53 @@ class SuperPoly:
         return SuperPoly.promote(other) + (-self)
 
     def __mul__(self, other):
-        other = SuperPoly.promote(other)
-        if not self._terms or not other._terms:
+        if type(other) is not SuperPoly:
+            other = SuperPoly.promote(other)
+        if not self._parts or not other._parts:
             return _ZERO
+        bound = self._bound + other._bound
+        if bound > EXPONENT_LIMIT:
+            bound = _bound_of((self, other))
+        if VarSymbol._clashes:
+            _check_names(self, other)
         out = {}
-        get = out.get
-        rhs = other._terms.items()
-        for m1, c1 in self._terms.items():
-            mul = m1.mul
-            for m2, c2 in rhs:
-                prod = mul(m2)
-                if prod is None:
+        rhs = [(m2, part2.items()) for m2, part2 in other._parts.items()]
+        for m1, part1 in self._parts.items():
+            for m2, items2 in rhs:
+                if m1 & m2:
                     continue
-                sign, m = prod
-                c = c1 * c2 if sign > 0 else -(c1 * c2)
-                s = get(m)
-                if s is None:
-                    out[m] = c
-                else:
-                    s += c
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return SuperPoly._of(out)
+                m = m1 | m2
+                part = out.get(m)
+                if part is None:
+                    part = out[m] = {}
+                get = part.get
+                flip = m1 and m2 and _flips(m1, m2)
+                for k1, c1 in part1.items():
+                    if flip:
+                        c1 = -c1
+                    for k2, c2 in items2:
+                        k = k1 + k2
+                        c = c1 * c2
+                        s = get(k)
+                        if s is None:
+                            part[k] = c
+                        else:
+                            s += c
+                            if s:
+                                part[k] = s
+                            else:
+                                del part[k]
+        for m, part in list(out.items()):
+            if not part:
+                del out[m]
+                continue
+            for k, c in part.items():
+                if type(c) is Fraction and c.denominator == 1:
+                    part[k] = c.numerator
+        return SuperPoly._of(out, bound)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return SuperPoly.promote(other) * self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -436,22 +651,66 @@ class SuperPoly:
 
     # -- structure ---------------------------------------------------
 
+    def coefficients(self, variables) -> dict:
+        """{exponents: coefficient} with self == sum(coefficient * m),
+        where m is the product of v^e over `variables` in the given order
+        and the coefficient, free of those variables, multiplies from the
+        left; the exponents are listed in the same order."""
+        variables = tuple(variables)
+        split = 0
+        for v in variables:
+            if v.parity is Parity.ODD:
+                split |= 1 << v.index
+        spec = [(v.parity is Parity.ODD, v.index, _WIDTH * v.index)
+                for v in variables]
+        bias = VarSymbol._bias
+        out = {}
+        for mask, part in self._parts.items():
+            sub, rest = mask & split, mask & ~split
+            flip = _flips(rest, sub) ^ _order_flips(
+                [v for v in variables
+                 if v.parity is Parity.ODD and sub >> v.index & 1])
+            for key, c in part.items():
+                u = key + bias
+                exps, sub_key = [], 0
+                for is_odd, index, shift in spec:
+                    if is_odd:
+                        exps.append(mask >> index & 1)
+                    else:
+                        e = ((u >> shift) & _FIELD) - _HALF
+                        exps.append(e)
+                        sub_key += e << shift
+                rest_parts = out.setdefault(tuple(exps), {})
+                rest_parts.setdefault(rest, {})[key - sub_key] = (
+                    -c if flip else c)
+        return {exps: SuperPoly._of(parts, self._bound)
+                for exps, parts in out.items()}
+
     def as_coeff_map(self, split_vars):
         """View the polynomial in split_vars with coefficients elsewhere.
 
         Returns {sub_monomial: coefficient}, where sum(coeff * sub) == self
         with the coefficient multiplying from the left.
         """
-        split_vars = set(split_vars)
-        out = {}
-        for m, c in self._terms.items():
-            # m is rest * sub up to sign, so no two terms share a bucket slot
-            rest, sub, sign = m.split(split_vars)
-            out.setdefault(sub, {})[rest] = c if sign > 0 else -c
-        return {sub: SuperPoly._of(terms) for sub, terms in out.items()}
+        order = sorted(split_vars, key=lambda v: v.name)
+        return {SuperMonomial.make(dict(zip(order, exps))): coeff
+                for exps, coeff in self.coefficients(order).items()}
 
     def coeff_of(self, sub_monomial: SuperMonomial, split_vars) -> "SuperPoly":
         return self.as_coeff_map(split_vars).get(sub_monomial, _ZERO)
+
+    def content(self):
+        """(exponents, rest): the least exponent of each even variable over
+        the terms, as {variable: e} for e != 0, and self divided by their
+        monomial (an exponent minus its least is at most twice the largest
+        |exponent|, which must stay in range)."""
+        exps = {v: e for v in self.variables()
+                if v.parity is Parity.EVEN and (e := self.min_degree_in(v))}
+        shift = sum(e << (_WIDTH * v.index) for v, e in exps.items())
+        return exps, SuperPoly._of(
+            {m: {k - shift: c for k, c in part.items()}
+             for m, part in self._parts.items()},
+            _bound_of((self, self)))
 
     def substitute(self, assignment) -> "SuperPoly":
         """Apply the ring homomorphism sending each variable to its value.
@@ -467,21 +726,35 @@ class SuperPoly:
         """Formal partial derivative with respect to an even variable."""
         if var.parity is not Parity.EVEN:
             raise ParityMismatch("diff is only defined for even variables")
+        unit = 1 << (_WIDTH * var.index)
         out = {}
-        for m, c in self._terms.items():
-            e = m.exponent(var)
-            if e == 0:
-                continue
-            exps = {v: k for v, k in m.factors}
-            exps[var] = e - 1
-            # m -> m / var is injective, so every monomial appears once
-            out[SuperMonomial.make(exps)] = c * e
-        return SuperPoly._of(out)
+        for mask, part in self._parts.items():
+            terms = {}
+            for k, c in part.items():
+                e = _field(k, var)
+                if e == -EXPONENT_LIMIT:
+                    raise _overflow(e - 1)
+                if e:
+                    # k -> k - unit is injective, so every key appears once
+                    terms[k - unit] = c * e
+            if terms:
+                out[mask] = terms
+        return SuperPoly._of(out, self._bound + 1)
 
     def __repr__(self):
         from .parser import pretty
 
         return f"SuperPoly({pretty(self)})"
+
+
+def _check_names(a: SuperPoly, b: SuperPoly):
+    """ValueError when a product of a and b would hold two distinct
+    variables of one name, which the name-ordered views cannot order."""
+    (ao, ae), (bo, be) = a._support(), b._support()
+    for u, _, uo, ue, vo, ve in VarSymbol._clashes:
+        if (((ao & uo or ae & ue) and (bo & vo or be & ve))
+                or ((ao & vo or ae & ve) and (bo & uo or be & ue))):
+            raise ValueError(f"distinct variables share the name {u.name!r}")
 
 
 _ZERO = SuperPoly()
@@ -495,19 +768,19 @@ def invert(p: SuperPoly) -> SuperPoly:
     Computed as u^{-1} * sum((-n)^j), a finite geometric series since
     every term of n carries an odd variable.
     """
-    body = [(m, c) for m, c in p.terms.items() if not m.odd_variables()]
+    body = p._parts.get(0)
     if not body:
         raise NotAUnit("zero constant part: every term is nilpotent")
     if len(body) > 1:
         raise NotAUnit("more than one non-nilpotent term")
-    m0, c0 = body[0]
-    if any(not v.invertible for v in m0.variables()):
+    (key, c), = body.items()
+    factors = _even_factors(key)
+    if any(not v.invertible for v, _ in factors):
+        unit = SuperMonomial(tuple(sorted(factors, key=_by_name)))
         raise NotAUnit(
-            f"unit part {m0!r} involves a variable not declared invertible"
+            f"unit part {unit!r} involves a variable not declared invertible"
         )
-    u_inv = SuperPoly(
-        {SuperMonomial.make({v: -e for v, e in m0.factors}): Fraction(1) / c0}
-    )
+    u_inv = SuperPoly._of({0: {-key: _coeff(1 / Fraction(c))}}, p._bound)
     return soul_series(u_inv, -p.soul())
 
 
@@ -585,15 +858,16 @@ class PowerTable:
         return _power(built, abs(e))
 
     def apply(self, p: SuperPoly):
-        """p with the values substituted, term by term; factors multiply
-        in the monomial's canonical variable order, which keeps the
-        Koszul signs, and the terms are summed in one pass."""
-        kind, values = self.kind, self.values
-        terms = []
-        for m, c in p.terms.items():
-            acc = kind.promote(c)
-            for v, e in m.factors:
-                acc = acc * (self.power(v, e) if v in values
-                             else kind.promote(SuperPoly.var(v, e)))
-            terms.append(acc)
-        return kind.sum(terms)
+        """p with the values substituted: p is sum(c * m) with m a monomial
+        in the assigned variables and c free of them (`coefficients`), so
+        the image is sum(c * image of m), one product per factor of each
+        distinct m, and the images are summed in one pass."""
+        kind, order = self.kind, tuple(self.values)
+        images = []
+        for exps, coeff in p.coefficients(order).items():
+            image = kind.promote(coeff)
+            for v, e in zip(order, exps):
+                if e:
+                    image = image * self.power(v, e)
+            images.append(image)
+        return kind.sum(images)

@@ -57,6 +57,15 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["evens"] == ["a0^3000"]
 
+    def test_exponent_beyond_the_range_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "--format", "json", "reduce", "--p", "1", "--q", "0",
+            "x^1099511627776",
+        )
+        assert code == 2
+        assert out == ""
+        assert "packed range" in err
+
     def test_set_parameter(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "reduce", "--p", "1", "--q", "0",

@@ -1,11 +1,19 @@
+import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from superhilb.errors import NotAUnit, ParityMismatch
+from superhilb.errors import ExponentOverflow, NotAUnit, ParityMismatch
+from superhilb.ideals import super_divmod
+from superhilb.localized import LocalizedPoly
+from superhilb.parser import RingDecl, parse_poly
 from superhilb.ring import (
+    EXPONENT_LIMIT,
     ParityClass,
+    PowerTable,
     SuperMonomial,
     SuperPoly,
     even,
@@ -13,7 +21,7 @@ from superhilb.ring import (
     odd,
 )
 
-from conftest import random_poly, standard_ring
+from conftest import random_poly, run_optimized, standard_ring
 
 
 def P(v):
@@ -216,3 +224,196 @@ class TestDiff:
     def test_odd_rejected(self):
         with pytest.raises(ParityMismatch):
             SuperPoly.one().diff(odd("alpha"))
+
+
+class TestSymbolComparison:
+    def test_polynomial_equals_its_symbol(self):
+        r = standard_ring()
+        for v in (r["x"], r["a"], r["alpha"]):
+            assert P(v) == v
+            assert v == P(v)
+            assert not P(v) != v
+        assert P(r["x"]) != r["a"]
+        assert r["a"] != P(r["x"])
+        assert P(r["x"]) + 1 != r["x"]
+
+    def test_symbol_times_polynomial_keeps_the_order(self):
+        alpha, beta = odd("alpha"), odd("beta")
+        assert alpha * P(beta) == P(alpha) * P(beta)
+        assert alpha * LocalizedPoly(P(beta)) == P(alpha) * P(beta)
+        assert 2 * P(beta) == P(beta) * 2
+
+
+# Run in a fresh interpreter so that zeta is interned before alpha: the
+# kernel then stores alpha*zeta in the opposite order to the names.
+_OUT_OF_NAME_ORDER = """
+    import json, random
+    from fractions import Fraction
+    from superhilb.parser import RingDecl, parse_poly, pretty
+    from superhilb.ring import SuperMonomial, SuperPoly, even, odd
+
+    zeta, mu, alpha = odd("zeta"), odd("mu"), odd("alpha")
+    y, b = even("y"), even("b", invertible=True)
+    ODD = {"zeta", "mu", "alpha"}
+    ring = RingDecl([zeta, mu, alpha, y, b])
+
+    def named(p):
+        return {tuple((v.name, e) for v, e in m.factors): c
+                for m, c in p.terms.items()}
+
+    def reference_product(p, q):
+        # monomials sorted by name, with the Koszul sign of the merge
+        out = {}
+        for m1, c1 in p.items():
+            for m2, c2 in q.items():
+                o1 = [n for n, _ in m1 if n in ODD]
+                o2 = [n for n, _ in m2 if n in ODD]
+                if set(o1) & set(o2):
+                    continue
+                sign = (-1) ** sum(u > v for u in o1 for v in o2)
+                exps = dict(m1)
+                for n, e in m2:
+                    exps[n] = exps.get(n, 0) + e
+                m = tuple(sorted((n, e) for n, e in exps.items() if e))
+                out[m] = out.get(m, 0) + sign * c1 * c2
+        return {m: c for m, c in out.items() if c}
+
+    rng = random.Random(17)
+
+    def random_poly():
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = {v: 1 for v in (zeta, mu, alpha) if rng.random() < 0.5}
+            exps[y] = rng.randint(0, 2)
+            exps[b] = rng.randint(-2, 2)
+            terms[SuperMonomial.make(exps)] = Fraction(rng.randint(-5, 5), 2)
+        return SuperPoly(terms)
+
+    Z, A = SuperPoly.var(zeta), SuperPoly.var(alpha)
+    mismatches = round_trips = 0
+    for _ in range(300):
+        p, q = random_poly(), random_poly()
+        s = p + q
+        for lhs, rhs, got in ((p, q, p * q), (s, p, s * p), (q, s, q * s)):
+            mismatches += named(got) != reference_product(named(lhs),
+                                                          named(rhs))
+            round_trips += parse_poly(pretty(got), ring) != got
+    print(json.dumps({
+        "indices": [zeta.index, alpha.index],
+        "zeta*alpha": pretty(Z * A), "alpha*zeta": pretty(A * Z),
+        "terms": [[repr(m), str(c)] for m, c in (Z * A).terms.items()],
+        "sum": pretty((Z + A) * (Z - A) + 3 * Z * A),
+        "mismatches": mismatches, "round_trips": round_trips,
+    }))
+"""
+
+
+class TestNameOrderSigns:
+    def test_intern_order_differs_from_name_order(self):
+        done = run_optimized(_OUT_OF_NAME_ORDER)
+        assert done.returncode == 0, done.stderr
+        got = json.loads(done.stdout)
+        assert got["indices"] == [0, 2]
+        assert got["zeta*alpha"] == "- alpha*zeta"
+        assert got["alpha*zeta"] == "alpha*zeta"
+        assert got["terms"] == [["alpha*zeta", "-1"]]
+        # (z + a)(z - a) + 3za = -za + az + 3za = za = -alpha*zeta
+        assert got["sum"] == "- alpha*zeta"
+        assert got["mismatches"] == 0
+        assert got["round_trips"] == 0
+
+
+class TestSharedNames:
+    def test_product_of_two_symbols_with_one_name_raises(self):
+        c, c_inv = even("c"), even("c", invertible=True)
+        with pytest.raises(ValueError, match="share the name 'c'"):
+            P(c) * P(c_inv)
+        with pytest.raises(ValueError):
+            (P(c_inv) + 1) * (P(c) ** 2 - 3)
+
+    def test_each_symbol_alone_still_multiplies(self):
+        c, c_inv = even("c"), even("c", invertible=True)
+        assert P(c) * P(c) == SuperPoly.var(c, 2)
+        assert P(c_inv) * SuperPoly.var(c_inv, -1) == 1
+        assert (P(c) + P(c_inv)).variables() == {c, c_inv}
+
+
+class TestExponentRange:
+    def test_power_beyond_the_range_raises(self):
+        x = even("x", invertible=True)
+        with pytest.raises(ExponentOverflow):
+            SuperPoly.var(x, 2 ** 40)
+        with pytest.raises(ExponentOverflow):
+            SuperMonomial.make({x: -2 ** 40})
+        with pytest.raises(ExponentOverflow):
+            parse_poly("x^1099511627776", RingDecl([x]))
+
+    def test_square_past_the_range_raises(self):
+        x = even("x", invertible=True)
+        assert SuperPoly.var(x, 16000) ** 2 == SuperPoly.var(x, 32000)
+        with pytest.raises(ExponentOverflow):
+            SuperPoly.var(x, 2 ** 14) ** 2
+        with pytest.raises(ExponentOverflow):
+            SuperPoly.var(x, -20000) * SuperPoly.var(x, -20000)
+
+    def test_range_is_checked_on_exact_exponents(self):
+        x = even("x", invertible=True)
+        top = SuperPoly.var(x, EXPONENT_LIMIT)
+        # a cancelled sum keeps a loose bound; the product goes through
+        # once the exact exponents are seen to fit
+        shrunk = (top + 1) - top
+        assert shrunk * top == top
+        assert top.diff(x) == EXPONENT_LIMIT * SuperPoly.var(
+            x, EXPONENT_LIMIT - 1)
+        with pytest.raises(ExponentOverflow):
+            SuperPoly.var(x, -EXPONENT_LIMIT).diff(x)
+
+
+class TestKernelLoops:
+    def test_arithmetic_builds_no_boundary_monomials(self, monkeypatch, rng):
+        """Products, sums, substitution, powers, derivatives, inverses and
+        the normal form run on packed keys; `SuperMonomial` is built only
+        by the name-ordered views."""
+        r = standard_ring()
+        polys = [random_poly(rng, max_terms=5) for _ in range(30)]
+        table = PowerTable({r["a"]: P(r["b"]) + 2,
+                            r["theta"]: P(r["alpha"]) * P(r["x"])})
+        unit = 3 * P(r["x"]) + P(r["alpha"]) * P(r["beta"])
+        divisor = SuperPoly.var(r["a"], 2) + P(r["b"]) * P(r["gamma"])
+        built = []
+        monkeypatch.setattr(SuperMonomial, "__init__",
+                            lambda self, factors: built.append(factors))
+        for p, q in zip(polys, polys[1:]):
+            p * q, p + q, p - q, SuperPoly.sum((p, q, p)), p ** 3
+            p.substitute(table), p.diff(r["x"]), invert(unit + p.soul())
+            super_divmod(p * SuperPoly.var(r["a"], 3), divisor, r["a"])
+        assert built == []
+
+
+class TestInterning:
+    def test_concurrent_interning_gives_distinct_indices(self):
+        """Eight threads intern overlapping odd names at a short switch
+        interval; each name gets one symbol, and no two symbols one bit."""
+        names = [f"stress{i}" for i in range(40)]
+        got = [[] for _ in range(8)]
+
+        def work(out, offset):
+            for i in range(len(names)):
+                out.append(odd(names[(i + offset) % len(names)]))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out, 5 * j))
+                       for j, out in enumerate(got)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old)
+        symbols = {v.name: v for out in got for v in out}
+        assert all(len(out) == len(names) for out in got)
+        assert all(v is symbols[v.name] for out in got for v in out)
+        assert len({v.index for v in symbols.values()}) == len(names)
