@@ -10,11 +10,15 @@ Grammar (whitespace insensitive):
 
 Rational literals are integers or "p/q".  Implicit multiplication is not
 supported.  Parsing then printing then parsing is the identity on normal
-forms.
+forms.  One regex scan splits a text into tokens; an error finds its
+token's offset, line and column again only when raised.  A term is one
+flat product: the monomial terms of a sum go to one
+`SuperPoly.from_products` call and only other factors are multiplied.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import (
@@ -28,8 +32,6 @@ from .localized import LocalizedPoly
 from .ring import Parity, SuperPoly, VarSymbol
 
 _MAX_DEPTH = 400
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
 
 
 class RingDecl:
@@ -71,78 +73,60 @@ class RingDecl:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-
-class _Token:
-    __slots__ = ("kind", "value", "line", "column")
-
-    def __init__(self, kind, value, line, column):
-        self.kind = kind
-        self.value = value
-        self.line = line
-        self.column = column
+# A token is an ASCII integer, an identifier or one punctuation character;
+# every other character outside whitespace is an error.
+_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S")
+_BAD = re.compile(r"[^\s0-9A-Za-z_+\-*^()/;]")
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in "0123456789":
-            j = i
-            while j < n and text[j] in "0123456789":
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*^()/;":
-            tokens.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", None, line, col))
-    return tokens
+def _kind(tok: str) -> str:
+    """The kind a message names: 'int', 'ident', 'eof' or the character."""
+    return ("int" if tok.isdigit() else "ident" if tok.isidentifier()
+            else tok or "eof")
+
+
+def _error(message: str, text: str, offset: int) -> ExprSyntaxError:
+    """The error at a character offset: line and column count from 1."""
+    line = text.count("\n", 0, offset) + 1
+    return ExprSyntaxError(message, line, offset - text.rfind("\n", 0, offset))
 
 
 class _Stream:
-    def __init__(self, tokens):
-        self.tokens = tokens
+    """A text's tokens as strings, ending in "" (eof); no offsets kept."""
+
+    def __init__(self, text: str):
+        bad = _BAD.search(text)
+        if bad:
+            raise _error(f"unexpected character {bad.group()!r}", text,
+                         bad.start())
+        self.text = text
+        self.tokens = _TOKEN.findall(text) + [""]
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def error(self, message: str, back: int = 0) -> ExprSyntaxError:
+        """A syntax error at the next token, or `back` tokens before it."""
+        offsets = [m.start() for m in _TOKEN.finditer(self.text)]
+        offsets.append(len(self.text))
+        return _error(message, self.text, offsets[self.pos - back])
+
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+    def next(self) -> str:
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
-    def expect(self, kind) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(
-                f"expected {kind!r}, found {tok.kind!r}", tok.line, tok.column
-            )
+    def accept(self, tok: str) -> bool:
+        """Consume the next token when it is tok."""
+        if self.tokens[self.pos] != tok:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, kind: str) -> str:
+        found = _kind(self.tokens[self.pos])
+        if found != kind:
+            raise self.error(f"expected {kind!r}, found {found!r}")
         return self.next()
 
 
@@ -151,140 +135,139 @@ class _Stream:
 
 
 def parse_ring(text: str) -> RingDecl:
-    stream = _Stream(_tokenize(text))
+    stream = _Stream(text)
     ring = RingDecl()
-    while stream.peek().kind != "eof":
+    while stream.peek():
         tok = stream.expect("ident")
-        if tok.value not in ("even", "odd"):
-            raise ExprSyntaxError(
-                f"expected 'even' or 'odd', found {tok.value!r}",
-                tok.line,
-                tok.column,
-            )
-        parity = Parity.EVEN if tok.value == "even" else Parity.ODD
-        name_tok = stream.expect("ident")
-        invertible = False
-        if stream.peek().kind == "ident" and stream.peek().value == "inv":
-            stream.next()
-            invertible = True
+        if tok not in ("even", "odd"):
+            raise stream.error(f"expected 'even' or 'odd', found {tok!r}", 1)
+        parity = Parity.EVEN if tok == "even" else Parity.ODD
+        name = stream.expect("ident")
+        invertible = stream.accept("inv")
         stream.expect(";")
-        ring.add(VarSymbol(name_tok.value, parity, invertible))
+        ring.add(VarSymbol(name, parity, invertible))
     return ring
 
 
 # ---------------------------------------------------------------------------
 # Expressions: AST build and evaluation
+#
+# A node is an int or Fraction (a rational literal), a str (a variable
+# name), ("neg", node), ("^", node, int), ("*", [factor nodes]) for a
+# term, or ("+", [(sign, term node)]) with sign 1 or -1 for a sum.
 
 
 def _parse_expr(stream, depth):
     if depth > _MAX_DEPTH:
-        tok = stream.peek()
-        raise ExprSyntaxError("expression nested too deeply", tok.line, tok.column)
-    items = [("+", _parse_term(stream, depth + 1))]
-    while stream.peek().kind in ("+", "-"):
-        op = stream.next().kind
-        items.append((op, _parse_term(stream, depth + 1)))
-    return items[0][1] if len(items) == 1 else ("sum", items)
+        raise stream.error("expression nested too deeply")
+    items = [(1, _parse_term(stream, depth + 1))]
+    while stream.peek() in ("+", "-"):
+        sign = -1 if stream.next() == "-" else 1
+        items.append((sign, _parse_term(stream, depth + 1)))
+    return items[0][1] if len(items) == 1 else ("+", items)
 
 
 def _parse_term(stream, depth):
-    node = _parse_factor(stream, depth + 1)
-    while stream.peek().kind == "*":
-        stream.next()
-        rhs = _parse_factor(stream, depth + 1)
-        node = ("*", node, rhs)
-    return node
-
-
-def _parse_factor(stream, depth):
-    node = _parse_atom(stream, depth + 1)
-    if stream.peek().kind == "^":
-        stream.next()
-        sign = 1
-        if stream.peek().kind == "-":
-            stream.next()
-            sign = -1
-        tok = stream.expect("int")
-        node = ("^", node, sign * tok.value)
-    return node
+    """Every factor of a term, in one flat product node."""
+    factors = []
+    while True:
+        node = _parse_atom(stream, depth + 2)
+        if stream.accept("^"):
+            sign = -1 if stream.accept("-") else 1
+            node = ("^", node, sign * int(stream.expect("int")))
+        factors.append(node)
+        if not stream.accept("*"):
+            return ("*", factors)
 
 
 def _parse_atom(stream, depth):
     if depth > _MAX_DEPTH:
-        tok = stream.peek()
-        raise ExprSyntaxError("expression nested too deeply", tok.line, tok.column)
+        raise stream.error("expression nested too deeply")
     tok = stream.peek()
-    if tok.kind == "int":
+    if tok.isdigit():
         stream.next()
-        if stream.peek().kind == "/":
-            stream.next()
-            den_tok = stream.expect("int")
-            if den_tok.value == 0:
-                raise ExprSyntaxError(
-                    "zero denominator in rational literal",
-                    den_tok.line,
-                    den_tok.column,
-                )
-            return ("rat", Fraction(tok.value, den_tok.value))
-        return ("rat", Fraction(tok.value))
-    if tok.kind == "ident":
-        stream.next()
-        return ("var", tok.value, tok.line, tok.column)
-    if tok.kind == "(":
-        stream.next()
+        if not stream.accept("/"):
+            return int(tok)
+        den = int(stream.expect("int"))
+        if not den:
+            raise stream.error("zero denominator in rational literal", 1)
+        return Fraction(int(tok), den)
+    if tok.isidentifier():
+        return stream.next()
+    if stream.accept("("):
         node = _parse_expr(stream, depth + 1)
         stream.expect(")")
         return node
-    if tok.kind == "-":
-        stream.next()
+    if stream.accept("-"):
         return ("neg", _parse_atom(stream, depth + 1))
-    raise ExprSyntaxError(
-        f"expected a rational, identifier or '(', found {tok.kind!r}",
-        tok.line,
-        tok.column,
-    )
+    raise stream.error(
+        f"expected a rational, identifier or '(', found {_kind(tok)!r}")
 
 
 def _parse_to_ast(text: str):
-    stream = _Stream(_tokenize(text))
-    tok = stream.peek()
-    if tok.kind == "eof":
-        raise ExprSyntaxError("empty expression", tok.line, tok.column)
+    stream = _Stream(text)
+    if not stream.peek():
+        raise stream.error("empty expression")
     node = _parse_expr(stream, 0)
-    tok = stream.peek()
-    if tok.kind != "eof":
-        raise ExprSyntaxError(f"trailing input {tok.kind!r}", tok.line, tok.column)
+    if stream.peek():
+        raise stream.error(f"trailing input {_kind(stream.peek())!r}")
     return node
 
 
-def _var_power(node, ring: RingDecl):
-    """A power of an even variable as one monomial, when it is one."""
-    if node[1][0] != "var":
-        return None
-    var, n = ring.lookup(node[1][1]), node[2]
-    if var.parity is Parity.EVEN and (n >= 0 or var.invertible):
-        return SuperPoly.var(var, n)
-    return None
+def _product(factors, ring: RingDecl, kind, coeff=1):
+    """The product of a term's factors in their written order.  A run of
+    monomial factors (a rational, a variable, an even variable to a power
+    >= 0, an invertible one to any power) is one (coefficient, [(variable,
+    exponent)]) pair, returned as it is when it is the whole term; other
+    factors are evaluated and multiplied in place, giving a value of kind.
+    A minus sign in front of a factor only negates the coefficient."""
+    run, value = [], None
+    for f in factors:
+        while type(f) is tuple and f[0] == "neg":
+            coeff, f = -coeff, f[1]
+        if type(f) is str:
+            run.append((ring.lookup(f), 1))
+            continue
+        if type(f) is not tuple:
+            coeff *= f
+            continue
+        if f[0] == "^" and type(f[1]) is str:
+            var, n = ring.lookup(f[1]), f[2]
+            if var.parity is Parity.EVEN and (n >= 0 or var.invertible):
+                run.append((var, n))
+                continue
+        factor = _eval(f, ring, kind)
+        if run or coeff != 1:
+            factor = _monomial(coeff, run, kind) * factor
+        value = factor if value is None else value * factor
+        coeff, run = 1, []
+    if value is None:
+        return coeff, run
+    if run or coeff != 1:
+        value = value * _monomial(coeff, run, kind)
+    return value
+
+
+def _monomial(coeff, run, kind):
+    return kind.promote(SuperPoly.from_products([(coeff, run)]))
 
 
 def _eval(node, ring: RingDecl, kind):
-    """Evaluate an AST to a value of kind, SuperPoly or LocalizedPoly."""
+    """Evaluate an AST to a value of kind, SuperPoly or LocalizedPoly.  The
+    monomial terms of a sum are built at once by SuperPoly.from_products."""
+    if type(node) is not tuple:
+        return kind.promote(ring.lookup(node) if type(node) is str else node)
     tag = node[0]
-    if tag == "rat":
-        return kind.promote(node[1])
-    if tag == "var":
-        return kind.promote(ring.lookup(node[1]))
     if tag == "neg":
         return -_eval(node[1], ring, kind)
-    if tag == "sum":
-        return kind.sum(_eval(sub, ring, kind) if op == "+"
-                        else -_eval(sub, ring, kind) for op, sub in node[1])
-    if tag == "*":
-        return _eval(node[1], ring, kind) * _eval(node[2], ring, kind)
-    power = _var_power(node, ring)
-    if power is not None:
-        return kind.promote(power)
-    return _eval(node[1], ring, kind) ** node[2]
+    if tag == "^":
+        return _eval(node[1], ring, kind) ** node[2]
+    pairs, values = [], []
+    for sign, term in node[1] if tag == "+" else [(1, node)]:
+        got = _product(term[1], ring, kind, sign)
+        (pairs if type(got) is tuple else values).append(got)
+    value = kind.promote(SuperPoly.from_products(pairs))
+    return kind.sum([value, *values]) if values else value
 
 
 def parse_poly(text: str, ring: RingDecl) -> SuperPoly:
@@ -319,10 +302,13 @@ def pretty(p: SuperPoly) -> str:
     terms = p.named_terms()
     names = sorted({v.name for factors, _ in terms for v, _ in factors},
                    reverse=True)
+    slot = {name: i for i, name in enumerate(names)}
 
     def term_key(term):
-        exps = {v.name: e for v, e in term[0]}
-        return tuple(exps.get(nm, 0) for nm in names)
+        key = [0] * len(names)
+        for v, e in term[0]:
+            key[slot[v.name]] = e
+        return key
 
     chunks = []
     for i, (factors, coeff) in enumerate(sorted(terms, key=term_key,
@@ -330,7 +316,7 @@ def pretty(p: SuperPoly) -> str:
         negative = coeff < 0
         mag = -coeff if negative else coeff
         if not factors:
-            body = _format_rational(mag)
+            body = str(mag)
         elif mag == 1:
             body = _format_monomial(factors)
             # After a leading unary minus, '^' would bind before the sign;
@@ -338,18 +324,12 @@ def pretty(p: SuperPoly) -> str:
             if i == 0 and negative and factors[0][1] != 1:
                 body = f"1*{body}"
         else:
-            body = f"{_format_rational(mag)}*{_format_monomial(factors)}"
+            body = f"{mag}*{_format_monomial(factors)}"
         if i == 0:
             chunks.append(f"- {body}" if negative else body)
         else:
             chunks.append(f"{'-' if negative else '+'} {body}")
     return " ".join(chunks)
-
-
-def _format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 def pretty_localized(f) -> str:

@@ -14,8 +14,9 @@ map is the normal form, so equality of polynomials is equality of maps.
 A product visits only pairs of disjoint masks (theta^I theta^J = 0 when
 I & J), with the Koszul sign of theta^I theta^J -> theta^(I|J) taken from
 popcounts of I above each bit of J.  |exponent| <= `EXPONENT_LIMIT`: a
-product checks once, from its operands' exponent bounds, that its keys
-cannot overflow, and raises `ExponentOverflow` otherwise.
+product checks once, from its operands' exponent bounds (per variable
+near the limit), that its keys cannot overflow, and raises
+`ExponentOverflow` otherwise; `from_products` builds parsed terms.
 
 Index order is intern order, not name order.  The public views order the
 variables of a monomial by name and carry the sign of that reordering:
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -178,11 +180,6 @@ def _order_flips(odd_vars) -> int:
     return sum(a > b for i, a in enumerate(idx) for b in idx[i + 1:]) & 1
 
 
-def _name_flips(mask: int) -> int:
-    """_order_flips of the odd variables of a mask in name order."""
-    return _order_flips(sorted(_odd_vars(mask), key=lambda v: v.name))
-
-
 def _by_name(factor):
     return factor[0].name
 
@@ -230,14 +227,20 @@ def _cleaned(parts: dict) -> dict:
 
 def _bound_of(polys) -> int:
     """A bound on the |exponents| of a product of polys: the sum of their
-    bounds.  Past EXPONENT_LIMIT the bounds are tightened to the largest
-    exponents present, and ExponentOverflow is raised when the sum still
-    exceeds it, before any key could wrap."""
+    bounds, or past EXPONENT_LIMIT the sums of each even variable's least
+    and largest exponents (0 included), raising ExponentOverflow."""
     bound = sum(p._bound for p in polys)
     if bound > EXPONENT_LIMIT:
+        low, high = Counter(), Counter()
         for p in polys:
-            p._bound = p._max_exponent()
-        bound = sum(p._bound for p in polys)
+            lo, hi = {}, {}
+            for v, e in (f for part in p._parts.values() for k in part
+                         for f in _even_factors(k)):
+                lo[v], hi[v] = min(lo.get(v, 0), e), max(hi.get(v, 0), e)
+            p._bound = max(map(abs, (*lo.values(), *hi.values())), default=0)
+            low.update(lo)
+            high.update(hi)
+        bound = max(map(abs, (*low.values(), *high.values())), default=0)
         if bound > EXPONENT_LIMIT:
             raise _overflow(bound)
     return bound
@@ -304,18 +307,6 @@ class SuperMonomial:
     def total_degree(self) -> int:
         return sum(e for _, e in self.factors)
 
-    def _packed(self):
-        """(mask, key, flip, bound): the monomial is (-1)^flip theta^mask
-        times the even monomial of key, with |exponents| <= bound."""
-        mask = key = bound = 0
-        for v, e in self.factors:
-            if v.parity is Parity.ODD:
-                mask |= 1 << v.index
-            else:
-                key += e << (_WIDTH * v.index)
-                bound = max(bound, abs(e))
-        return mask, key, _name_flips(mask), bound
-
     def __repr__(self):
         if not self.factors:
             return "1"
@@ -370,14 +361,9 @@ class SuperPoly:
 
     def __init__(self, terms=None):
         """The polynomial of a {SuperMonomial: coefficient} map."""
-        parts, bound = {}, 0
-        for m, c in (terms or {}).items():
-            c = _coeff(c)
-            if c:
-                mask, key, flip, b = m._packed()
-                parts.setdefault(mask, {})[key] = -c if flip else c
-                bound = max(bound, b)
-        self._parts, self._bound = parts, bound
+        p = SuperPoly.from_products((_coeff(c), m.factors)
+                                    for m, c in (terms or {}).items())
+        self._parts, self._bound = p._parts, p._bound
 
     @staticmethod
     def _of(parts: dict, bound: int) -> "SuperPoly":
@@ -427,12 +413,40 @@ class SuperPoly:
         return SuperPoly._of(_cleaned(out), bound)
 
     @staticmethod
+    def from_products(pairs) -> "SuperPoly":
+        """Sum of c * v1^e1 * v2^e2 * ... over pairs (c, [(v1, e1), ...]),
+        factors in written order: odd variables (exponent 1) OR into the
+        mask with the reordering sign from popcounts, zero on a repeat;
+        each even variable's exponents are summed, then checked once."""
+        out, bound, odd = {}, 0, Parity.ODD
+        for c, factors in pairs:
+            mask, flips, key, evens = 0, 0, 0, {}
+            for v, e in factors:
+                if v.parity is odd:
+                    bit = 1 << v.index
+                    _checked(v, e)
+                    if mask & bit:
+                        c = 0
+                    flips += (mask & -(bit << 1)).bit_count()
+                    mask |= bit
+                else:
+                    evens[v] = evens.get(v, 0) + e
+            for v, e in evens.items():
+                if e:
+                    key += _checked(v, e) << (_WIDTH * v.index)
+                    bound = max(bound, abs(e))
+            if c:
+                part = out.setdefault(mask, {})
+                part[key] = part.get(key, 0) + (-c if flips & 1 else c)
+        return SuperPoly._of(_cleaned(out), bound)
+
+    @staticmethod
     def promote(x) -> "SuperPoly":
         if isinstance(x, SuperPoly):
             return x
-        if isinstance(x, VarSymbol):
-            return SuperPoly.var(x)
-        return SuperPoly.const(x)
+        return (SuperPoly.var(x) if isinstance(x, VarSymbol)
+                else SuperPoly.const(x))
+
 
     # -- inspection --------------------------------------------------
 
@@ -446,8 +460,8 @@ class SuperPoly:
         each term sorted by name, and its coefficient for that order."""
         out = []
         for mask, part in self._parts.items():
-            odds = [(v, 1) for v in _odd_vars(mask)]
-            flip = _name_flips(mask)
+            odds = sorted(((v, 1) for v in _odd_vars(mask)), key=_by_name)
+            flip = _order_flips(v for v, _ in odds)
             for key, c in part.items():
                 factors = odds + _even_factors(key)
                 factors.sort(key=_by_name)
@@ -517,10 +531,6 @@ class SuperPoly:
     def min_degree_in(self, var: VarSymbol):
         return min(self._exponents_of(var)) if self._parts else None
 
-    def _max_exponent(self) -> int:
-        return max((abs(e) for part in self._parts.values() for k in part
-                    for _, e in _even_factors(k)), default=0)
-
     def _support(self):
         """(odd mask, even support): bit i of the mask is set when the odd
         variable of index i occurs, field i of the support is nonzero when
@@ -536,17 +546,17 @@ class SuperPoly:
     # -- arithmetic --------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, VarSymbol)):
-            other = SuperPoly.promote(other)
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return self._parts == other._parts
 
     __hash__ = None
 
     def __add__(self, other):
-        other = SuperPoly.promote(other)
-        if not self._parts:
+        if type(other) is not SuperPoly:
+            other = _operand(other)
+        if other is NotImplemented or not self._parts:
             return other
         if not other._parts:
             return self
@@ -586,14 +596,18 @@ class SuperPoly:
         )
 
     def __sub__(self, other):
-        return self + (-SuperPoly.promote(other))
+        if type(other) is not SuperPoly:
+            other = _operand(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other):
         return SuperPoly.promote(other) + (-self)
 
     def __mul__(self, other):
         if type(other) is not SuperPoly:
-            other = SuperPoly.promote(other)
+            other = _operand(other)
+            if other is NotImplemented:
+                return other
         if not self._parts or not other._parts:
             return _ZERO
         bound = self._bound + other._bound
@@ -745,6 +759,12 @@ class SuperPoly:
         from .parser import pretty
 
         return f"SuperPoly({pretty(self)})"
+
+
+def _operand(x):
+    """x promoted, or NotImplemented (the other operand's turn)."""
+    ok = isinstance(x, (SuperPoly, VarSymbol, int, Fraction))
+    return SuperPoly.promote(x) if ok else NotImplemented
 
 
 def _check_names(a: SuperPoly, b: SuperPoly):

@@ -157,6 +157,79 @@ class TestLongSums:
         back = parse_localized(pretty(self.poly), self.ring)
         assert back.is_polynomial() and back.num == self.poly
 
+    def test_monomial_terms_make_no_products(self, monkeypatch):
+        """Each printed term is built straight into the normal form, so
+        reading back a sum of monomials multiplies nothing."""
+        text = pretty(self.poly)
+        products = []
+
+        def counted(a, b):
+            products.append(1)
+            return mul(a, b)
+
+        mul = SuperPoly.__mul__
+        monkeypatch.setattr(SuperPoly, "__mul__", counted)
+        monkeypatch.setattr(SuperPoly, "__rmul__", counted)
+        assert parse_poly(text, self.ring) == self.poly
+        assert parse_localized(text, self.ring).num == self.poly
+        assert products == []
+
+
+class TestTermFolding:
+    """A term is read as the product of its factors in the written order,
+    whether its monomial factors are folded into one term or not."""
+
+    RING = "even x inv; even a; odd theta; odd alpha; odd beta;"
+
+    def factor(self, rng, ring):
+        """(text, value) of one random factor."""
+        V = SuperPoly.var
+        x, a, theta, alpha, beta = (V(ring.lookup(name)) for name in
+                                    ("x", "a", "theta", "alpha", "beta"))
+        kind = rng.randrange(6)
+        if kind == 0:
+            q = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+            text = str(abs(q))
+            return ("-" + text if q < 0 else text), SuperPoly.const(q)
+        if kind == 1:
+            e = rng.randint(-3, 3)
+            return f"x^{e}", V(ring.lookup("x"), e)
+        if kind == 2:
+            e = rng.randint(0, 3)
+            return f"a^{e}", V(ring.lookup("a"), e)
+        if kind in (3, 4):
+            name = rng.choice(["theta", "alpha", "beta"])
+            return name, V(ring.lookup(name))
+        return rng.choice([
+            ("(a - 2*beta*theta)", a - 2 * beta * theta),
+            ("(x^-1 + alpha)", V(ring.lookup("x"), -1) + alpha),
+            ("(3/2 + theta*x)", Fraction(3, 2) + theta * x),
+        ])
+
+    def test_terms_equal_their_products(self):
+        rng = random.Random(5150)
+        ring = parse_ring(self.RING)
+        total_text, total = [], SuperPoly.zero()
+        for _ in range(400):
+            texts, value = [], SuperPoly.one()
+            for _ in range(rng.randint(1, 6)):
+                text, factor = self.factor(rng, ring)
+                texts.append(text)
+                value = value * factor
+            text = "*".join(texts)
+            if rng.random() < 0.4:
+                # "- x^2" reads as (-x)^2, so the printer's "- 1*x^2"
+                lead = "- 1*" if "^" in texts[0] else "- "
+                text, value = lead + text, -value
+            assert parse_poly(text, ring) == value, text
+            assert parse_localized(text, ring) == value, text
+            total_text.append(text)
+            total = total + value
+        text = " + ".join(f"({t})" if t.startswith("-") else t
+                          for t in total_text)
+        assert parse_poly(text, ring) == total
+        assert parse_localized(text, ring) == total
+
 
 class TestFuzz:
     ALPHABET = string.ascii_lowercase[:6] + "0123456789 +-*/^();\n_"
@@ -186,3 +259,62 @@ class TestFuzz:
         ring = parse_ring("even a;")
         with pytest.raises(ExprSyntaxError):
             parse_poly("(" * 100_000 + "a" + ")" * 100_000, ring)
+
+
+class TestErrorPositions:
+    """Every syntax error names its token by message, line and column;
+    a column counts characters, a tab or a non-ASCII space as one."""
+
+    RING = "even x inv; even a; odd theta;"
+    CASES = [
+        ("x +\n  a ?", "unexpected character '?'", 2, 5),
+        ("x\n\t$", "unexpected character '$'", 2, 2),
+        ("x\n\xa0\xa0@", "unexpected character '@'", 2, 3),
+        ("x +\n a\u2003\xe9", "unexpected character '\xe9'", 2, 4),
+        ("x\r\n\u2028 ?", "unexpected character '?'", 2, 3),
+        ("x +\n  * a", "expected a rational, identifier or '(', found '*'",
+         2, 3),
+        ("x *\n\t", "expected a rational, identifier or '(', found 'eof'",
+         2, 2),
+        ("(x\n + a) * (\n  )",
+         "expected a rational, identifier or '(', found ')'", 3, 3),
+        ("(x +\n a", "expected ')', found 'eof'", 2, 3),
+        ("x\n + a^", "expected 'int', found 'eof'", 2, 6),
+        ("x^-\n y", "expected 'int', found 'ident'", 2, 2),
+        ("1/\n x", "expected 'int', found 'ident'", 2, 2),
+        ("x * (a\n + 1))", "trailing input ')'", 2, 6),
+        ("x\n  a", "trailing input 'ident'", 2, 3),
+        ("x\n  3", "trailing input 'int'", 2, 3),
+        ("(x)^-2^3", "trailing input '^'", 1, 7),
+        ("3/0", "zero denominator in rational literal", 1, 3),
+        ("1 +\n 2/0", "zero denominator in rational literal", 2, 4),
+        ("2\n/0", "zero denominator in rational literal", 2, 2),
+        ("", "empty expression", 1, 1),
+        ("  \n \t", "empty expression", 2, 3),
+        ("(" * 402 + "x", "expression nested too deeply", 1, 101),
+        ("x *\n " + "-" * 500 + "x", "expression nested too deeply", 2, 400),
+        ("-" * 500 + "x", "expression nested too deeply", 1, 399),
+    ]
+
+    @pytest.mark.parametrize("text, message, line, column", CASES)
+    def test_expression_errors(self, text, message, line, column):
+        ring = parse_ring(self.RING)
+        for parse in (parse_poly, parse_localized):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(text, ring)
+            assert (err.value.line, err.value.column) == (line, column)
+            assert str(err.value) == (
+                f"{message} (line {line}, column {column})")
+
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("even x;\n  ood y;", "expected 'even' or 'odd', found 'ood'", 2, 3),
+        ("even x;\nodd", "expected 'ident', found 'eof'", 2, 4),
+        ("even x\n odd y;", "expected ';', found 'ident'", 2, 2),
+        ("even 3;", "expected 'ident', found 'int'", 1, 6),
+        ("even x;\n\todd y ?", "unexpected character '?'", 2, 8),
+    ])
+    def test_ring_errors(self, text, message, line, column):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_ring(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"{message} (line {line}, column {column})"

@@ -244,6 +244,25 @@ class TestSymbolComparison:
         assert 2 * P(beta) == P(beta) * 2
 
 
+class TestMixedOperands:
+    def test_polynomial_defers_to_a_localized_operand(self):
+        """SuperPoly operators return NotImplemented for a LocalizedPoly,
+        so its reflected operators run, in the written order."""
+        alpha, beta, x = odd("alpha"), odd("beta"), even("x")
+        ab = P(alpha) * P(beta)
+        assert P(alpha) * LocalizedPoly(P(beta)) == ab
+        assert P(beta) * LocalizedPoly(P(alpha)) == -ab
+        assert P(x) + LocalizedPoly(P(alpha)) == P(x) + P(alpha)
+        assert P(x) - LocalizedPoly(P(alpha)) == P(x) - P(alpha)
+        assert isinstance(P(x) * LocalizedPoly(P(x)), LocalizedPoly)
+
+    def test_an_inexact_operand_is_refused(self):
+        with pytest.raises(TypeError):
+            P(even("x")) * 0.5
+        with pytest.raises(TypeError):
+            0.5 + P(even("x"))
+
+
 # Run in a fresh interpreter so that zeta is interned before alpha: the
 # kernel then stores alpha*zeta in the opposite order to the names.
 _OUT_OF_NAME_ORDER = """
@@ -355,6 +374,25 @@ class TestExponentRange:
             SuperPoly.var(x, 2 ** 14) ** 2
         with pytest.raises(ExponentOverflow):
             SuperPoly.var(x, -20000) * SuperPoly.var(x, -20000)
+
+    def test_product_range_uses_each_variables_exponents(self):
+        """Past the limit the check sums each variable's least and largest
+        exponents, so exponents of opposite signs cancel and fit."""
+        x, y = even("x", invertible=True), even("y", invertible=True)
+        ring = RingDecl([x, y])
+        fits = SuperPoly.var(x, 30000) * SuperPoly.var(x, -29000)
+        assert fits == SuperPoly.var(x, 1000)
+        assert parse_poly("x^30000*x^-29000", ring) == SuperPoly.var(x, 1000)
+        mixed = (SuperPoly.var(x, 30000) + SuperPoly.var(y, -30000)) * (
+            SuperPoly.var(x, -30000) + SuperPoly.var(y, 30000))
+        assert mixed == 2 + SuperPoly.var(x, 30000) * SuperPoly.var(
+            y, 30000) + SuperPoly.var(x, -30000) * SuperPoly.var(y, -30000)
+        with pytest.raises(ExponentOverflow):
+            SuperPoly.var(x, 2 ** 14) * SuperPoly.var(x, 2 ** 14)
+        with pytest.raises(ExponentOverflow):
+            parse_poly("x^16384*x^16384", ring)
+        with pytest.raises(ExponentOverflow):
+            (SuperPoly.var(x, -30000) + 1) * (SuperPoly.var(x, -3000) + y)
 
     def test_range_is_checked_on_exact_exponents(self):
         x = even("x", invertible=True)
