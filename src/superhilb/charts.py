@@ -26,8 +26,7 @@ from .errors import (ChartMismatch, HigherOrderTerms, NotAUnit,
 from .ideals import (_canonical_from_raw_coeffs, _certify, _normal_form,
                      canonical_pair, super_divmod)
 from .localized import LocalizedPoly, PowerTable
-from .ring import (Parity, SuperMonomial, SuperPoly, VarSymbol, even, invert,
-                   odd)
+from .ring import Parity, SuperPoly, VarSymbol, even, invert, odd
 
 V = SuperPoly.var
 
@@ -244,9 +243,9 @@ def transport_point(amb: Ambient, rank: str, to_side: str, sgn: int,
     if rank == "11":
         gen = V(s) + sg * (u + v * V(t))
         pulled = gen.substitute(pull)
-        split = pulled.as_coeff_map({tp})
-        a_part = split.get(SuperMonomial.one(), SuperPoly.zero())
-        c_part = split.get(SuperMonomial.make({tp: 1}), SuperPoly.zero())
+        split = pulled.coefficients((tp,))
+        a_part = split.get((0,), SuperPoly.zero())
+        c_part = split.get((1,), SuperPoly.zero())
         m_unit = V(w) * invert(sg * u)
         a_norm = a_part * m_unit
         _certify(a_norm == V(w) + sg * u_new, "normalized point generator")
@@ -269,9 +268,9 @@ def transport_point(amb: Ambient, rank: str, to_side: str, sgn: int,
         a_norm = pulled1 * m_unit
         _certify(a_norm == V(w) + sg * u_new, "normalized point generator")
         cleared2 = pulled2 * V(w, amb.k)
-        split = cleared2.as_coeff_map({tp})
-        c_part = split.get(SuperMonomial.one(), SuperPoly.zero())
-        lead = split.get(SuperMonomial.make({tp: 1}), SuperPoly.zero())
+        split = cleared2.coefficients((tp,))
+        c_part = split.get((0,), SuperPoly.zero())
+        lead = split.get((1,), SuperPoly.zero())
         _certify(lead == SuperPoly.one(), "odd generator leads with 1")
         c_final = c_part.substitute({w: w_value})
         quo, _ = super_divmod(c_part - c_final, a_norm, w, tp)
@@ -330,15 +329,15 @@ def canonicalize(ideal: IdealOnChart, p: int, q: int, amb: Ambient):
     f_in = _clear_laurent(evens_[0], w)
     g_in = _clear_laurent(odds_[0], w)
 
-    f_map = f_in.as_coeff_map({w, tp})
-    f_even = {m.exponent(w): c for m, c in f_map.items() if not m.exponent(tp)}
+    f_even = {e: c for (e, t), c in f_in.coefficients((w, tp)).items()
+              if not t}
     d_f, f_lead_inv = _leading_unit(f_even)
     if d_f != p:
         raise NotCanonicalizable(f"even generator has rank {d_f}, expected {p}")
     f_hat = f_lead_inv * f_in
 
-    g_map = g_in.as_coeff_map({w, tp})
-    g_theta = {m.exponent(w): c for m, c in g_map.items() if m.exponent(tp)}
+    g_theta = {e: c for (e, t), c in g_in.coefficients((w, tp)).items()
+               if t}
     d_g, g_lead_inv = _leading_unit(g_theta)
     if d_g != q:
         raise NotCanonicalizable(f"odd generator has rank {d_g}, expected {q}")
@@ -410,21 +409,20 @@ class SecondOrder:
 
 
 def second_order(tmap: TransitionMap) -> SecondOrder:
-    """Read each rule of tmap once by its monomials in the source odds.
+    """Read each rule of tmap once by its monomials in the source odds,
+    taken in chart order: the wedge is the coefficient of s1*s2.
 
     An even rule with an odd part other than the wedge of exactly two
     source odds, or an odd rule that is not linear in them, raises
     HigherOrderTerms."""
     odds = tmap.source.odds
-    one = SuperMonomial.one()
-    even_subs = (one,)
-    if len(odds) == 2:
-        even_subs += (SuperMonomial.make({o: 1 for o in odds}),)
-    odd_subs = tuple(SuperMonomial.make({o: 1}) for o in odds)
+    n = len(odds)
+    even_subs = ((0,) * n,) + (((1, 1),) if n == 2 else ())
+    odd_subs = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
     def parts(coord, subs):
         rule = tmap.rule(coord)
-        coeffs = rule.num.as_coeff_map(set(odds))
+        coeffs = rule.num.coefficients(odds)
         if not coeffs.keys() <= set(subs):
             raise HigherOrderTerms(
                 f"rule for {coord.name} has odd terms beyond second order")
@@ -442,13 +440,13 @@ def second_order(tmap: TransitionMap) -> SecondOrder:
 
 def _single_term_rule(poly: SuperPoly):
     """(variable, exponent, coefficient) of a one-term Laurent rule."""
-    terms = list(poly.terms.items())
+    terms = poly.named_terms()
     if len(terms) != 1:
         raise NotCanonicalizable(f"bosonic rule is not a monomial: {poly!r}")
-    mono, coeff = terms[0]
-    if len(mono.factors) != 1:
+    factors, coeff = terms[0]
+    if len(factors) != 1:
         raise NotCanonicalizable(f"bosonic rule is not a single power: {poly!r}")
-    var, exp = mono.factors[0]
+    var, exp = factors[0]
     if exp not in (1, -1):
         raise NotCanonicalizable(f"bosonic rule has exponent {exp}")
     return var, exp, coeff

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificateError, NonMonicDivisor, RankOrderViolation
-from .ring import SuperMonomial, SuperPoly, VarSymbol, even, odd
+from .ring import SuperPoly, VarSymbol, even, odd
 
 
 def _check_rank(p: int, q: int):
@@ -40,10 +40,8 @@ def _certify(holds: bool, what: str):
 
 
 def _poly_from_coeffs(coeffs, x: VarSymbol, offset: int = 0) -> SuperPoly:
-    out = SuperPoly.zero()
-    for i, c in enumerate(coeffs):
-        out = out + SuperPoly.promote(c) * SuperPoly.var(x, i + offset)
-    return out
+    return SuperPoly.sum(SuperPoly.promote(c) * SuperPoly.var(x, i + offset)
+                         for i, c in enumerate(coeffs))
 
 
 def coeff_list(poly: SuperPoly, x: VarSymbol, length: int):
@@ -319,12 +317,8 @@ def reduce_to_basis(poly: SuperPoly, ideal: CanonicalIdeal) -> BasisVector:
 
 
 def basis_expansion(vec: BasisVector, ideal: CanonicalIdeal) -> SuperPoly:
-    out = SuperPoly.zero()
-    for i, c in enumerate(vec.evens):
-        out = out + c * SuperPoly.var(ideal.x, i)
-    for j, c in enumerate(vec.odds):
-        out = out + c * SuperPoly.var(ideal.x, j) * SuperPoly.var(ideal.theta)
-    return out
+    return (_poly_from_coeffs(vec.evens, ideal.x)
+            + _poly_from_coeffs(vec.odds, ideal.x) * SuperPoly.var(ideal.theta))
 
 
 def verify_reduction(poly: SuperPoly, vec: BasisVector,
@@ -535,14 +529,6 @@ def _kernel_witnesses(ch: CoordinateChange):
     return vecs
 
 
-def _in_variable_ideal(poly: SuperPoly, generators) -> bool:
-    gen_names = {s.name for s in generators}
-    return all(
-        any(v.name in gen_names for v in mono.variables())
-        for mono in poly.terms
-    )
-
-
 def stratification_generators(p: int, q: int, tag: str = ""):
     """The residual coefficients (c_0..c_{q-1}, gamma_0..gamma_{q-1}),
     verified: the kernel witnesses vanish modulo them, and the canonical
@@ -552,32 +538,24 @@ def stratification_generators(p: int, q: int, tag: str = ""):
     if p == 0:
         return []
     ch = raw_to_canonical(p, q, tag)
-    gens = [SuperPoly.var(s) for s in (*ch.c, *ch.gamma)]
+    residual = (*ch.c, *ch.gamma)
+    gens = [SuperPoly.var(s) for s in residual]
     if q >= 1:
+        free = (0,) * len(residual)
         h_vec, k_vec = _kernel_witnesses(ch)
         for vec in (h_vec, k_vec):
             for entry in (*vec.evens, *vec.odds):
-                _certify(_in_variable_ideal(entry, (*ch.c, *ch.gamma)),
+                _certify(free not in entry.coefficients(residual),
                          "kernel witness vanishes on the stratum")
 
-    x, theta = ch.x, ch.theta
-    split = {x, theta}
-    _certify(ch.f_canonical.coeff_of(SuperMonomial.make({x: p}), split) == 1,
-             "even generator leads with x^p")
-    _certify(ch.g_canonical.coeff_of(SuperMonomial.make({x: q, theta: 1}),
-                                      split) == 1,
-             "odd generator leads with x^q theta")
-    f_theta = [
-        m for m in ch.f_canonical.as_coeff_map(split)
-        if m.exponent(theta) == 1
-    ]
-    _certify(all(m.exponent(x) < q for m in f_theta),
+    split = (ch.x, ch.theta)
+    f_map = ch.f_canonical.coefficients(split)
+    g_map = ch.g_canonical.coefficients(split)
+    _certify(f_map.get((p, 0)) == 1, "even generator leads with x^p")
+    _certify(g_map.get((q, 1)) == 1, "odd generator leads with x^q theta")
+    _certify(all(e < q for e, t in f_map if t),
              "theta part of the even generator below x^q")
-    g_even = [
-        m for m in ch.g_canonical.as_coeff_map(split)
-        if m.exponent(theta) == 0
-    ]
-    _certify(all(m.exponent(x) < p for m in g_even),
+    _certify(all(e < p for e, t in g_map if not t),
              "even part of the odd generator below x^p")
 
     free_even = len(ch.a) + len(ch.b)

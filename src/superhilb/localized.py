@@ -24,8 +24,7 @@ from fractions import Fraction
 from . import ring
 from .errors import NotAUnit
 from .ideals import super_divmod
-from .ring import (ParityClass, SuperMonomial, SuperPoly, VarSymbol, invert,
-                   soul_series)
+from .ring import ParityClass, SuperPoly, VarSymbol, invert, soul_series
 
 
 class Locus:
@@ -35,7 +34,7 @@ class Locus:
 
     def __init__(self, poly: SuperPoly, pivot: VarSymbol):
         self.poly, self.pivot = poly, pivot
-        self._key = frozenset(poly.terms.items())
+        self._key = frozenset(poly.named_terms())
 
     def __eq__(self, other):
         return self._key == other._key
@@ -48,10 +47,10 @@ def _as_locus(poly: SuperPoly):
     """(scale, locus) with poly == scale * locus.poly, for a poly of
     monomial content 1 free of odd variables; NotAUnit otherwise."""
     for x in sorted(poly.variables(), key=lambda v: v.name):
-        coeff = poly.coeff_of(SuperMonomial.make({x: 1}), {x})
-        if (poly.degree_in(x) == 1 and len(coeff.terms) == 1
-                and all(v.invertible for v in coeff.variables())):
-            scale = next(iter(coeff.terms.values()))
+        terms = (poly.coefficients((x,))[(1,)].named_terms()
+                 if poly.degree_in(x) == 1 else ())
+        if len(terms) == 1 and all(v.invertible for v, _ in terms[0][0]):
+            scale = Fraction(terms[0][1])
             return scale, Locus(poly * (1 / scale), x)
     raise NotAUnit(f"{poly!r} is not a unit times a locus")
 
@@ -69,7 +68,7 @@ def _factor_body(body: SuperPoly):
     else:
         scale, locus = _as_locus(rest)
         loci[locus] = 1
-    return SuperPoly({SuperMonomial.make(unit): scale}), loci
+    return SuperPoly.from_products([(scale, unit.items())]), loci
 
 
 def _inverse(p: SuperPoly) -> "LocalizedPoly":
@@ -97,7 +96,7 @@ def _divide_out(num: SuperPoly, locus: Locus, e: int):
     division lowers that degree), or e times when rem is zero.
     """
     x = locus.pivot
-    lead_inv = invert(locus.poly.coeff_of(SuperMonomial.make({x: 1}), {x}))
+    lead_inv = invert(locus.poly.coefficients((x,))[(1,)])
     monic = locus.poly * lead_inv
     quo, rem = super_divmod(num, monic ** e, x)
     if rem.is_zero():

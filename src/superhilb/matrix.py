@@ -160,7 +160,9 @@ def rational_inverse(matrix):
 
 def _even_block_inverse(block):
     """Inverse of an even-entried block whose numeric reduction is
-    invertible: (A0 + N)^-1 = sum((-A0^-1 N)^j) A0^-1, N nilpotent."""
+    invertible: (A0 + N)^-1 = sum((-A0^-1 N)^j) A0^-1.  The entries of
+    N, and so of -A0^-1 N, are even nilpotents, so the powers reach zero
+    and the sum ends at the first zero power."""
     n = len(block)
     if n == 0:
         return []
@@ -171,18 +173,13 @@ def _even_block_inverse(block):
         [block[i][j] - SuperPoly.const(reduction[i][j]) for j in range(n)]
         for i in range(n)
     ]
-    odd_count = len({v for row in nil for e in row for v in e.odd_variables()})
     x = _lists_neg(_lists_matmul(a0_inv, nil))
-    acc = a0_inv
-    power = a0_inv
-    for _ in range(odd_count + 2):
+    acc = power = a0_inv
+    while True:
         power = _lists_matmul(x, power)
         if all(e.is_zero() for row in power for e in row):
-            break
+            return acc
         acc = [[p + t for p, t in zip(ra, rb)] for ra, rb in zip(acc, power)]
-    else:
-        raise AssertionError("nilpotent matrix series failed to terminate")
-    return acc
 
 
 def left_inverse(m: SuperMatrix) -> SuperMatrix:

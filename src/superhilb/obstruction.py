@@ -136,7 +136,7 @@ def wedge2_degrees(k: int, atlas: Atlas | None = None):
 
 
 def _monomial_degree(poly: SuperPoly, var) -> int:
-    degrees = {m.exponent(var) for m in poly.terms}
+    degrees = {e for (e,) in poly.coefficients((var,))}
     if len(degrees) != 1:
         raise NotCanonicalizable(
             "axis restriction is not a monomial transition"
@@ -177,25 +177,21 @@ def embed_chart_poly(poly: SuperPoly, chart_name: str, evens) -> dict:
     """Bosonic chart polynomial -> global Laurent dict through the
     identification (first coord, second coord) = (-z^s, -w^s)."""
     sz, sw = CONES[chart_name]
-    e1, e2 = evens
+    if poly.odd_variables():
+        raise ValueError("embedding expects a bosonic polynomial")
     pairs = []
-    for mono, coeff in poly.terms.items():
-        if mono.odd_variables():
-            raise ValueError("embedding expects a bosonic polynomial")
-        d1 = mono.exponent(e1)
-        d2 = mono.exponent(e2)
-        if mono.total_degree() != d1 + d2:
+    for (d1, d2), coeff in poly.coefficients(evens).items():
+        if coeff.variables():
             raise ValueError("embedding expects a chart-coordinate polynomial")
-        pairs.append(((sz * d1, sw * d2), -coeff if (d1 + d2) % 2 else coeff))
+        c = coeff.as_constant()
+        pairs.append(((sz * d1, sw * d2), -c if (d1 + d2) % 2 else c))
     return _lb_sum(pairs)
 
 
 def laurent_to_poly(data: dict) -> SuperPoly:
     """Render a Laurent dict over the symbols z, w (for report text)."""
-    out = SuperPoly.zero()
-    for (ez, ew), c in sorted(data.items()):
-        out = out + SuperPoly.const(c) * V(Z_SYM, ez) * V(W_SYM, ew)
-    return out
+    return SuperPoly.from_products(
+        (c, ((Z_SYM, ez), (W_SYM, ew))) for (ez, ew), c in data.items())
 
 
 # ---------------------------------------------------------------------------
@@ -729,21 +725,14 @@ def _verify_certificate(atlas: Atlas, sections) -> bool:
 
 def _sections_from_solution(solution, charts_evens):
     """Chart polynomials from the solved block coefficients."""
-    sections = {}
-    for chart, evens in charts_evens.items():
-        polys = []
-        for name in _BLOCKS[chart]:
-            poly = SuperPoly.zero()
-            for (block, e, f_), val in solution.items():
-                if block != name or val == 0:
-                    continue
-                sign = -1 if (e + f_) % 2 else 1
-                poly = poly + SuperPoly.const(val * sign) * V(evens[0], e) * V(
-                    evens[1], f_
-                )
-            polys.append(poly)
-        sections[chart] = tuple(polys)
-    return sections
+    return {
+        chart: tuple(
+            SuperPoly.from_products(
+                (-val if (e + f_) % 2 else val, ((evens[0], e), (evens[1], f_)))
+                for (block, e, f_), val in solution.items() if block == name)
+            for name in _BLOCKS[chart])
+        for chart, evens in charts_evens.items()
+    }
 
 
 def is_coboundary(k: int, atlas: Atlas | None = None) -> SplitVerdict:

@@ -18,10 +18,13 @@ product checks once, from its operands' exponent bounds (per variable
 near the limit), that its keys cannot overflow, and raises
 `ExponentOverflow` otherwise; `from_products` builds parsed terms.
 
-Index order is intern order, not name order.  The public views order the
-variables of a monomial by name and carry the sign of that reordering:
-`terms` (keyed by `SuperMonomial`), `named_terms`, `as_coeff_map` and the
-printer built on them.  `SuperMonomial`s are built only there, on demand.
+Index order is intern order, not name order.  The engines read a
+polynomial only through `coefficients`, in the variable order they give,
+and build sums of monomials through `from_products`.  The name-ordered
+views carry the sign of reordering the odd variables by name: `terms`
+(keyed by `SuperMonomial`), `named_terms` and `as_coeff_map`.  They serve
+the printer, the tests and the public API, and build `SuperMonomial`s only
+on demand.
 All values are immutable after construction and every operation is a pure
 function, safe for unrestricted concurrent use.
 
@@ -285,10 +288,6 @@ class SuperMonomial:
                 )
         return SuperMonomial(tuple(items))
 
-    @staticmethod
-    def one() -> "SuperMonomial":
-        return _MONOMIAL_ONE
-
     def exponent(self, var: VarSymbol) -> int:
         for v, e in self.factors:
             if v is var:
@@ -304,18 +303,12 @@ class SuperMonomial:
     def parity(self) -> Parity:
         return Parity(len(self.odd_variables()) % 2)
 
-    def total_degree(self) -> int:
-        return sum(e for _, e in self.factors)
-
     def __repr__(self):
         if not self.factors:
             return "1"
         return "*".join(
             f"{v.name}^{e}" if e != 1 else v.name for v, e in self.factors
         )
-
-
-_MONOMIAL_ONE = SuperMonomial(())
 
 
 class _Terms(Mapping):
@@ -716,15 +709,18 @@ class SuperPoly:
     def content(self):
         """(exponents, rest): the least exponent of each even variable over
         the terms, as {variable: e} for e != 0, and self divided by their
-        monomial (an exponent minus its least is at most twice the largest
-        |exponent|, which must stay in range)."""
-        exps = {v: e for v in self.variables()
-                if v.parity is Parity.EVEN and (e := self.min_degree_in(v))}
+        monomial, whose exponents reach each variable's largest minus its
+        least; ExponentOverflow when that is out of range."""
+        seen = {v: self._exponents_of(v) for v in self.variables()
+                if v.parity is Parity.EVEN}
+        exps = {v: min(es) for v, es in seen.items() if min(es)}
+        bound = max((max(es) - min(es) for es in seen.values()), default=0)
+        if bound > EXPONENT_LIMIT:
+            raise _overflow(bound)
         shift = sum(e << (_WIDTH * v.index) for v, e in exps.items())
         return exps, SuperPoly._of(
             {m: {k - shift: c for k, c in part.items()}
-             for m, part in self._parts.items()},
-            _bound_of((self, self)))
+             for m, part in self._parts.items()}, bound)
 
     def substitute(self, assignment) -> "SuperPoly":
         """Apply the ring homomorphism sending each variable to its value.

@@ -323,6 +323,27 @@ class TestInvertTransition:
         inv = invert_transition(tmap)  # asserts both compositions internally
         assert inv.target is source and inv.source is target
 
+    def test_wedge_in_chart_order(self):
+        """Source odds declared out of name order: the wedge is read as
+        the coefficient of zs*as, the order of the chart, which is also
+        the frame the inverse is built in."""
+        p1, q1 = even("p1", invertible=True), even("q1", invertible=True)
+        zs, as_ = odd("zs"), odd("as")
+        tb, ta = odd("tb"), odd("ta")
+        source = SuperChart("S", (p1,), (zs, as_))
+        target = SuperChart("T", (q1,), (tb, ta))
+        tmap = TransitionMap(target=target, source=source, rules={
+            q1: LocalizedPoly(V(p1) + V(zs) * V(as_)),
+            tb: LocalizedPoly(V(zs)),
+            ta: LocalizedPoly(V(as_)),
+        })
+        assert second_order(tmap).wedge[q1] == LocalizedPoly(
+            SuperPoly.one())
+        inv = invert_transition(tmap)
+        assert inv.rule(p1) == LocalizedPoly(V(q1) + V(ta) * V(tb))
+        assert inv.rule(zs) == LocalizedPoly(V(tb))
+        assert inv.rule(as_) == LocalizedPoly(V(ta))
+
     def test_term_beyond_the_wedge_raises(self):
         s1 = even("s1h", invertible=True)
         o1, o2, stray = odd("o1h"), odd("o2h"), odd("o3h")

@@ -230,6 +230,24 @@ class TestDefensiveGuards:
         with pytest.raises(NotCanonicalizable):
             analyze_subsystem(replace(system, equations=equations))
 
+    def test_embedding_rejects_foreign_variables(self):
+        """A term in a variable outside the chart is refused even when
+        its degrees cancel (a1*c*dd^-1 has the total degree of a1), and a
+        term with odd variables is refused as not bosonic."""
+        from superhilb.obstruction import embed_chart_poly
+        from superhilb.ring import even, odd
+
+        a1, a2 = (even(f"a{i}", invertible=True) for i in (1, 2))
+        c, dd = even("c"), even("dd", invertible=True)
+        sz, sw = CONES["V1"]
+        assert embed_chart_poly(V(a1) * V(a2, 2) + 3, "V1", (a1, a2)) == {
+            (sz, 2 * sw): -1, (0, 0): 3}
+        with pytest.raises(ValueError, match="chart-coordinate"):
+            embed_chart_poly(V(a1) * V(c) * V(dd, -1), "V1", (a1, a2))
+        with pytest.raises(ValueError, match="bosonic"):
+            embed_chart_poly(V(a1) * V(odd("alpha1")) * V(odd("alpha2")),
+                             "V1", (a1, a2))
+
     def test_higher_order_terms_raise(self):
         from superhilb.charts import SuperChart, TransitionMap, second_order
         from superhilb.errors import HigherOrderTerms

@@ -375,6 +375,16 @@ class TestExponentRange:
         with pytest.raises(ExponentOverflow):
             SuperPoly.var(x, -20000) * SuperPoly.var(x, -20000)
 
+    def test_content_range_is_each_variables_spread(self):
+        """The exponents left after dividing out the content reach each
+        variable's largest minus its least exponent, which must fit."""
+        x = even("x", invertible=True)
+        exps, rest = (SuperPoly.var(x, 20000) + SuperPoly.var(x, -100)).content()
+        assert exps == {x: -100}
+        assert rest == SuperPoly.var(x, 20100) + 1
+        with pytest.raises(ExponentOverflow):
+            (SuperPoly.var(x, 30000) + SuperPoly.var(x, -30000)).content()
+
     def test_product_range_uses_each_variables_exponents(self):
         """Past the limit the check sums each variable's least and largest
         exponents, so exponents of opposite signs cancel and fit."""
@@ -426,6 +436,37 @@ class TestKernelLoops:
             p.substitute(table), p.diff(r["x"]), invert(unit + p.soul())
             super_divmod(p * SuperPoly.var(r["a"], 3), divisor, r["a"])
         assert built == []
+
+    def test_engines_build_no_boundary_monomials(self, monkeypatch):
+        """Atlases, cocycle checks, coboundary decisions, coordinate
+        changes, strata and the atlas text round trip read polynomials
+        through `coefficients` and build them with `from_products`; the
+        name-ordered views serve only printing, tests and the public API.
+        The term count `len(p.terms)` builds no monomial."""
+        from superhilb.charts import (atlas_from_text, atlas_to_text,
+                                      hilb21_atlas, verify_cocycle)
+        from superhilb.ideals import (raw_to_canonical,
+                                      stratification_generators)
+        from superhilb.obstruction import is_coboundary
+
+        built, init = [], SuperMonomial.__init__
+
+        def counted(self, factors):
+            built.append(factors)
+            init(self, factors)
+
+        monkeypatch.setattr(SuperMonomial, "__init__", counted)
+        for k in (-3, 0, 4):
+            atlas = hilb21_atlas(k)
+            assert verify_cocycle(atlas) == (True, None)
+            assert is_coboundary(k, atlas).split == (k == 0)
+        raw_to_canonical(3, 1)
+        stratification_generators(3, 2)
+        text = atlas_to_text(atlas)
+        assert atlas_to_text(atlas_from_text(text)) == text
+        assert all(len(rule.num.terms) for tmap in atlas.transitions.values()
+                   for rule in tmap.rules.values())
+        assert len(built) == 0, len(built)
 
 
 class TestInterning:
