@@ -9,7 +9,9 @@ C carry odd entries.  Inverses use the explicit block formula
 
 with S = -C A^-1 B + D; the diagonal blocks are inverted through a
 finite geometric series around the exact inverse of their numeric
-reductions (SingularReduction when a reduction is singular).
+reductions (SingularReduction when a reduction is singular).  Every
+matrix product, the Schur complement and the series terms included, sums
+its entry products with `SuperPoly.dot`.
 """
 
 from __future__ import annotations
@@ -94,16 +96,8 @@ def matmul(m: SuperMatrix, n: SuperMatrix) -> SuperMatrix:
 
 
 def _lists_matmul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(inner)), SuperPoly.zero())
-            for j in range(cols)
-        ]
-        for i in range(rows)
-    ]
+    cols = list(zip(*b))
+    return [[SuperPoly.dot(zip(row, col)) for col in cols] for row in a]
 
 
 def _lists_sub(a, b):

@@ -17,6 +17,9 @@ popcounts of I above each bit of J.  |exponent| <= `EXPONENT_LIMIT`: a
 product checks once, from its operands' exponent bounds (per variable
 near the limit), that its keys cannot overflow, and raises
 `ExponentOverflow` otherwise; `from_products` builds parsed terms.
+`dot` sums products in the same loop over integer numerators on one
+common denominator, so a sum of Fraction-bearing products makes each
+coefficient once instead of adding Fractions term by term.
 
 Index order is intern order, not name order.  The engines read a
 polynomial only through `coefficients`, in the variable order they give,
@@ -25,8 +28,10 @@ views carry the sign of reordering the odd variables by name: `terms`
 (keyed by `SuperMonomial`), `named_terms` and `as_coeff_map`.  They serve
 the printer, the tests and the public API, and build `SuperMonomial`s only
 on demand.
-All values are immutable after construction and every operation is a pure
-function, safe for unrestricted concurrent use.
+All values are immutable after construction (the one cache, `dot`'s
+numerators of an operand, is derived from the value and written whole)
+and every operation is a pure function, safe for unrestricted concurrent
+use.
 
 The jobs shared with `superhilb.localized` live here once, for both
 value types: `PowerTable` substitutes (its `apply`), `_power` builds every
@@ -40,6 +45,7 @@ import threading
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     ExponentOverflow,
@@ -304,11 +310,14 @@ class SuperMonomial:
         return Parity(len(self.odd_variables()) % 2)
 
     def __repr__(self):
-        if not self.factors:
-            return "1"
-        return "*".join(
-            f"{v.name}^{e}" if e != 1 else v.name for v, e in self.factors
-        )
+        return _product_text(self.factors)
+
+
+def _product_text(factors) -> str:
+    """v1^e1*v2*... for (variable, exponent) factors, "1" for none."""
+    if not factors:
+        return "1"
+    return "*".join(f"{v.name}^{e}" if e != 1 else v.name for v, e in factors)
 
 
 class _Terms(Mapping):
@@ -347,10 +356,11 @@ class SuperPoly:
 
     `_parts` is the normal form {odd mask: {packed key: coefficient}}
     with no zero coefficient and no empty part; `_bound` bounds the
-    |exponents| of its keys.
+    |exponents| of its keys; `_scaled`, set when `dot` first reads the
+    polynomial, caches its integer numerators and their denominator.
     """
 
-    __slots__ = ("_parts", "_bound")
+    __slots__ = ("_parts", "_bound", "_scaled")
 
     def __init__(self, terms=None):
         """The polynomial of a {SuperMonomial: coefficient} map."""
@@ -432,6 +442,37 @@ class SuperPoly:
                 part = out.setdefault(mask, {})
                 part[key] = part.get(key, 0) + (-c if flips & 1 else c)
         return SuperPoly._of(_cleaned(out), bound)
+
+    @staticmethod
+    def dot(pairs) -> "SuperPoly":
+        """sum(a * b for a, b in pairs) in one accumulation.  Each operand
+        becomes integer numerators over its denominator, the lcm of its
+        coefficients' ones; the products then run on ints over D, the lcm
+        of the pairs' denominator products, and each coefficient of the
+        sum is made once, an int or a Fraction over D."""
+        scaled, bound = [], 0
+        for a, b in pairs:
+            a, b = SuperPoly.promote(a), SuperPoly.promote(b)
+            if a._parts and b._parts:
+                bound = max(bound, _product_bound(a, b))
+                (da, na), (db, nb) = _numerators(a), _numerators(b)
+                scaled.append((da * db, na, nb))
+        common = lcm(*(d for d, _, _ in scaled))
+        out = {}
+        for d, na, nb in scaled:
+            if d != common:
+                f = common // d
+                na = {m: {k: f * n for k, n in part.items()}
+                      for m, part in na.items()}
+            _multiply_into(out, na, nb)
+        for m, part in list(out.items()):
+            if not part:
+                del out[m]
+            elif common != 1:
+                for k, n in part.items():
+                    part[k] = (n // common if not n % common
+                               else Fraction(n, common))
+        return SuperPoly._of(out, bound)
 
     @staticmethod
     def promote(x) -> "SuperPoly":
@@ -604,37 +645,10 @@ class SuperPoly:
         if not self._parts or not other._parts:
             return _ZERO
         bound = self._bound + other._bound
-        if bound > EXPONENT_LIMIT:
-            bound = _bound_of((self, other))
-        if VarSymbol._clashes:
-            _check_names(self, other)
+        if bound > EXPONENT_LIMIT or VarSymbol._clashes:
+            bound = _product_bound(self, other)
         out = {}
-        rhs = [(m2, part2.items()) for m2, part2 in other._parts.items()]
-        for m1, part1 in self._parts.items():
-            for m2, items2 in rhs:
-                if m1 & m2:
-                    continue
-                m = m1 | m2
-                part = out.get(m)
-                if part is None:
-                    part = out[m] = {}
-                get = part.get
-                flip = m1 and m2 and _flips(m1, m2)
-                for k1, c1 in part1.items():
-                    if flip:
-                        c1 = -c1
-                    for k2, c2 in items2:
-                        k = k1 + k2
-                        c = c1 * c2
-                        s = get(k)
-                        if s is None:
-                            part[k] = c
-                        else:
-                            s += c
-                            if s:
-                                part[k] = s
-                            else:
-                                del part[k]
+        _multiply_into(out, self._parts, other._parts)
         for m, part in list(out.items()):
             if not part:
                 del out[m]
@@ -763,6 +777,65 @@ def _operand(x):
     return SuperPoly.promote(x) if ok else NotImplemented
 
 
+def _product_bound(a: SuperPoly, b: SuperPoly) -> int:
+    """The exponent bound of a * b for nonzero a and b; raises where the
+    product cannot be formed (ExponentOverflow, or a shared name)."""
+    bound = a._bound + b._bound
+    if bound > EXPONENT_LIMIT:
+        bound = _bound_of((a, b))
+    if VarSymbol._clashes:
+        _check_names(a, b)
+    return bound
+
+
+def _multiply_into(out: dict, lhs: dict, rhs: dict):
+    """Add the product of two parts maps to out, {mask: {key: c}}; the
+    coefficients are summed as they come, and a sum of zero is dropped."""
+    rhs = [(m2, part2.items()) for m2, part2 in rhs.items()]
+    for m1, part1 in lhs.items():
+        for m2, items2 in rhs:
+            if m1 & m2:
+                continue
+            m = m1 | m2
+            part = out.get(m)
+            if part is None:
+                part = out[m] = {}
+            get = part.get
+            flip = m1 and m2 and _flips(m1, m2)
+            for k1, c1 in part1.items():
+                if flip:
+                    c1 = -c1
+                for k2, c2 in items2:
+                    k = k1 + k2
+                    c = c1 * c2
+                    s = get(k)
+                    if s is None:
+                        part[k] = c
+                    else:
+                        s += c
+                        if s:
+                            part[k] = s
+                        else:
+                            del part[k]
+
+
+def _numerators(p: SuperPoly):
+    """(d, parts): d the lcm of p's coefficient denominators and parts
+    p's parts with each coefficient times d, all ints.  Kept on p, so an
+    operand of many sums is scanned once."""
+    got = getattr(p, "_scaled", None)
+    if got is None:
+        parts = p._parts
+        d = lcm(*{c.denominator for part in parts.values()
+                  for c in part.values()})
+        if d > 1:
+            parts = {m: {k: c.numerator * (d // c.denominator)
+                         for k, c in part.items()}
+                     for m, part in parts.items()}
+        got = p._scaled = d, parts
+    return got
+
+
 def _check_names(a: SuperPoly, b: SuperPoly):
     """ValueError when a product of a and b would hold two distinct
     variables of one name, which the name-ordered views cannot order."""
@@ -792,9 +865,9 @@ def invert(p: SuperPoly) -> SuperPoly:
     (key, c), = body.items()
     factors = _even_factors(key)
     if any(not v.invertible for v, _ in factors):
-        unit = SuperMonomial(tuple(sorted(factors, key=_by_name)))
+        unit = _product_text(sorted(factors, key=_by_name))
         raise NotAUnit(
-            f"unit part {unit!r} involves a variable not declared invertible"
+            f"unit part {unit} involves a variable not declared invertible"
         )
     u_inv = SuperPoly._of({0: {-key: _coeff(1 / Fraction(c))}}, p._bound)
     return soul_series(u_inv, -p.soul())

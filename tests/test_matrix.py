@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,13 +18,20 @@ X = even("x", invertible=True)
 ODDS = [odd(f"w{i}") for i in range(4)]
 
 
-def random_super_matrix(rng, p, q, odd_pool=ODDS):
-    """Invertible numeric reduction plus random nilpotent perturbations."""
+def random_super_matrix(rng, p, q, odd_pool=ODDS, fractions=False):
+    """Invertible numeric reduction plus random nilpotent perturbations.
+    The numbers are integers, or with `fractions` each is k/3 or k/4 half
+    of the time, so one entry product can mix ints and Fractions."""
+
+    def number(lo, hi):
+        k = rng.randint(lo, hi)
+        if fractions and rng.random() < 0.5:
+            return Fraction(k, rng.choice((3, 4)))
+        return Fraction(k)
+
     n = p + q
     while True:
-        base = [
-            [Fraction(rng.randint(-4, 4)) for _ in range(n)] for _ in range(n)
-        ]
+        base = [[number(-4, 4) for _ in range(n)] for _ in range(n)]
         a_block = [row[:p] for row in base[:p]]
         d_block = [row[p:] for row in base[p:]]
         if _cofactor_det(a_block) != 0 and _cofactor_det(d_block) != 0:
@@ -37,7 +45,7 @@ def random_super_matrix(rng, p, q, odd_pool=ODDS):
             for _ in range(rng.randint(0, 2)):
                 k = 2 if even_slot else 1
                 vars_ = rng.sample(odd_pool, k)
-                mono = SuperPoly.const(Fraction(rng.randint(-3, 3)))
+                mono = SuperPoly.const(number(-3, 3))
                 for v in sorted(vars_, key=lambda s: s.name):
                     mono = mono * SuperPoly.var(v)
                 entry = entry + mono
@@ -92,24 +100,45 @@ class TestLeftInverse:
         assert matmul(inv, m) == SuperMatrix.identity(1, 1)
         assert matmul(m, inv) == SuperMatrix.identity(1, 1)
 
-    def test_random_two_sided(self):
+    @pytest.mark.parametrize("fractions", [False, True],
+                             ids=["integers", "fractions"])
+    def test_random_two_sided(self, fractions):
         rng = random.Random(5150)
         for _ in range(30):
             p = rng.randint(0, 3)
             q = rng.randint(0, 3)
             if p + q == 0:
                 continue
-            m = random_super_matrix(rng, p, q)
+            m = random_super_matrix(rng, p, q, fractions=fractions)
             inv = left_inverse(m)
             assert matmul(inv, m) == SuperMatrix.identity(p, q)
             assert matmul(m, inv) == SuperMatrix.identity(p, q)
 
-    def test_reduction_compatibility(self):
+    @pytest.mark.parametrize("fractions", [False, True],
+                             ids=["integers", "fractions"])
+    def test_reduction_compatibility(self, fractions):
         rng = random.Random(31)
         for _ in range(10):
-            m = random_super_matrix(rng, 2, 2)
+            m = random_super_matrix(rng, 2, 2, fractions=fractions)
             inv = left_inverse(m)
             assert reduce_mod_odd(inv) == rational_inverse(reduce_mod_odd(m))
+
+    def test_products_make_no_fraction_arithmetic(self, monkeypatch):
+        """Entry products are summed as integer numerators over one common
+        denominator, so checking a (3|3) inverse on both sides adds and
+        multiplies no Fractions."""
+        m = random_super_matrix(random.Random(33), 3, 3)
+        inv = left_inverse(m)
+        calls = []
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def counted(a, b, _op=getattr(Fraction, name), _name=name):
+                calls.append(_name)
+                return _op(a, b)
+            monkeypatch.setattr(Fraction, name, counted)
+        identity = SuperMatrix.identity(3, 3)
+        assert matmul(inv, m) == identity
+        assert matmul(m, inv) == identity
+        assert len(calls) == 0, Counter(calls)
 
     def test_singular_reduction(self):
         w0, w1 = ODDS[0], ODDS[1]

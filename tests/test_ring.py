@@ -99,6 +99,8 @@ class TestInvert:
         r = standard_ring()
         with pytest.raises(NotAUnit):
             invert(P(r["a"]))  # not declared invertible
+        with pytest.raises(NotAUnit, match=r"unit part a\*x\^2 involves"):
+            invert(P(r["x"]) * P(r["a"]) * P(r["x"]))  # factors by name
         with pytest.raises(NotAUnit):
             invert(P(r["x"]) + 1)  # two non-nilpotent terms
         with pytest.raises(NotAUnit):
@@ -417,6 +419,85 @@ class TestExponentRange:
             SuperPoly.var(x, -EXPONENT_LIMIT).diff(x)
 
 
+def _typed(p):
+    """The normal form with each coefficient's type, which == ignores."""
+    return {m: {k: (type(c), c) for k, c in part.items()}
+            for m, part in p._parts.items()}
+
+
+def _outcome(compute):
+    """The typed result of compute(), or the type of the error it raised."""
+    try:
+        return _typed(compute())
+    except (ExponentOverflow, ValueError) as exc:
+        return type(exc)
+
+
+class TestDot:
+    # interned here, in the opposite order to their names
+    ODDS = [odd(f"dot_o{c}") for c in "zyxw"]
+    Y, T = even("dot_y"), even("dot_t", invertible=True)
+
+    def random_poly(self, rng):
+        """Up to four terms over the odds, y^0..2 and t^-3..3, with
+        coefficients over denominators 1, 2, 3, 5 and 12, or zero."""
+        terms = []
+        for _ in range(rng.randint(0, 4)):
+            factors = [(v, 1) for v in rng.sample(self.ODDS, rng.randint(0, 3))]
+            factors += [(self.Y, rng.randint(0, 2)), (self.T, rng.randint(-3, 3))]
+            c = Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 5, 12)))
+            terms.append((c, factors))
+        return SuperPoly.from_products(terms)
+
+    def test_equals_the_sum_of_products(self):
+        rng = random.Random(4417)
+        for _ in range(300):
+            pairs = [(self.random_poly(rng), self.random_poly(rng))
+                     for _ in range(rng.randint(0, 5))]
+            expected = SuperPoly.sum(a * b for a, b in pairs)
+            got = SuperPoly.dot(pairs)
+            assert _typed(got) == _typed(expected)
+            # operands already scaled once give the same sum again
+            assert _typed(SuperPoly.dot(pairs)) == _typed(expected)
+
+    def test_edge_operands(self):
+        ys, t = P(self.Y), P(self.T)
+        half = Fraction(1, 2) * ys
+        assert _typed(SuperPoly.dot([])) == {}
+        assert _typed(SuperPoly.dot([(0, ys), (ys, SuperPoly.zero())])) == {}
+        # Fractions whose products are integral give int coefficients
+        got = SuperPoly.dot([(half, 2 * t), (Fraction(1, 3), 3)])
+        assert _typed(got) == _typed(ys * t + 1)
+        assert SuperPoly.dot([(half, half), (t, Fraction(3, 4) * ys)]) == (
+            Fraction(1, 4) * ys * ys + Fraction(3, 4) * t * ys)
+        # terms that cancel across pairs leave no key and no empty mask
+        w = P(self.ODDS[0])
+        assert _typed(SuperPoly.dot([(half * w, t), (-t, w * half)])) == {}
+
+    def test_raises_where_a_product_would(self):
+        x = even("dot_x", invertible=True)
+        c, c_inv = even("dot_c"), even("dot_c", invertible=True)
+        big, tiny = SuperPoly.var(x, 20000), SuperPoly.var(x, -20000)
+        cases = [
+            [(big, big)],
+            [(P(c), 1), (Fraction(1, 3) * big, big)],
+            [(big, tiny), (tiny + 1, tiny)],
+            [(big, SuperPoly.zero()), (SuperPoly.zero(), big)],
+            [(P(c), Fraction(1, 2) * P(c_inv))],
+            [(P(c), P(c)), (P(c_inv), P(c_inv) + 1)],
+            [(big, big), (P(c), P(c_inv))],
+            [(P(c), P(c_inv)), (big, big)],
+        ]
+        outcomes = []
+        for pairs in cases:
+            expected = _outcome(lambda: SuperPoly.sum(a * b for a, b in pairs))
+            assert _outcome(lambda: SuperPoly.dot(pairs)) == expected
+            outcomes.append(expected if isinstance(expected, type) else dict)
+        assert outcomes == [ExponentOverflow, ExponentOverflow, ExponentOverflow,
+                            dict, ValueError, dict, ExponentOverflow,
+                            ValueError]
+
+
 class TestKernelLoops:
     def test_arithmetic_builds_no_boundary_monomials(self, monkeypatch, rng):
         """Products, sums, substitution, powers, derivatives, inverses and
@@ -433,6 +514,7 @@ class TestKernelLoops:
                             lambda self, factors: built.append(factors))
         for p, q in zip(polys, polys[1:]):
             p * q, p + q, p - q, SuperPoly.sum((p, q, p)), p ** 3
+            SuperPoly.dot(((p, q), (q, p)))
             p.substitute(table), p.diff(r["x"]), invert(unit + p.soul())
             super_divmod(p * SuperPoly.var(r["a"], 3), divisor, r["a"])
         assert built == []
@@ -442,13 +524,22 @@ class TestKernelLoops:
         changes, strata and the atlas text round trip read polynomials
         through `coefficients` and build them with `from_products`; the
         name-ordered views serve only printing, tests and the public API.
-        The term count `len(p.terms)` builds no monomial."""
-        from superhilb.charts import (atlas_from_text, atlas_to_text,
-                                      hilb21_atlas, verify_cocycle)
+        The term count `len(p.terms)` builds no monomial, and neither does
+        a family whose leading coefficient is not a unit."""
+        from superhilb.charts import (Ambient, IdealOnChart, SuperChart,
+                                      atlas_from_text, atlas_to_text,
+                                      canonicalize, hilb21_atlas,
+                                      verify_cocycle)
+        from superhilb.errors import NotCanonicalizable
         from superhilb.ideals import (raw_to_canonical,
                                       stratification_generators)
         from superhilb.obstruction import is_coboundary
 
+        amb = Ambient.fresh(0)
+        c = even("cnc")  # not invertible: the lead c*x + 1 is no unit
+        x, theta = amb.coords("x")
+        family = IdealOnChart(SuperChart("C", (c,), ()), "x", (
+            (P(c) * P(x) + 1) * (P(x) + 1), (P(c) * P(x) + 1) * P(theta)))
         built, init = [], SuperMonomial.__init__
 
         def counted(self, factors):
@@ -462,6 +553,8 @@ class TestKernelLoops:
             assert is_coboundary(k, atlas).split == (k == 0)
         raw_to_canonical(3, 1)
         stratification_generators(3, 2)
+        with pytest.raises(NotCanonicalizable):
+            canonicalize(family, 2, 1, amb)
         text = atlas_to_text(atlas)
         assert atlas_to_text(atlas_from_text(text)) == text
         assert all(len(rule.num.terms) for tmap in atlas.transitions.values()
