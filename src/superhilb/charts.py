@@ -497,13 +497,13 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
     else:
         adj = ((h[1][1], -h[0][1]), (-h[1][0], h[0][0]))
     bos_inv_loc = {v: LocalizedPoly(e) for v, e in bos_inv.items()}
-    det_at_t = det.substitute(bos_inv_loc)
+    det_inv = det.substitute(bos_inv_loc).reciprocal()
 
     rules = {}
     for n, s_odd in enumerate(odds_s):
         total = LocalizedPoly(SuperPoly.zero())
         for m, t_odd in enumerate(odds_t):
-            entry = (adj[n][m] / det).substitute(bos_inv_loc)
+            entry = adj[n][m].substitute(bos_inv_loc) * det_inv
             total = total + entry * LocalizedPoly(V(t_odd))
         rules[s_odd] = total
 
@@ -516,7 +516,7 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
         tau_frame = LocalizedPoly(V(odds_t[0]) * V(odds_t[1]))
         deriv = LocalizedPoly(bos_inv[var].diff(t_coord))
         correction = (deriv * wedge.substitute(bos_inv_loc) * tau_frame
-                      / det_at_t)
+                      * det_inv)
         rules[var] = base - correction
 
     inverse = TransitionMap(target=source, source=target, rules=rules)

@@ -3,8 +3,8 @@ splitness checks with deterministic text or JSON output.
 
 Exit codes: 0 for a completed computation (a non-split verdict is a
 successful computation), 2 for input or parse errors (an exponent beyond
-the kernel's range of +-32767 among them), 3 for mathematical precondition
-failures.
+the kernel's range of +-32767 among them) and unreadable files, 3 for
+mathematical precondition failures and every other package error.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ from .errors import (
     DuplicateVariable,
     InvertibleOddVariable,
     NegativePowerOfNonInvertible,
-    NonMonicDivisor,
-    NotAUnit,
-    NotCanonicalizable,
-    ParityMismatch,
-    RankOrderViolation,
     SuperAlgebraError,
     UnknownVariable,
 )
@@ -41,13 +36,6 @@ PARSE_ERRORS = (
     InvertibleOddVariable,
     NegativePowerOfNonInvertible,
     UnknownVariable,
-)
-MATH_ERRORS = (
-    RankOrderViolation,
-    NotCanonicalizable,
-    NonMonicDivisor,
-    NotAUnit,
-    ParityMismatch,
 )
 
 
@@ -341,15 +329,9 @@ def main(argv=None) -> int:
         parser.error("--degree-bound applies to --target hilb21 only")
     try:
         return args.func(args)
-    except PARSE_ERRORS as exc:
+    except (*PARSE_ERRORS, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MATH_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except SuperAlgebraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -26,6 +26,7 @@ from .charts import (HILB21_LAYOUT, Atlas, hilb11_atlas, hilb21_atlas,
 from .errors import NotCanonicalizable
 from .ideals import _certify
 from .localized import LocalizedPoly, substitute_localized
+from .parser import pretty
 from .ring import SuperPoly, even
 
 V = SuperPoly.var
@@ -179,13 +180,13 @@ def embed_chart_poly(poly: SuperPoly, chart_name: str, evens) -> dict:
     sz, sw = CONES[chart_name]
     if poly.odd_variables():
         raise ValueError("embedding expects a bosonic polynomial")
-    pairs = []
+    out = {}
     for (d1, d2), coeff in poly.coefficients(evens).items():
         if coeff.variables():
             raise ValueError("embedding expects a chart-coordinate polynomial")
         c = coeff.as_constant()
-        pairs.append(((sz * d1, sw * d2), -c if (d1 + d2) % 2 else c))
-    return _lb_sum(pairs)
+        out[(sz * d1, sw * d2)] = -c if (d1 + d2) % 2 else c
+    return out
 
 
 def laurent_to_poly(data: dict) -> SuperPoly:
@@ -532,20 +533,14 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
         forced["h"] = 0
     else:
         case = "III"
+        # a one-point box has hz == gz and gw == hw: the constant slot
+        # of both blocks, with chart sign +1
         if len(box) != 1:
             raise NotCanonicalizable("unexpected coupling box")
-        ez, ew = box[0]
-        # slots of g and h reaching the shared exponent
-        e_g, f_g = gz - ez, ew - gw
-        e_h, f_h = ez - hz, hw - ew
-        if (e_g, f_g) != (0, 0) or (e_h, f_h) != (0, 0):
-            raise NotCanonicalizable("coupling away from the constant slots")
-        sign_g = -1 if (e_g + f_g) % 2 else 1
-        sign_h = -1 if (e_h + f_h) % 2 else 1
-        lam = -(gc * sign_g) / (hc * sign_h)
+        lam = -gc / hc
         trace.append(
             "overlap V2/V3: supports meet only at the constant slot, "
-            f"forcing h = {_fmt_q(lam)} * g with both constant"
+            f"forcing h = {lam} * g with both constant"
         )
         forced["h_over_g"] = lam
 
@@ -559,29 +554,15 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
     if not box:
         g_val = Fraction(0)
     else:
-        # case III: the diagonal restriction determines the constant g
-        rhs_diag = _lb_diag(eq12.rhs)
+        # case III: the diagonal restriction determines the constant g,
+        # read at the g-column's lowest exponent; a right side that is
+        # not that multiple of the column leaves a residue on the
+        # diagonal, so the V1/V2 step below finds no solution
         g_fac_diag = _lb_diag(factors12.get("g", {}))
         if not g_fac_diag:
             raise NotCanonicalizable("expected a g-column on the V1V2 overlap")
-        g_val = None
-        for exp in set(rhs_diag) | set(g_fac_diag):
-            num = rhs_diag.get(exp, Fraction(0))
-            den = g_fac_diag.get(exp, Fraction(0))
-            if den == 0:
-                if num != 0:
-                    trace.append(
-                        "diagonal restriction of V1/V2 is contradictory"
-                    )
-                    return CaseAnalysis(False, case, trace, forced)
-                continue
-            val = num / den
-            if g_val is None:
-                g_val = val
-            elif g_val != val:
-                trace.append("diagonal restriction of V1/V2 is contradictory")
-                return CaseAnalysis(False, case, trace, forced)
-        g_val = g_val if g_val is not None else Fraction(0)
+        exp = min(g_fac_diag)
+        g_val = _lb_diag(eq12.rhs).get(exp, 0) / g_fac_diag[exp]
         forced["g00"] = g_val
         forced["h00"] = g_val * forced["h_over_g"]
 
@@ -593,8 +574,6 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
             "diagonal")
     if residue:
         inst = laurent_to_poly(residue)
-        from .parser import pretty
-
         trace.append(
             "overlap V1/V2 demands f(z, w) * (w - z) * unit = "
             f"{pretty(inst)}, which is impossible: the left side vanishes "
@@ -604,7 +583,7 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
         return CaseAnalysis(False, case, trace, forced)
     forced["f"] = 0
     trace.append(
-        f"overlap V1/V2 forces f = 0 and c = {_fmt_q(g_val)} "
+        f"overlap V1/V2 forces f = 0 and c = {g_val} "
         "(the constant value of g and h)"
         if box
         else "overlap V1/V2 is satisfied by f = 0"
@@ -618,8 +597,6 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
     )
     if residue13:
         inst = laurent_to_poly(residue13)
-        from .parser import pretty
-
         trace.append(
             f"overlap V1/V3 with f and h fixed: residual "
             f"{pretty(inst)} = 0 fails"
@@ -630,10 +607,6 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
         "is solvable"
     )
     return CaseAnalysis(True, case, trace, forced)
-
-
-def _fmt_q(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +641,7 @@ class SplitVerdict:
             out["trace"] = list(self.trace)
         if self.certificate is not None:
             out["certificate"] = {
-                key: _fmt_q(val) for key, val in sorted(self.certificate.items())
+                key: str(val) for key, val in sorted(self.certificate.items())
             }
         if self.notes:
             out["notes"] = list(self.notes)
@@ -690,7 +663,7 @@ def split_check_11(k: int) -> SplitVerdict:
     cochain = extract_obstruction(atlas)
     _certify(all(cochain.is_zero_on(t, s) for (t, s) in atlas.transitions),
              "the rank-1 odd direction carries no wedge-square term")
-    verdict = SplitVerdict(
+    return SplitVerdict(
         split=True,
         target="hilb11",
         twist_input=k,
@@ -701,7 +674,6 @@ def split_check_11(k: int) -> SplitVerdict:
             f"line bundle of twist {-degree}"
         ],
     )
-    return verdict
 
 
 def _verify_certificate(atlas: Atlas, sections) -> bool:
@@ -745,57 +717,36 @@ def is_coboundary(k: int, atlas: Atlas | None = None) -> SplitVerdict:
     escalates to the full four-chart system in both directions, and a
     found solution is verified as an exact certificate."""
     atlas = _atlas_for(k, atlas)
-    deg_a, deg_b = wedge2_degrees(k, atlas)
+    verdict = SplitVerdict(split=False, target="hilb21", twist_input=k,
+                           degrees=wedge2_degrees(k, atlas),
+                           notes=[ANSATZ_NOTE])
     system = build_coboundary_system(k, abs(k) + 4, atlas)
     analysis = analyze_subsystem(system)
     solver_solution = solve_laurent_system(system)
     _certify((solver_solution is not None) == analysis.feasible,
              "support analysis and bounded solver agree")
+    verdict.case_label, verdict.trace = analysis.case_label, analysis.trace
     if not analysis.feasible:
-        return SplitVerdict(
-            split=False,
-            target="hilb21",
-            twist_input=k,
-            case_label=analysis.case_label,
-            degrees=(deg_a, deg_b),
-            trace=list(analysis.trace),
-            notes=[ANSATZ_NOTE],
-        )
+        return verdict
 
     # the three-overlap equations admit sections; decide on the full cover
     full = build_full_coboundary_system(k, 4, atlas)
     solution = solve_laurent_system(full)
     if solution is None:
-        return SplitVerdict(
-            split=False,
-            target="hilb21",
-            twist_input=k,
-            case_label=analysis.case_label,
-            degrees=(deg_a, deg_b),
-            trace=list(analysis.trace)
-            + ["the fourth chart admits no compatible section"],
-            notes=[ANSATZ_NOTE],
-        )
+        verdict.trace.append("the fourth chart admits no compatible section")
+        return verdict
     charts_evens = {ch.name: ch.evens for ch in atlas.charts}
     sections = _sections_from_solution(solution, charts_evens)
     _certify(_verify_certificate(atlas, sections),
              "the solver's sections satisfy the exact identities")
-    certificate = {
+    verdict.split = True
+    verdict.certificate = {
         f"{block}[{e},{f_}]": val
         for (block, e, f_), val in sorted(solution.items())
         if val
     }
-    return SplitVerdict(
-        split=True,
-        target="hilb21",
-        twist_input=k,
-        degrees=(deg_a, deg_b),
-        case_label=analysis.case_label,
-        trace=list(analysis.trace)
-        + [
-            "explicit cobounding sections exist on all four charts and "
-            "verify exactly; the wedge-square obstruction vanishes"
-        ],
-        certificate=certificate,
-        notes=[ANSATZ_NOTE],
+    verdict.trace.append(
+        "explicit cobounding sections exist on all four charts and "
+        "verify exactly; the wedge-square obstruction vanishes"
     )
+    return verdict

@@ -29,7 +29,7 @@ from .errors import (
     UnknownVariable,
 )
 from .localized import LocalizedPoly
-from .ring import Parity, SuperPoly, VarSymbol
+from .ring import Parity, SuperPoly, VarSymbol, _product_text
 
 _MAX_DEPTH = 400
 
@@ -288,10 +288,6 @@ def parse_localized(text: str, ring: RingDecl) -> LocalizedPoly:
 # Pretty printing
 
 
-def _format_monomial(factors) -> str:
-    return "*".join(v.name if e == 1 else f"{v.name}^{e}" for v, e in factors)
-
-
 def pretty(p: SuperPoly) -> str:
     """Deterministic textual form; parse_poly(pretty(p)) == p.
 
@@ -318,13 +314,13 @@ def pretty(p: SuperPoly) -> str:
         if not factors:
             body = str(mag)
         elif mag == 1:
-            body = _format_monomial(factors)
+            body = _product_text(factors)
             # After a leading unary minus, '^' would bind before the sign;
             # "- 1*x^2" keeps the minus attached to the rational atom.
             if i == 0 and negative and factors[0][1] != 1:
                 body = f"1*{body}"
         else:
-            body = f"{mag}*{_format_monomial(factors)}"
+            body = f"{mag}*{_product_text(factors)}"
         if i == 0:
             chunks.append(f"- {body}" if negative else body)
         else:

@@ -401,19 +401,43 @@ class SuperPoly:
 
     @staticmethod
     def sum(polys) -> "SuperPoly":
-        """Sum in one pass over the terms, in time linear in their number."""
-        out, bound = {}, 0
+        """Sum in one pass over the terms, in time linear in their number.
+        A part met once is shared, one met again is copied once; a sum of
+        zero keeps its place until the end drops it."""
+        out, bound, owned, zeroed = {}, 0, set(), set()
         for poly in polys:
-            bound = max(bound, poly._bound)
+            if poly._bound > bound:
+                bound = poly._bound
+            if not out:
+                out.update(poly._parts)
+                continue
             for mask, part in poly._parts.items():
                 acc = out.get(mask)
                 if acc is None:
-                    out[mask] = dict(part)
+                    out[mask] = part
                     continue
+                if mask not in owned:
+                    owned.add(mask)
+                    acc = out[mask] = dict(acc)
                 get = acc.get
                 for k, c in part.items():
-                    acc[k] = get(k, 0) + c
-        return SuperPoly._of(_cleaned(out), bound)
+                    s = get(k)
+                    if s is None:
+                        acc[k] = c
+                        continue
+                    s += c
+                    if not s:
+                        zeroed.add(mask)
+                    elif type(s) is Fraction and s.denominator == 1:
+                        s = s.numerator
+                    acc[k] = s
+        for mask in zeroed:
+            part = {k: c for k, c in out[mask].items() if c}
+            if part:
+                out[mask] = part
+            else:
+                del out[mask]
+        return SuperPoly._of(out, bound)
 
     @staticmethod
     def from_products(pairs) -> "SuperPoly":
@@ -590,35 +614,9 @@ class SuperPoly:
     def __add__(self, other):
         if type(other) is not SuperPoly:
             other = _operand(other)
-        if other is NotImplemented or not self._parts:
-            return other
-        if not other._parts:
-            return self
-        out = dict(self._parts)
-        for mask, part in other._parts.items():
-            mine = out.get(mask)
-            if mine is None:
-                out[mask] = part
-                continue
-            merged = dict(mine)
-            get = merged.get
-            for k, c in part.items():
-                s = get(k)
-                if s is None:
-                    merged[k] = c
-                else:
-                    s += c
-                    if not s:
-                        del merged[k]
-                    elif type(s) is Fraction and s.denominator == 1:
-                        merged[k] = s.numerator
-                    else:
-                        merged[k] = s
-            if merged:
-                out[mask] = merged
-            else:
-                del out[mask]
-        return SuperPoly._of(out, max(self._bound, other._bound))
+            if other is NotImplemented:
+                return other
+        return SuperPoly.sum((self, other))
 
     __radd__ = __add__
 

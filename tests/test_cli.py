@@ -4,6 +4,7 @@ import pytest
 
 from superhilb import charts, cli
 from superhilb.cli import main
+from superhilb.errors import CertificateError
 
 
 def run(capsys, *argv):
@@ -74,6 +75,35 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["in_ideal"] is True
 
+
+    def test_missing_ring_file_exit_2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "reduce", "--p", "1", "--q", "0",
+            "--ring", str(tmp_path / "absent.ring"), "x",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_ring_file_variable_in_set(self, capsys, tmp_path):
+        ring = tmp_path / "extra.ring"
+        ring.write_text("even c;\n", encoding="utf-8")
+        code, out, _ = run(
+            capsys, "--format", "json", "reduce", "--p", "1", "--q", "0",
+            "--ring", str(ring), "--set", "a0=c", "x + c",
+        )
+        assert code == 0
+        assert json.loads(out)["in_ideal"] is True
+
+    def test_other_package_error_exit_3(self, capsys, monkeypatch):
+        def failing(p, q):
+            raise CertificateError("tampered")
+
+        monkeypatch.setattr(cli, "stratification_generators", failing)
+        code, out, err = run(capsys, "strata", "--p", "2", "--q", "1")
+        assert code == 3
+        assert out == ""
+        assert err == "error: tampered\n"
 
 class TestStrata:
     def test_two_one(self, capsys):

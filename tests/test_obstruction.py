@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -191,6 +193,25 @@ class TestVerdicts:
     def test_full_system_matches_subsystem_for_nonzero(self):
         full = build_full_coboundary_system(1, 3)
         assert solve_laurent_system(full) is None
+
+
+class TestGoldenVerdicts:
+    """Pinned sha256 digests of the verdict JSON, one sort_keys line per
+    twist: a change to the obstruction layer must leave every verdict,
+    trace line and certificate byte-identical."""
+
+    @pytest.mark.parametrize("decide, ks, digest", [
+        pytest.param(is_coboundary, range(-6, 7),
+                     "30771c8c5270c8688c037d1c813b31a7"
+                     "d21d17e636877aa47f61de9579be1951", id="hilb21-k-6..6"),
+        pytest.param(split_check_11, range(-3, 4),
+                     "ca46dd200b2376250f3e4ec1a8b9d602"
+                     "3f90605a52373112f8a4f8b83e075a73", id="hilb11-k-3..3"),
+    ])
+    def test_verdict_json_digest(self, decide, ks, digest):
+        text = "\n".join(json.dumps(decide(k).to_json_dict(), sort_keys=True)
+                         for k in ks)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestTwistMismatch:

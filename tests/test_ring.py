@@ -498,6 +498,30 @@ class TestDot:
                             ValueError]
 
 
+class TestAddition:
+    """`+` and `-` are `SuperPoly.sum` of the operands (the second one
+    negated), coefficient types included, and leave both operands as
+    they were."""
+
+    ODDS, Y, T = TestDot.ODDS, TestDot.Y, TestDot.T
+    random_poly = TestDot.random_poly
+
+    def test_matches_sum_and_keeps_operands(self):
+        rng = random.Random(2613)
+        zero = SuperPoly.zero()
+        pairs = [(self.random_poly(rng), self.random_poly(rng))
+                 for _ in range(300)]
+        a = self.random_poly(rng) + P(self.ODDS[0]) * Fraction(1, 2)
+        pairs += [(a, -a), (a, a), (a, zero), (zero, a), (zero, zero)]
+        for a, b in pairs:
+            before = (_typed(a), a._bound, _typed(b), b._bound)
+            for got, expected in ((a + b, SuperPoly.sum((a, b))),
+                                  (a - b, SuperPoly.sum((a, -b)))):
+                assert _typed(got) == _typed(expected)
+                assert got._bound == expected._bound
+            assert (_typed(a), a._bound, _typed(b), b._bound) == before
+
+
 class TestKernelLoops:
     def test_arithmetic_builds_no_boundary_monomials(self, monkeypatch, rng):
         """Products, sums, substitution, powers, derivatives, inverses and
