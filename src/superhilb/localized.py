@@ -12,14 +12,18 @@ and `+` raise both sides to the larger exponent of each locus and compare
 or add numerators, inversion moves the monomial content into the
 numerator and clears the nilpotent soul with `ring.soul_series`, and
 `simplified` cancels by exact division in each pivot, bounded by the
-exponent.  Substitution runs through `ring.PowerTable`; `PowerTable`
-here is its form with LocalizedPoly values, and substitutions through
-one table share the powers of the substituted values.
+exponent.  A power of a value whose body sheds a locus is summed over
+its soul, sum_j binom(n, j) B^(n-j) N^j (`_soul_powers`), so its loci
+stay at those of the nonzero powers of N rather than n times its own.
+Substitution runs through `ring.PowerTable`; `PowerTable` here is its
+form with LocalizedPoly values, and substitutions through one table
+share the powers of the substituted values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from . import ring
 from .errors import NotAUnit
@@ -111,6 +115,26 @@ def _divide_out(num: SuperPoly, locus: Locus, e: int):
         return num, 0
     quotient = quo * monic ** (e - times) + rem
     return quotient * lead_inv ** times, times
+
+
+def _soul_powers(rep):
+    """n -> rep^n (n >= 0) as sum_j binom(n, j) B^(n-j) N^j, B the body of
+    rep with its loci cancelled and N = rep - B its soul, which commute.
+    The sum ends at the first zero power of N (j past half the number of
+    odd variables), so its loci stay at those of the nonzero powers of N,
+    not n times those of rep; the powers of B are kept.  None when the
+    cancelling lowers no locus exponent: the n-fold product is as good."""
+    body = rep.bosonic().simplified()
+    if body.loci == rep.loci:
+        return None
+    bodies, souls = {0: LocalizedPoly(1), 1: body}, [rep - body]
+    while not (nxt := souls[-1] * souls[0]).is_zero():
+        souls.append(nxt)
+    return lambda n: LocalizedPoly.sum(
+        [ring._power(bodies, n)]
+        + [ring._power(bodies, n - j) * soul * comb(n, j)
+           for j, soul in enumerate(souls[:n], 1)]
+    )
 
 
 def _aligned(values):
@@ -258,6 +282,9 @@ class LocalizedPoly:
     def __pow__(self, n: int):
         if n < 0:
             return self.reciprocal() ** (-n)
+        powers = _soul_powers(self) if n > 1 else None
+        if powers is not None:
+            return powers(n)
         return LocalizedPoly._of(
             self.num ** n, {locus: e * n for locus, e in self.loci.items()}
         )
@@ -288,9 +315,25 @@ class LocalizedPoly:
 
 
 class PowerTable(ring.PowerTable):
-    """A `superhilb.ring.PowerTable` whose values are LocalizedPolys."""
+    """A `superhilb.ring.PowerTable` whose values are LocalizedPolys.  Its
+    powers rep^n with |n| >= 2 are those of `LocalizedPoly.__pow__`, the
+    `_soul_powers` of each value (or reciprocal) made when first needed."""
 
+    __slots__ = ("_series",)
     kind = LocalizedPoly
+
+    def __init__(self, assignment):
+        super().__init__(assignment)
+        self._series = {}  # (var, +1 or -1) -> _soul_powers(value^(+-1))
+
+    def power(self, v: VarSymbol, e: int):
+        if -2 < e < 2:
+            return super().power(v, e)
+        key = (v, 1 if e > 0 else -1)
+        if key not in self._series:
+            self._series[key] = _soul_powers(super().power(v, key[1]))
+        series = self._series[key]
+        return super().power(v, e) if series is None else series(abs(e))
 
 
 def substitute_localized(p: SuperPoly, assignment) -> LocalizedPoly:

@@ -758,7 +758,7 @@ class SuperPoly:
                     raise _overflow(e - 1)
                 if e:
                     # k -> k - unit is injective, so every key appears once
-                    terms[k - unit] = c * e
+                    terms[k - unit] = _coeff(c * e)
             if terms:
                 out[mask] = terms
         return SuperPoly._of(out, self._bound + 1)

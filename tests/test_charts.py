@@ -557,6 +557,10 @@ class TestGoldenFingerprints:
                      "6201e882e983668dba96335751ff4f77", id="hilb21-k2"),
         pytest.param(hilb21_atlas, 63, "bd6f5b5a53043ff608f39f738346b336"
                      "6c4cf318a3c7d92501f703215b9ca8a5", id="hilb21-k63"),
+        pytest.param(hilb21_atlas, 200, "ab413280f836145c718614cc7ec935c8"
+                     "ef6766f8ed2b91c4934201cff8c74d28", id="hilb21-k200"),
+        pytest.param(hilb21_atlas, -200, "1cf84118d9378ff4f52cbe46189be1a4"
+                     "10e31dc911a017174060c466df21326c", id="hilb21-k-200"),
         pytest.param(hilb11_atlas, 5, "21861f7dc4032d13032680a9e9db9400"
                      "dbf8c78ed5f12201d9050eff4dfab3a6", id="hilb11-k5"),
         pytest.param(pi_v_atlas, 5, "4818632f0cb002501c1478cddb1aa88f"
@@ -646,3 +650,31 @@ class TestCostGuard:
         monkeypatch.setattr(SuperPoly, "__rmul__", counted)
         assert verify_cocycle(atlas) == (True, None)
         assert pairs[0] <= 46115, pairs[0]
+
+    def test_k63_atlas_product_and_term_pair_counts(self, monkeypatch):
+        """hilb21_atlas(63) forms at most 3525 polynomial products pairing
+        at most 6078 terms: 2829 and 4874 measured with powers raised
+        through the nilpotent soul, about 1.25 times (6760 and 55092
+        with n-fold powers over (d1 - d2)^n)."""
+        counts = [0, 0]
+        mul = SuperPoly.__mul__
+
+        def counted(self, other):
+            counts[0] += 1
+            counts[1] += (len(self.terms)
+                          * len(SuperPoly.promote(other).terms))
+            return mul(self, other)
+
+        monkeypatch.setattr(SuperPoly, "__mul__", counted)
+        monkeypatch.setattr(SuperPoly, "__rmul__", counted)
+        hilb21_atlas(63)
+        assert counts[0] <= 3525 and counts[1] <= 6078, counts
+
+    def test_k63_composite_locus_exponents(self):
+        """The unsimplified V1<-V2<-V4 composite at k = 63 keeps every
+        locus at exponent 2 or less (62 with n-fold powers)."""
+        atlas = hilb21_atlas(63)
+        composed = compose_rules(atlas.transition("V1", "V2"),
+                                 atlas.transition("V2", "V4"))
+        assert all(e <= 2 for value in composed.values()
+                   for e in value.loci.values())

@@ -1,10 +1,12 @@
+import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 from superhilb.charts import atlas_from_text, atlas_to_text, hilb21_atlas
 from superhilb.errors import NotAUnit
-from superhilb.localized import LocalizedPoly
+from superhilb.localized import LocalizedPoly, PowerTable
 from superhilb.parser import parse_localized, parse_ring, pretty_localized
 from superhilb.ring import SuperPoly
 
@@ -17,7 +19,7 @@ def atlas(k):
 
 
 class TestLargeTwists:
-    @pytest.mark.parametrize("k", [63, -63, 64])
+    @pytest.mark.parametrize("k", [63, -63, 64, 200, -200])
     def test_v1_v4_rules_are_laurent(self, k):
         for pair in (("V1", "V4"), ("V4", "V1")):
             rules = atlas(k).transition(*pair).rules
@@ -73,3 +75,86 @@ class TestLocusForm:
         for tmap in a.transitions.values():
             for rule in tmap.rules.values():
                 assert all(locus.poly in removed for locus in rule.loci)
+
+
+class TestSoulPowers:
+    """Seeded random units B + N: B a rational times a Laurent monomial
+    and N an even soul over (a1 - a2)^e, in two odd variables, or in four
+    with N^2 nonzero."""
+
+    ring = parse_ring("even a1 inv; even a2 inv; odd s1; odd s2; odd s3; "
+                      "odd s4;")
+
+    def units(self):
+        rng = random.Random(6113)
+        a1, a2 = (self.ring.lookup(n) for n in ("a1", "a2"))
+        odds = [self.ring.lookup(f"s{i}") for i in range(1, 5)]
+        locus = LocalizedPoly(1, V(a1) - V(a2))
+        drawn = []
+        while len(drawn) < 16:
+            e, width = len(drawn) % 2 + 1, 2 + 2 * (len(drawn) // 8)
+            body = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+            body *= V(a1, rng.randint(-2, 2)) * V(a2, rng.randint(-2, 2))
+            soul = SuperPoly.sum(
+                rng.choice((-3, -1, 1, 2)) * V(rng.choice((a1, a2)),
+                                                rng.randint(0, 2))
+                * V(x) * V(y) for x, y in (rng.sample(odds[:width], 2)
+                                           for _ in range(rng.randint(1, 4))))
+            nonzero = 0  # the powers N^j, j >= 1, that are nonzero
+            while not (soul ** (nonzero + 1)).is_zero():
+                nonzero += 1
+            if nonzero == width // 2:
+                value = LocalizedPoly(body) + LocalizedPoly(soul) * locus ** e
+                drawn.append((value, e, nonzero))
+        return drawn
+
+    @staticmethod
+    def product(value, n):
+        """The |n|-fold product of value, or of its reciprocal for n < 0."""
+        base, out = value if n >= 0 else value.reciprocal(), LocalizedPoly(1)
+        for _ in range(abs(n)):
+            out = out * base
+        return out
+
+    @staticmethod
+    def exponents(e):
+        """n in -4..12; a numerator whose body is the locus to a power
+        above 1 has no reciprocal here, so e > 1 only for n >= 0."""
+        return range(-4 if e == 1 else 0, 13)
+
+    def test_power_is_the_product(self):
+        for value, e, _ in self.units():
+            for n in self.exponents(e):
+                assert value ** n == self.product(value, n), (value, n)
+
+    def test_table_powers_match_pow(self):
+        a1 = self.ring.lookup("a1")
+        for value, e, _ in self.units():
+            table = PowerTable({a1: value})
+            for n in self.exponents(e):
+                power, expected = table.power(a1, n), value ** n
+                assert (power.num, power.loci) == (expected.num, expected.loci)
+
+    def test_loci_do_not_grow_with_the_exponent(self):
+        """Every locus exponent of v^n stays at most e times the number
+        of nonzero powers of N, for n >= 0, and for n < 0 at most that
+        number times the exponent of 1/v; the n-fold exponent is n*e."""
+        for value, e, nonzero in self.units():
+            for n in range(13):
+                assert max((value ** n).loci.values(), default=0) <= e * nonzero
+            if e == 1:
+                inverse = max(value.reciprocal().loci.values())
+                for n in range(-4, 0):
+                    top = max((value ** n).loci.values())
+                    assert top <= inverse * nonzero, (value, n)
+
+    def test_body_with_the_locus_keeps_the_product_exponent(self):
+        a1, a2, s1, s2 = (self.ring.lookup(n) for n in ("a1", "a2", "s1",
+                                                         "s2"))
+        value = LocalizedPoly(V(a1) + V(s1) * V(s2), V(a1) - V(a2))
+        (locus, one), = value.loci.items()
+        assert one == 1
+        table = PowerTable({a1: value})
+        for n in range(2, 7):
+            assert (value ** n).loci == {locus: n}
+            assert table.power(a1, n).loci == {locus: n}

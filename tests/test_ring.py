@@ -227,6 +227,15 @@ class TestDiff:
         with pytest.raises(ParityMismatch):
             SuperPoly.one().diff(odd("alpha"))
 
+    def test_integral_coefficients_are_ints(self):
+        x, theta = even("x", invertible=True), odd("theta")
+        p = (Fraction(1, 2) * SuperPoly.var(x, 2)
+             + Fraction(1, 3) * SuperPoly.var(x, -3) * P(theta)
+             + Fraction(1, 4) * SuperPoly.var(x, 3))
+        expected = (SuperPoly.var(x) - SuperPoly.var(x, -4) * P(theta)
+                    + Fraction(3, 4) * SuperPoly.var(x, 2))
+        assert _typed(p.diff(x)) == _typed(expected)
+
 
 class TestSymbolComparison:
     def test_polynomial_equals_its_symbol(self):
