@@ -65,6 +65,11 @@ class TransitionMap:
         for coord in self.target.coordinates:
             if coord not in self.rules:
                 raise ChartMismatch(f"missing rule for {coord.name}")
+        for coord in self.rules:
+            if coord not in self.target.coordinates:
+                raise ChartMismatch(
+                    f"rule for {coord.name}, not a coordinate of "
+                    f"{self.target.name}")
         rules = {
             coord: LocalizedPoly.promote(value).simplified()
             for coord, value in self.rules.items()
@@ -817,6 +822,8 @@ def atlas_from_text(text: str) -> Atlas:
             coord = coords.get(coord_name.strip())
             if not sep or coord is None:
                 raise ChartMismatch(f"bad rule in {header}: {item}")
+            if coord in rules:
+                raise ChartMismatch(f"duplicate rule in {header}: {item}")
             rules[coord] = parse_localized(expr.strip().rstrip(";"), ring)
         transitions[tuple(args)] = TransitionMap(target, source, rules)
     return Atlas(name, twist, tuple(charts.values()), transitions)

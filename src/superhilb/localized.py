@@ -9,12 +9,13 @@ first by name) with a unit monomial coefficient whose rational factor is
 1; a non-invertible variable is a locus of its own.  Distinct loci are
 coprime irreducibles and never zero divisors, so `*` adds exponents, `==`
 and `+` raise both sides to the larger exponent of each locus and compare
-or add numerators, inversion moves the monomial content into the
-numerator and clears the nilpotent soul with `ring.soul_series`, and
-`simplified` cancels by exact division in each pivot, bounded by the
-exponent.  A power of a value whose body sheds a locus is summed over
-its soul, sum_j binom(n, j) B^(n-j) N^j (`_soul_powers`), so its loci
-stay at those of the nonzero powers of N rather than n times its own.
+or add numerators, and `simplified` cancels by exact division in each
+pivot, bounded by the exponent.  Inversion and powers read one split
+B + N of a value (`_split`): B its body with its loci cancelled, N its
+nilpotent soul.  1/(B + N) is `ring.soul_series` over 1/B, and a power
+of a value whose body sheds a locus is sum_j binom(n, j) B^(n-j) N^j
+(`_soul_powers`), whose loci stay at those of the nonzero powers of N
+rather than n times its own.
 Substitution runs through `ring.PowerTable`; `PowerTable` here is its
 form with LocalizedPoly values, and substitutions through one table
 share the powers of the substituted values.
@@ -75,23 +76,6 @@ def _factor_body(body: SuperPoly):
     return SuperPoly.from_products([(scale, unit.items())]), loci
 
 
-def _inverse(p: SuperPoly) -> "LocalizedPoly":
-    """1/p for an even p whose body is a unit times loci.
-
-    With p = B + N, B the body and N the nilpotent soul, the inverse is
-    the finite series sum (-N)^j B^-(j+1): N^j vanishes once j exceeds
-    half the number of odd variables.
-    """
-    if p.parity_class() is not ParityClass.EVEN:
-        raise NotAUnit("cannot invert an odd element")
-    body = p.bosonic()
-    if body.is_zero():
-        raise NotAUnit("cannot invert a nilpotent element")
-    unit, loci = _factor_body(body)
-    body_inv = LocalizedPoly._of(invert(unit), loci)
-    return soul_series(body_inv, LocalizedPoly(-p.soul()))
-
-
 def _divide_out(num: SuperPoly, locus: Locus, e: int):
     """(num / L^t, t) with t <= e the multiplicity of the locus L in num.
 
@@ -117,17 +101,25 @@ def _divide_out(num: SuperPoly, locus: Locus, e: int):
     return quotient * lead_inv ** times, times
 
 
+def _split(rep):
+    """(B, N) with rep = B + N: B the body of rep with its loci cancelled,
+    N its nilpotent soul over the loci of rep."""
+    body = rep.bosonic()
+    if body.loci:
+        body = body.simplified()
+    return body, rep.with_num(rep.num.soul())
+
+
 def _soul_powers(rep):
-    """n -> rep^n (n >= 0) as sum_j binom(n, j) B^(n-j) N^j, B the body of
-    rep with its loci cancelled and N = rep - B its soul, which commute.
-    The sum ends at the first zero power of N (j past half the number of
-    odd variables), so its loci stay at those of the nonzero powers of N,
-    not n times those of rep; the powers of B are kept.  None when the
-    cancelling lowers no locus exponent: the n-fold product is as good."""
-    body = rep.bosonic().simplified()
+    """n -> rep^n (n >= 0) as sum_j binom(n, j) B^(n-j) N^j over the
+    `_split` of rep, ending at the first zero power of N, so its loci
+    stay at those of the nonzero powers of N, not n times those of rep.
+    None when B keeps every locus exponent: the n-fold product is as
+    good."""
+    body, soul = _split(rep)
     if body.loci == rep.loci:
         return None
-    bodies, souls = {0: LocalizedPoly(1), 1: body}, [rep - body]
+    bodies, souls = {0: LocalizedPoly(1), 1: body}, [soul]
     while not (nxt := souls[-1] * souls[0]).is_zero():
         souls.append(nxt)
     return lambda n: LocalizedPoly.sum(
@@ -161,10 +153,10 @@ class LocalizedPoly:
     __slots__ = ("num", "loci")
 
     def __init__(self, num, den=None):
-        """num/den, with den even, its body a unit times a locus."""
+        """num times the `reciprocal` of den."""
         self.num, self.loci = SuperPoly.promote(num), {}
         if den is not None:
-            inv = _inverse(SuperPoly.promote(den))
+            inv = LocalizedPoly(den).reciprocal()
             self.num, self.loci = self.num * inv.num, inv.loci
 
     @classmethod
@@ -267,14 +259,20 @@ class LocalizedPoly:
         return LocalizedPoly.promote(other) * self
 
     def reciprocal(self) -> "LocalizedPoly":
-        """prod L^e / num; a locus shared with 1/num cancels on the spot."""
-        inv = _inverse(self.num)
-        num, loci = inv.num, dict(inv.loci)
-        for locus, e in self.loci.items():
-            common = min(e, loci.get(locus, 0))
-            loci[locus] = loci.get(locus, 0) - common
-            num = num * locus.poly ** (e - common)
-        return LocalizedPoly._of(num, loci)
+        """1/(B + N) = sum (-N)^j B^-(j+1) over the `_split` of this
+        value.  1/B is the powers of B's loci over B's numerator, which
+        must factor as a unit times at most one locus besides its
+        non-invertible variables (NotAUnit otherwise)."""
+        if self.parity_class() is not ParityClass.EVEN:
+            raise NotAUnit("cannot invert an odd element")
+        body, soul = _split(self)
+        if body.is_zero():
+            raise NotAUnit("cannot invert a nilpotent element")
+        unit, loci = _factor_body(body.num)
+        num = invert(unit)
+        for locus, e in body.loci.items():
+            num = num * locus.poly ** e
+        return soul_series(LocalizedPoly._of(num, loci), -soul)
 
     def __truediv__(self, other):
         return self * LocalizedPoly.promote(other).reciprocal()

@@ -63,9 +63,11 @@ class RingDecl:
         return iter(self.variables)
 
     def merged(self, other: "RingDecl") -> "RingDecl":
+        """These variables and then the new ones of other; a name other
+        binds to a different symbol raises DuplicateVariable."""
         out = RingDecl(self.variables)
         for v in other.variables:
-            if v.name not in out._by_name:
+            if out._by_name.get(v.name) is not v:
                 out.add(v)
         return out
 
@@ -278,9 +280,10 @@ def parse_poly(text: str, ring: RingDecl) -> SuperPoly:
 
 
 def parse_localized(text: str, ring: RingDecl) -> LocalizedPoly:
-    """Like parse_poly but evaluates in the localized ring: the base of a
-    negative power of a parenthesized sum is read as a unit times a
-    locus (NotAUnit when it is not one)."""
+    """Like parse_poly but evaluates in the localized ring: a negative
+    power is a power of `LocalizedPoly.reciprocal` of its base, whose
+    body with its loci cancelled must be a unit times a locus (NotAUnit
+    when it is not one)."""
     return _eval(_parse_to_ast(text), ring, LocalizedPoly)
 
 

@@ -95,6 +95,21 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["in_ideal"] is True
 
+    @pytest.mark.parametrize("decl, expr, code", [
+        ("odd x;", "x^3", 2), ("even a0 inv;", "a0^-1", 2),
+        ("even x;", "x^3", 0),
+    ], ids=["odd-x", "invertible-a0", "same-x"])
+    def test_ring_file_redeclaration(self, capsys, tmp_path, decl, expr,
+                                     code):
+        """A ring file may repeat a declaration but not rebind a name."""
+        ring = tmp_path / "f.ring"
+        ring.write_text(decl + "\n", encoding="utf-8")
+        got, out, err = run(capsys, "reduce", "--p", "2", "--q", "1",
+                            "--ring", str(ring), expr)
+        assert got == code, err
+        assert ("declared twice" in err) == (code == 2), err
+        assert bool(out) == (code == 0)
+
     def test_other_package_error_exit_3(self, capsys, monkeypatch):
         def failing(p, q):
             raise CertificateError("tampered")

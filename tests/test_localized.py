@@ -31,7 +31,8 @@ class TestLargeTwists:
 
 
 class TestLocusForm:
-    ring = parse_ring("even a1 inv; even a2 inv; odd alpha1; odd alpha2;")
+    ring = parse_ring("even a1 inv; even a2 inv; even b1 inv; even b2 inv; "
+                      "odd alpha1; odd alpha2; odd s1; odd s2;")
 
     def parse(self, text):
         return parse_localized(text, self.ring)
@@ -47,6 +48,21 @@ class TestLocusForm:
         thrice = self.parse("(a1 - a2)^-3")
         assert thrice == once * once * once
         assert pretty_localized(thrice) == "(1) * (- a2 + a1)^-3"
+
+    @pytest.mark.parametrize("text", [
+        "1 + s1*s2*(a1 - a2)^-2",
+        "(a1 - a2)*(b1*b2 - 1)*(a1 - a2)^-1",
+        "(a1 - a2)^2*(a1 - a2)^-1 + s1*s2*(a1 - a2)^-1",
+        "(b1*b2 - 1)*(a1 - a2)*(a1 - a2)^-3 + s1*s2",
+    ])
+    def test_unit_whose_body_cancels_against_its_loci(self, text):
+        """The numerator's body alone is no unit times a locus; with the
+        value's own loci cancelled it is."""
+        value = self.parse(text)
+        inverse = value.reciprocal()
+        assert value * inverse == 1
+        assert value ** -1 == inverse
+        assert self.parse(f"({text})^-1") == inverse
 
     def test_denominator_without_pivot_is_refused(self):
         with pytest.raises(NotAUnit):
@@ -118,9 +134,8 @@ class TestSoulPowers:
 
     @staticmethod
     def exponents(e):
-        """n in -4..12; a numerator whose body is the locus to a power
-        above 1 has no reciprocal here, so e > 1 only for n >= 0."""
-        return range(-4 if e == 1 else 0, 13)
+        """n in -4..12 for both locus exponents e."""
+        return range(-4, 13)
 
     def test_power_is_the_product(self):
         for value, e, _ in self.units():
@@ -142,11 +157,10 @@ class TestSoulPowers:
         for value, e, nonzero in self.units():
             for n in range(13):
                 assert max((value ** n).loci.values(), default=0) <= e * nonzero
-            if e == 1:
-                inverse = max(value.reciprocal().loci.values())
-                for n in range(-4, 0):
-                    top = max((value ** n).loci.values())
-                    assert top <= inverse * nonzero, (value, n)
+            inverse = max(value.reciprocal().loci.values())
+            for n in range(-4, 0):
+                top = max((value ** n).loci.values())
+                assert top <= inverse * nonzero, (value, n)
 
     def test_body_with_the_locus_keeps_the_product_exponent(self):
         a1, a2, s1, s2 = (self.ring.lookup(n) for n in ("a1", "a2", "s1",

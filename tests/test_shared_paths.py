@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from superhilb.localized import substitute_localized
+from superhilb.localized import LocalizedPoly, substitute_localized
 from superhilb.parser import RingDecl, parse_localized, parse_poly, pretty
 from superhilb.ring import Parity, SuperMonomial, SuperPoly, invert
 
@@ -107,5 +107,6 @@ class TestPowers:
             unit = random_unit(rng, ring)
             inverse = invert(unit)
             assert unit * inverse == 1
+            assert LocalizedPoly(unit).reciprocal().as_poly() == inverse
             assert unit ** -n == inverse ** n
             assert unit ** -n * unit ** n == 1
