@@ -3,8 +3,10 @@ splitness checks with deterministic text or JSON output.
 
 Exit codes: 0 for a completed computation (a non-split verdict is a
 successful computation), 2 for input or parse errors (an exponent beyond
-the kernel's range of +-32767 among them) and unreadable files, 3 for
-mathematical precondition failures and every other package error.
+the kernel's range of +-32767 among them, and a `reduce --set` name that
+is not among the ideal's parameters a, b, alpha, beta) and unreadable
+files, 3 for mathematical precondition failures and every other package
+error.
 """
 
 from __future__ import annotations
@@ -66,20 +68,9 @@ def cmd_reduce(args) -> int:
         name, _, expr = item.partition("=")
         symbol = ring.lookup(name.strip())
         values[symbol] = parse_poly(expr.strip(), ring)
+    ideal = ideal.with_values(values)
 
-    if values:
-        f, g = ideal.with_values(values)
-        ideal = CanonicalIdeal(
-            args.p, args.q, ideal.x, ideal.theta,
-            tuple(s for s in ideal.a if s not in values),
-            tuple(s for s in ideal.b if s not in values),
-            tuple(s for s in ideal.alpha if s not in values),
-            tuple(s for s in ideal.beta if s not in values),
-            f, g,
-        )
-
-    poly = parse_poly(args.poly, ring)
-    vec = reduce_to_basis(poly, ideal)
+    vec = reduce_to_basis(parse_poly(args.poly, ring), ideal)
     payload = {
         "p": args.p,
         "q": args.q,

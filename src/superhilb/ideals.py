@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CertificateError, NonMonicDivisor, RankOrderViolation
+from .errors import (CertificateError, NonMonicDivisor, RankOrderViolation,
+                     UnknownVariable)
 from .ring import SuperPoly, VarSymbol, even, odd
 
 
@@ -193,27 +194,27 @@ class RawIdeal:
     g: SuperPoly
 
     @staticmethod
-    def generic(p: int, q: int, tag: str = "") -> "RawIdeal":
+    def generic(p: int, q: int) -> "RawIdeal":
         _check_rank(p, q)
         x = even("x")
         theta = odd("theta")
-        a = tuple(even(f"at{i}{tag}") for i in range(p))
-        b = tuple(even(f"bt{i}{tag}") for i in range(q))
-        alpha = tuple(odd(f"alphat{i}{tag}") for i in range(q))
-        beta = tuple(odd(f"betat{i}{tag}") for i in range(p))
-        f = (
-            SuperPoly.var(x, p)
-            + _poly_from_coeffs([SuperPoly.var(s) for s in a], x)
-            + _poly_from_coeffs([SuperPoly.var(s) for s in alpha], x)
-            * SuperPoly.var(theta)
-        )
-        g = (
-            SuperPoly.var(x, q) * SuperPoly.var(theta)
-            + _poly_from_coeffs([SuperPoly.var(s) for s in b], x)
-            * SuperPoly.var(theta)
-            + _poly_from_coeffs([SuperPoly.var(s) for s in beta], x)
-        )
+        a = tuple(even(f"at{i}") for i in range(p))
+        b = tuple(even(f"bt{i}") for i in range(q))
+        alpha = tuple(odd(f"alphat{i}") for i in range(q))
+        beta = tuple(odd(f"betat{i}") for i in range(p))
+        f = (SuperPoly.var(x, p) + _poly_from_coeffs(a, x)
+             + _poly_from_coeffs(alpha, x) * SuperPoly.var(theta))
+        g = ((SuperPoly.var(x, q) + _poly_from_coeffs(b, x))
+             * SuperPoly.var(theta) + _poly_from_coeffs(beta, x))
         return RawIdeal(p, q, x, theta, a, b, alpha, beta, f, g)
+
+
+def _parameters(p: int, q: int):
+    """The canonical parameter symbols (a, b, alpha, beta) of rank (p|q)."""
+    return (tuple(even(f"a{i}") for i in range(p - q)),
+            tuple(even(f"b{i}") for i in range(q)),
+            tuple(odd(f"alpha{i}") for i in range(p - q)),
+            tuple(odd(f"beta{i}") for i in range(q)))
 
 
 def canonical_pair(p, q, x, theta, a_vals, b_vals, alpha_vals, beta_vals):
@@ -242,31 +243,27 @@ class CanonicalIdeal:
     g: SuperPoly
 
     @staticmethod
-    def generic(p: int, q: int, tag: str = "") -> "CanonicalIdeal":
+    def generic(p: int, q: int) -> "CanonicalIdeal":
         _check_rank(p, q)
         if p < 1:
             raise RankOrderViolation("canonical ideals need p >= 1")
-        x = even("x")
-        theta = odd("theta")
-        a = tuple(even(f"a{i}{tag}") for i in range(p - q))
-        b = tuple(even(f"b{i}{tag}") for i in range(q))
-        alpha = tuple(odd(f"alpha{i}{tag}") for i in range(p - q))
-        beta = tuple(odd(f"beta{i}{tag}") for i in range(q))
-        f, g = canonical_pair(
-            p,
-            q,
-            x,
-            theta,
-            [SuperPoly.var(s) for s in a],
-            [SuperPoly.var(s) for s in b],
-            [SuperPoly.var(s) for s in alpha],
-            [SuperPoly.var(s) for s in beta],
-        )
-        return CanonicalIdeal(p, q, x, theta, a, b, alpha, beta, f, g)
+        x, theta, params = even("x"), odd("theta"), _parameters(p, q)
+        f, g = canonical_pair(p, q, x, theta, *params)
+        return CanonicalIdeal(p, q, x, theta, *params, f, g)
 
-    def with_values(self, values) -> tuple[SuperPoly, SuperPoly]:
-        """(f, g) with the parameter symbols replaced by given polynomials."""
-        return (self.f.substitute(values), self.g.substitute(values))
+    def with_values(self, values) -> "CanonicalIdeal":
+        """This ideal with the parameters in `values` replaced by the given
+        polynomials and dropped from a, b, alpha and beta, the others kept
+        in order.  A key that is not a parameter raises UnknownVariable."""
+        params = (self.a, self.b, self.alpha, self.beta)
+        for s in values:
+            if not any(s in group for group in params):
+                raise UnknownVariable(f"'{s.name}' is not a parameter of the "
+                                      f"({self.p}|{self.q}) ideal")
+        kept = (tuple(s for s in group if s not in values) for group in params)
+        return CanonicalIdeal(self.p, self.q, self.x, self.theta, *kept,
+                              self.f.substitute(values),
+                              self.g.substitute(values))
 
     def serialize(self) -> str:
         from .parser import pretty
@@ -397,68 +394,34 @@ class CoordinateChange:
     gamma_poly: SuperPoly
 
 
-def raw_to_canonical(p: int, q: int, tag: str = "") -> CoordinateChange:
+def raw_to_canonical(p: int, q: int) -> CoordinateChange:
     """Coordinate change taking the raw generators to canonical shape
-    plus residuals; both directions are verified as exact identities."""
+    plus residuals; both directions are verified as exact identities.
+    Each raw coefficient maps to its coefficient in f_can + c or
+    g_can + gamma, read off at the same power of x and theta."""
     _check_rank(p, q)
-    raw = RawIdeal.generic(p, q, tag)
+    raw = RawIdeal.generic(p, q)
     x, theta = raw.x, raw.theta
+    a, b, alpha, beta = _parameters(p, q)
+    c = tuple(even(f"c{i}") for i in range(q))
+    gamma = tuple(odd(f"gamma{i}") for i in range(q))
 
-    a = tuple(even(f"a{i}{tag}") for i in range(p - q))
-    b = tuple(even(f"b{i}{tag}") for i in range(q))
-    alpha = tuple(odd(f"alpha{i}{tag}") for i in range(p - q))
-    beta = tuple(odd(f"beta{i}{tag}") for i in range(q))
-    c = tuple(even(f"c{i}{tag}") for i in range(q))
-    gamma = tuple(odd(f"gamma{i}{tag}") for i in range(q))
+    values = _canonical_from_raw_coeffs(p, q, x, theta, raw.a, raw.b,
+                                        raw.alpha, raw.beta)
+    backward = {s: val for symbols, vals in zip((a, b, alpha, beta, c, gamma),
+                                                 values)
+                for s, val in zip(symbols, vals)}
 
-    backward_vals = _canonical_from_raw_coeffs(
-        p,
-        q,
-        x,
-        theta,
-        [SuperPoly.var(s) for s in raw.a],
-        [SuperPoly.var(s) for s in raw.b],
-        [SuperPoly.var(s) for s in raw.alpha],
-        [SuperPoly.var(s) for s in raw.beta],
-    )
-    backward = {}
-    for symbols, values in zip((a, b, alpha, beta, c, gamma), backward_vals):
-        for s, val in zip(symbols, values):
-            backward[s] = val
-
-    a_p = _poly_from_coeffs([SuperPoly.var(s) for s in a], x)
-    b_p = _poly_from_coeffs([SuperPoly.var(s) for s in b], x)
-    alpha_p = _poly_from_coeffs([SuperPoly.var(s) for s in alpha], x)
-    beta_p = _poly_from_coeffs([SuperPoly.var(s) for s in beta], x)
-    c_p = _poly_from_coeffs([SuperPoly.var(s) for s in c], x)
-    gamma_p = _poly_from_coeffs([SuperPoly.var(s) for s in gamma], x)
-    bq = SuperPoly.var(x, q) + b_p
-
-    even_image = (
-        bq * (SuperPoly.var(x, p - q) + a_p) + c_p + beta_p * alpha_p
-        - SuperPoly.var(x, p)
-    )
-    beta_image = bq * alpha_p + gamma_p
-    forward = {}
-    for s, val in zip(raw.a, coeff_list(even_image, x, p)):
-        forward[s] = val
-    for s, val in zip(raw.b, [SuperPoly.var(t) for t in b]):
-        forward[s] = val
-    for s, val in zip(raw.alpha, [SuperPoly.var(t) for t in beta]):
-        forward[s] = val
-    for s, val in zip(raw.beta, coeff_list(beta_image, x, max(p, 1))[:p]):
-        forward[s] = val
-
-    f_can, g_can = canonical_pair(
-        p,
-        q,
-        x,
-        theta,
-        [SuperPoly.var(s) for s in a],
-        [SuperPoly.var(s) for s in b],
-        [SuperPoly.var(s) for s in alpha],
-        [SuperPoly.var(s) for s in beta],
-    )
+    f_can, g_can = canonical_pair(p, q, x, theta, a, b, alpha, beta)
+    c_p = _poly_from_coeffs(c, x)
+    gamma_p = _poly_from_coeffs(gamma, x)
+    f_map = (f_can + c_p).coefficients((x, theta))
+    g_map = (g_can + gamma_p).coefficients((x, theta))
+    zero = SuperPoly.zero()
+    slots = ((raw.a, f_map, 0), (raw.b, g_map, 1), (raw.alpha, f_map, 1),
+             (raw.beta, g_map, 0))
+    forward = {s: image.get((i, eps), zero)
+               for symbols, image, eps in slots for i, s in enumerate(symbols)}
 
     change = CoordinateChange(
         p, q, raw, x, theta, a, b, alpha, beta, c, gamma,
@@ -487,7 +450,7 @@ def _verify_change(ch: CoordinateChange):
 # Kernel witnesses and stratification
 
 
-def kernel_witnesses(p: int, q: int, tag: str = ""):
+def kernel_witnesses(p: int, q: int):
     """The two relations among the basis generators that hold modulo the
     raw ideal: f(theta + A) - g(x^{p-q} + a) and g(theta + A).
 
@@ -497,14 +460,14 @@ def kernel_witnesses(p: int, q: int, tag: str = ""):
     _check_rank(p, q)
     if q < 1:
         raise RankOrderViolation("kernel witnesses need q >= 1")
-    return _kernel_witnesses(raw_to_canonical(p, q, tag))
+    return _kernel_witnesses(raw_to_canonical(p, q))
 
 
 def _kernel_witnesses(ch: CoordinateChange):
     """kernel_witnesses for the coordinate change ch, with q >= 1."""
     p, q, x, theta = ch.p, ch.q, ch.x, ch.theta
-    a_p = _poly_from_coeffs([SuperPoly.var(s) for s in ch.a], x)
-    alpha_p = _poly_from_coeffs([SuperPoly.var(s) for s in ch.alpha], x)
+    a_p = _poly_from_coeffs(ch.a, x)
+    alpha_p = _poly_from_coeffs(ch.alpha, x)
     f_full = ch.f_canonical + ch.c_poly
     g_full = ch.g_canonical + ch.gamma_poly
     theta_a = SuperPoly.var(theta) + alpha_p
@@ -529,7 +492,7 @@ def _kernel_witnesses(ch: CoordinateChange):
     return vecs
 
 
-def stratification_generators(p: int, q: int, tag: str = ""):
+def stratification_generators(p: int, q: int):
     """The residual coefficients (c_0..c_{q-1}, gamma_0..gamma_{q-1}),
     verified: the kernel witnesses vanish modulo them, and the canonical
     generators keep unit leading coefficients at x^p and x^q theta with
@@ -537,7 +500,7 @@ def stratification_generators(p: int, q: int, tag: str = ""):
     _check_rank(p, q)
     if p == 0:
         return []
-    ch = raw_to_canonical(p, q, tag)
+    ch = raw_to_canonical(p, q)
     residual = (*ch.c, *ch.gamma)
     gens = [SuperPoly.var(s) for s in residual]
     if q >= 1:

@@ -62,18 +62,36 @@ def _as_locus(poly: SuperPoly):
 
 def _factor_body(body: SuperPoly):
     """(unit, loci) with body == unit * prod(L^e): a nonzero rational
-    times an invertible Laurent monomial, and at most one locus besides
-    the non-invertible variables of the monomial content."""
+    times an invertible Laurent monomial, and distinct loci of exponent 1
+    besides the non-invertible variables of the monomial content.
+
+    A content-free rest that is no unit times a locus is split in the
+    first variable (by name) it is linear in: a locus of that variable's
+    coefficient that divides the rest is divided out once, and the
+    quotient is factored in turn.  NotAUnit for a repeated or non-linear
+    factor."""
     content, rest = body.content()
-    unit = {v: e for v, e in content.items() if v.invertible}
+    unit = [(v, e) for v, e in content.items() if v.invertible]
     loci = {Locus(SuperPoly.var(v), v): e
             for v, e in content.items() if not v.invertible}
     if len(rest.terms) == 1:
-        scale = rest.as_constant()
-    else:
+        return SuperPoly.from_products([(rest.as_constant(), unit)]), loci
+    try:
         scale, locus = _as_locus(rest)
-        loci[locus] = 1
-    return SuperPoly.from_products([(scale, unit.items())]), loci
+        return SuperPoly.from_products([(scale, unit)]), {**loci, locus: 1}
+    except NotAUnit:
+        linear = [v for v in sorted(rest.variables(), key=lambda v: v.name)
+                  if rest.degree_in(v) == 1]
+        if not linear:
+            raise
+    for locus in _factor_body(rest.coefficients((linear[0],))[(1,)])[1]:
+        quotient, times = _divide_out(rest, locus, 1)
+        if times:
+            inner_unit, inner = _factor_body(quotient)
+            if locus not in inner:
+                return (SuperPoly.from_products([(1, unit)]) * inner_unit,
+                        {**loci, **inner, locus: 1})
+    raise NotAUnit(f"{rest!r} is not a unit times distinct loci")
 
 
 def _divide_out(num: SuperPoly, locus: Locus, e: int):
@@ -261,7 +279,8 @@ class LocalizedPoly:
     def reciprocal(self) -> "LocalizedPoly":
         """1/(B + N) = sum (-N)^j B^-(j+1) over the `_split` of this
         value.  1/B is the powers of B's loci over B's numerator, which
-        must factor as a unit times at most one locus besides its
+        must factor as a unit times distinct loci that `_factor_body`
+        separates, such as (a1 - a2)*(b1*b2 - 1), besides its
         non-invertible variables (NotAUnit otherwise)."""
         if self.parity_class() is not ParityClass.EVEN:
             raise NotAUnit("cannot invert an odd element")

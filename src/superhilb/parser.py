@@ -282,8 +282,8 @@ def parse_poly(text: str, ring: RingDecl) -> SuperPoly:
 def parse_localized(text: str, ring: RingDecl) -> LocalizedPoly:
     """Like parse_poly but evaluates in the localized ring: a negative
     power is a power of `LocalizedPoly.reciprocal` of its base, whose
-    body with its loci cancelled must be a unit times a locus (NotAUnit
-    when it is not one)."""
+    body with its loci cancelled must be a unit times distinct loci, as
+    `LocalizedPoly.reciprocal` says (NotAUnit otherwise)."""
     return _eval(_parse_to_ast(text), ring, LocalizedPoly)
 
 

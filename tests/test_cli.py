@@ -75,6 +75,24 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["in_ideal"] is True
 
+    @pytest.mark.parametrize("p, q, ring, assignment, poly", [
+        ("2", "1", None, "x=1", "x^3"),
+        ("2", "1", None, "theta=0", "x^3"),
+        ("1", "0", "even c;", "c=2", "x + c"),
+    ], ids=["x", "theta", "ring-file-c"])
+    def test_set_names_a_parameter(self, capsys, tmp_path, p, q, ring,
+                                   assignment, poly):
+        extra = []
+        if ring:
+            (tmp_path / "f.ring").write_text(ring + "\n", encoding="utf-8")
+            extra = ["--ring", str(tmp_path / "f.ring")]
+        code, out, err = run(capsys, "reduce", "--p", p, "--q", q, *extra,
+                             "--set", assignment, poly)
+        name = assignment.partition("=")[0]
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: '{name}' is not a parameter of the "
+                       f"({p}|{q}) ideal\n")
 
     def test_missing_ring_file_exit_2(self, capsys, tmp_path):
         code, out, err = run(

@@ -1,9 +1,11 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from conftest import run_optimized
-from superhilb.errors import NonMonicDivisor, RankOrderViolation
+from superhilb.errors import (NonMonicDivisor, RankOrderViolation,
+                              UnknownVariable)
 from superhilb.ideals import (
     CanonicalIdeal,
     RawIdeal,
@@ -17,6 +19,7 @@ from superhilb.ideals import (
     super_divmod,
     verify_reduction,
 )
+from superhilb.parser import pretty
 from superhilb.ring import SuperPoly, even, odd
 
 V = SuperPoly.var
@@ -118,6 +121,19 @@ class TestRawToCanonical:
         with pytest.raises(RankOrderViolation):
             raw_to_canonical(1, 2)
 
+    def test_golden_maps(self):
+        """name=pretty(value) over forward and then backward, in dict
+        order, for every rank (p|q) with p <= 6."""
+        digest = hashlib.sha256()
+        for p in range(7):
+            for q in range(p + 1):
+                ch = raw_to_canonical(p, q)
+                for table in (ch.forward, ch.backward):
+                    for s, value in table.items():
+                        digest.update(f"{s.name}={pretty(value)}\n".encode())
+        assert digest.hexdigest() == (
+            "8903d86e1875669118a797dc05c552b8279f108cac2dc10345771299414bd08e")
+
 
 class TestReduceToBasis:
     def test_high_power_needs_no_step_cap(self):
@@ -147,13 +163,29 @@ class TestReduceToBasis:
             s: SuperPoly.zero()
             for s in (*ideal.a, *ideal.b, *ideal.alpha, *ideal.beta)
         }
-        f0, g0 = ideal.with_values(zeros)
-        base = CanonicalIdeal(
-            2, 1, ideal.x, ideal.theta, (), (), (), (), f0, g0
-        )
+        base = ideal.with_values(zeros)
         assert reduce_to_basis(V(ideal.x, 3), base).is_zero()
         vec = reduce_to_basis(V(ideal.theta), base)
         assert vec.odds[0] == 1 and vec.evens == (SuperPoly.zero(),) * 2
+
+    def test_with_values_drops_the_assigned_parameters(self):
+        ideal = CanonicalIdeal.generic(4, 2)
+        assert ideal.with_values({}) == ideal
+        a0, b1, beta0 = ideal.a[0], ideal.b[1], ideal.beta[0]
+        values = {b1: V(a0), beta0: SuperPoly.zero(), a0: SuperPoly.const(2)}
+        fixed = ideal.with_values(values)
+        assert (fixed.a, fixed.b, fixed.alpha, fixed.beta) == (
+            ideal.a[1:], ideal.b[:1], ideal.alpha, ideal.beta[1:])
+        assert fixed.f == ideal.f.substitute(values)
+        assert fixed.g == ideal.g.substitute(values)
+
+    @pytest.mark.parametrize("name", ["x", "theta", "c"])
+    def test_with_values_refuses_a_non_parameter(self, name):
+        ideal = CanonicalIdeal.generic(2, 1)
+        symbol = {"x": ideal.x, "theta": ideal.theta, "c": even("c")}[name]
+        with pytest.raises(UnknownVariable, match="not a parameter of the "
+                           r"\(2\|1\) ideal"):
+            ideal.with_values({symbol: SuperPoly.one()})
 
     def test_symbolic_reduction_with_certificate(self):
         ideal = CanonicalIdeal.generic(2, 1)

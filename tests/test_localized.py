@@ -64,6 +64,28 @@ class TestLocusForm:
         assert value ** -1 == inverse
         assert self.parse(f"({text})^-1") == inverse
 
+    @pytest.mark.parametrize("text", [
+        "(a1 - a2)*(b1*b2 - 1)",
+        "3*a1*(a1 - a2)*(b1*b2 - 1)",
+        "(a1 - a2)*(b1*b2 - 1) + s1*s2",
+    ])
+    def test_product_of_distinct_loci_inverts(self, text):
+        base = self.parse(text)
+        inverse = self.parse(f"({text})^-1")
+        assert inverse * base == 1
+        assert LocalizedPoly(1, base.num) == inverse
+        if text == "(a1 - a2)*(b1*b2 - 1)":
+            assert pretty_localized(inverse) == pretty_localized(
+                self.parse("(a1 - a2)^-1*(b1*b2 - 1)^-1"))
+
+    @pytest.mark.parametrize("text", [
+        "(a1 - a2)^2*(b1*b2 - 1)",
+        "(a1 - a2)*(a1 + a2)",
+    ], ids=["repeated", "non-linear"])
+    def test_repeated_or_non_linear_factor_is_refused(self, text):
+        with pytest.raises(NotAUnit):
+            self.parse(f"({text})^-1")
+
     def test_denominator_without_pivot_is_refused(self):
         with pytest.raises(NotAUnit):
             self.parse("(a1^2 + a2^2)^-1")
