@@ -3,10 +3,10 @@ splitness checks with deterministic text or JSON output.
 
 Exit codes: 0 for a completed computation (a non-split verdict is a
 successful computation), 2 for input or parse errors (an exponent beyond
-the kernel's range of +-32767 among them, and a `reduce --set` name that
-is not among the ideal's parameters a, b, alpha, beta) and unreadable
-files, 3 for mathematical precondition failures and every other package
-error.
+the kernel's range of +-32767 among them, a `reduce --set` name that is
+not among the ideal's parameters a, b, alpha, beta, and a `--set` value
+of the wrong parity) and unreadable files, 3 for mathematical
+precondition failures and every other package error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .ideals import CanonicalIdeal, reduce_to_basis, stratification_generators
 from .localized import LocalizedPoly
 from .obstruction import is_coboundary, split_check_11
 from .parser import RingDecl, parse_poly, parse_ring, pretty, pretty_localized
-from .ring import SuperPoly
+from .ring import ParityClass, SuperPoly
 
 PARSE_ERRORS = (
     ExponentOverflow,
@@ -67,7 +67,13 @@ def cmd_reduce(args) -> int:
     for item in args.set or []:
         name, _, expr = item.partition("=")
         symbol = ring.lookup(name.strip())
-        values[symbol] = parse_poly(expr.strip(), ring)
+        value = values[symbol] = parse_poly(expr.strip(), ring)
+        want = ParityClass[symbol.parity.name]
+        if value and value.parity_class() is not want:
+            print(f"error: --set {symbol.name}: the value has parity "
+                  f"{value.parity_class().value}, expected {want.value}",
+                  file=sys.stderr)
+            return 2
     ideal = ideal.with_values(values)
 
     vec = reduce_to_basis(parse_poly(args.poly, ring), ideal)
@@ -84,12 +90,12 @@ def cmd_reduce(args) -> int:
         f"basis coordinates over 1, x, ..., x^{args.p - 1}"
         + (f", theta, ..., x^{args.q - 1}*theta" if args.q else ""),
     ]
-    for i, e in enumerate(vec.evens):
-        lines.append(f"  [x^{i}]        {pretty(e)}")
-    for j, o in enumerate(vec.odds):
-        lines.append(f"  [x^{j}*theta]  {pretty(o)}")
-    lines.append(f"cofactor of f: {pretty(vec.cofactor_f)}")
-    lines.append(f"cofactor of g: {pretty(vec.cofactor_g)}")
+    for i, text in enumerate(payload["evens"]):
+        lines.append(f"  [x^{i}]        {text}")
+    for j, text in enumerate(payload["odds"]):
+        lines.append(f"  [x^{j}*theta]  {text}")
+    lines.append(f"cofactor of f: {payload['cofactor_f']}")
+    lines.append(f"cofactor of g: {payload['cofactor_g']}")
     lines.append(f"member of the ideal: {'yes' if vec.is_zero() else 'no'}")
     _emit(payload, args.format, lines)
     return 0
@@ -100,19 +106,19 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    gens = stratification_generators(args.p, args.q)
+    texts = [pretty(g) for g in stratification_generators(args.p, args.q)]
     payload = {
         "p": args.p,
         "q": args.q,
-        "generators": [pretty(g) for g in gens],
+        "generators": texts,
         "dimension": [args.p, args.p],
     }
     lines = [
         f"stratification generators for rank ({args.p}|{args.q}): "
-        f"{len(gens)}",
+        f"{len(texts)}",
     ]
-    for g in gens:
-        lines.append(f"  {pretty(g)}")
+    for text in texts:
+        lines.append(f"  {text}")
     lines.append(f"residual parameter dimension: ({args.p}|{args.p})")
     _emit(payload, args.format, lines)
     return 0

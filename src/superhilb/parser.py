@@ -10,16 +10,21 @@ Grammar (whitespace insensitive):
 
 Rational literals are integers or "p/q".  Implicit multiplication is not
 supported.  Parsing then printing then parsing is the identity on normal
-forms.  One regex scan splits a text into tokens; an error finds its
-token's offset, line and column again only when raised.  A term is one
-flat product: the monomial terms of a sum go to one
-`SuperPoly.from_products` call and only other factors are multiplied.
+forms.  One regex scan splits a text into tokens, and a whole run of
+factors joined by '*' (rationals, identifiers and their powers, spaced or
+not) is one token, split by str methods; each distinct factor text is
+read once per parse.  An error finds its offset, line and column only
+when raised.  A term is one flat product: the monomial terms of a sum go
+to one `SuperPoly.from_products` call and only other factors are
+multiplied.  The printer lays each polynomial out once by
+`SuperPoly.named_rows` and writes each (variable, exponent) text once.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 
 from .errors import (
     DuplicateVariable,
@@ -29,7 +34,7 @@ from .errors import (
     UnknownVariable,
 )
 from .localized import LocalizedPoly
-from .ring import Parity, SuperPoly, VarSymbol, _product_text
+from .ring import Parity, SuperPoly, VarSymbol
 
 _MAX_DEPTH = 400
 
@@ -75,14 +80,23 @@ class RingDecl:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# A token is an ASCII integer, an identifier or one punctuation character;
-# every other character outside whitespace is an error.
-_TOKEN = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S")
+# An expression token is a run, a power suffix '^n' or '^-n', or one
+# punctuation character; a ring's is a word.  A run is a maximal sequence
+# of factors joined by '*', each a rational 'n' or 'n/m' or an identifier
+# with an optional power; whitespace may sit around '*', '^', '-' and '/'.
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_POWER = r"\^\s*-?\s*[0-9]+"
+_FACTOR = rf"(?:[0-9]+(?:\s*/\s*[0-9]+)?|{_NAME})(?:\s*{_POWER})?"
+_TOKEN = re.compile(rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*|{_POWER}|\S")
+_WORD = re.compile(rf"[0-9]+|{_NAME}|\S")
 _BAD = re.compile(r"[^\s0-9A-Za-z_+\-*^()/;]")
+_ZERO_DENOMINATOR = re.compile(r"/\s*(0+)(?![0-9])")
 
 
 def _kind(tok: str) -> str:
-    """The kind a message names: 'int', 'ident', 'eof' or the character."""
+    """The kind a message names: 'int', 'ident', 'eof' or the character,
+    by the token's first character."""
+    tok = tok[:1]
     return ("int" if tok.isdigit() else "ident" if tok.isidentifier()
             else tok or "eof")
 
@@ -96,20 +110,21 @@ def _error(message: str, text: str, offset: int) -> ExprSyntaxError:
 class _Stream:
     """A text's tokens as strings, ending in "" (eof); no offsets kept."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, pattern=_TOKEN):
         bad = _BAD.search(text)
         if bad:
             raise _error(f"unexpected character {bad.group()!r}", text,
                          bad.start())
-        self.text = text
-        self.tokens = _TOKEN.findall(text) + [""]
+        self.text, self.pattern = text, pattern
+        self.tokens = pattern.findall(text) + [""]
         self.pos = 0
 
-    def error(self, message: str, back: int = 0) -> ExprSyntaxError:
-        """A syntax error at the next token, or `back` tokens before it."""
-        offsets = [m.start() for m in _TOKEN.finditer(self.text)]
+    def error(self, message: str, back=0, inside=0) -> ExprSyntaxError:
+        """A syntax error `inside` characters into the next token, or
+        into the one `back` tokens before it."""
+        offsets = [m.start() for m in self.pattern.finditer(self.text)]
         offsets.append(len(self.text))
-        return _error(message, self.text, offsets[self.pos - back])
+        return _error(message, self.text, offsets[self.pos - back] + inside)
 
     def peek(self) -> str:
         return self.tokens[self.pos]
@@ -137,7 +152,7 @@ class _Stream:
 
 
 def parse_ring(text: str) -> RingDecl:
-    stream = _Stream(text)
+    stream = _Stream(text, _WORD)
     ring = RingDecl()
     while stream.peek():
         tok = stream.expect("ident")
@@ -154,9 +169,9 @@ def parse_ring(text: str) -> RingDecl:
 # ---------------------------------------------------------------------------
 # Expressions: AST build and evaluation
 #
-# A node is an int or Fraction (a rational literal), a str (a variable
-# name), ("neg", node), ("^", node, int), ("*", [factor nodes]) for a
-# term, or ("+", [(sign, term node)]) with sign 1 or -1 for a sum.
+# A node is ("*", [factors]) for a term, a factor the text of one factor of
+# a run without whitespace ("3/4", "x^-2") or a node; ("neg", node) and
+# ("^", node, int); or ("+", [(sign, term node)]), sign 1 or -1, a sum.
 
 
 def _parse_expr(stream, depth):
@@ -174,34 +189,49 @@ def _parse_term(stream, depth):
     factors = []
     while True:
         node = _parse_atom(stream, depth + 2)
-        if stream.accept("^"):
-            sign = -1 if stream.accept("-") else 1
-            node = ("^", node, sign * int(stream.expect("int")))
-        factors.append(node)
+        tok = stream.peek()
+        run = type(node) is list
+        if (tok == "^" and not (run and "^" in node[-1])
+                or tok == "/" and run and node[-1].isdigit()):
+            # The int this lacks is not there: a run holds every
+            # well-formed power and denominator, a power suffix is a token.
+            if stream.next() == "^":
+                stream.accept("-")
+            stream.expect("int")
+        if run:
+            factors += node
+        elif tok[:1] == "^":
+            stream.next()
+            factors.append(("^", node, int("".join(tok[1:].split()))))
+        else:
+            factors.append(node)
         if not stream.accept("*"):
             return ("*", factors)
 
 
 def _parse_atom(stream, depth):
+    """A run, '(' expr ')' or '-' atom.  A minus before a run negates its
+    first factor before its power: a factor -1 when that power is odd."""
     if depth > _MAX_DEPTH:
         raise stream.error("expression nested too deeply")
     tok = stream.peek()
-    if tok.isdigit():
+    if tok[:1].isdigit() or tok[:1].isidentifier():
         stream.next()
-        if not stream.accept("/"):
-            return int(tok)
-        den = int(stream.expect("int"))
-        if not den:
-            raise stream.error("zero denominator in rational literal", 1)
-        return Fraction(int(tok), den)
-    if tok.isidentifier():
-        return stream.next()
+        zero = "/" in tok and _ZERO_DENOMINATOR.search(tok)
+        if zero:
+            raise stream.error("zero denominator in rational literal", 1,
+                               zero.start(1))
+        return "".join(tok.split()).split("*")
     if stream.accept("("):
         node = _parse_expr(stream, depth + 1)
         stream.expect(")")
         return node
     if stream.accept("-"):
-        return ("neg", _parse_atom(stream, depth + 1))
+        node = _parse_atom(stream, depth + 1)
+        if type(node) is not list:
+            return ("neg", node)
+        _, caret, power = node[0].partition("^")
+        return ["-1", *node] if not caret or int(power) % 2 else node
     raise stream.error(
         f"expected a rational, identifier or '(', found {_kind(tok)!r}")
 
@@ -216,32 +246,48 @@ def _parse_to_ast(text: str):
     return node
 
 
-def _product(factors, ring: RingDecl, kind, coeff=1):
-    """The product of a term's factors in their written order.  A run of
-    monomial factors (a rational, a variable, an even variable to a power
-    >= 0, an invertible one to any power) is one (coefficient, [(variable,
+def _read_factor(text, ring: RingDecl, kind):
+    """A rational; (variable, exponent) for a monomial factor (an odd
+    variable, an even one to a power >= 0 or invertible); else of kind."""
+    base, caret, power = text.partition("^")
+    n = int(power) if caret else 1
+    if base[0].isidentifier():
+        var = ring.lookup(base)
+        if n == 1 or var.parity is Parity.EVEN and (n >= 0 or var.invertible):
+            return var, n
+        return kind.promote(var) ** n
+    num, slash, den = base.partition("/")
+    value = Fraction(int(num), int(den)) if slash else int(num)
+    return kind.promote(value) ** n if caret else value
+
+
+def _product(factors, env, coeff=1):
+    """The product of a term's factors in their written order.  Monomial
+    factors and rationals gather into one (coefficient, [(variable,
     exponent)]) pair, returned as it is when it is the whole term; other
-    factors are evaluated and multiplied in place, giving a value of kind.
-    A minus sign in front of a factor only negates the coefficient."""
+    factors are evaluated and multiplied in place, giving a value of
+    kind.  A factor text is read once per parse, into env's dict.  A
+    minus sign in front of a factor only negates the coefficient."""
+    ring, kind, read = env
     run, value = [], None
     for f in factors:
-        while type(f) is tuple and f[0] == "neg":
-            coeff, f = -coeff, f[1]
         if type(f) is str:
-            run.append((ring.lookup(f), 1))
-            continue
-        if type(f) is not tuple:
-            coeff *= f
-            continue
-        if f[0] == "^" and type(f[1]) is str:
-            var, n = ring.lookup(f[1]), f[2]
-            if var.parity is Parity.EVEN and (n >= 0 or var.invertible):
-                run.append((var, n))
+            got = read.get(f)
+            if got is None:
+                got = read[f] = _read_factor(f, ring, kind)
+            if type(got) is tuple:
+                run.append(got)
                 continue
-        factor = _eval(f, ring, kind)
+            if type(got) is int or type(got) is Fraction:
+                coeff *= got
+                continue
+        else:
+            while f[0] == "neg":
+                coeff, f = -coeff, f[1]
+            got = _eval(f, env)
         if run or coeff != 1:
-            factor = _monomial(coeff, run, kind) * factor
-        value = factor if value is None else value * factor
+            got = _monomial(coeff, run, kind) * got
+        value = got if value is None else value * got
         coeff, run = 1, []
     if value is None:
         return coeff, run
@@ -254,19 +300,17 @@ def _monomial(coeff, run, kind):
     return kind.promote(SuperPoly.from_products([(coeff, run)]))
 
 
-def _eval(node, ring: RingDecl, kind):
-    """Evaluate an AST to a value of kind, SuperPoly or LocalizedPoly.  The
-    monomial terms of a sum are built at once by SuperPoly.from_products."""
-    if type(node) is not tuple:
-        return kind.promote(ring.lookup(node) if type(node) is str else node)
-    tag = node[0]
+def _eval(node, env):
+    """Evaluate an AST to a value of env's kind, SuperPoly or LocalizedPoly;
+    a sum's monomial terms are built at once by SuperPoly.from_products."""
+    kind, tag = env[1], node[0]
     if tag == "neg":
-        return -_eval(node[1], ring, kind)
+        return -_eval(node[1], env)
     if tag == "^":
-        return _eval(node[1], ring, kind) ** node[2]
+        return _eval(node[1], env) ** node[2]
     pairs, values = [], []
     for sign, term in node[1] if tag == "+" else [(1, node)]:
-        got = _product(term[1], ring, kind, sign)
+        got = _product(term[1], env, sign)
         (pairs if type(got) is tuple else values).append(got)
     value = kind.promote(SuperPoly.from_products(pairs))
     return kind.sum([value, *values]) if values else value
@@ -274,7 +318,7 @@ def _eval(node, ring: RingDecl, kind):
 
 def parse_poly(text: str, ring: RingDecl) -> SuperPoly:
     try:
-        return _eval(_parse_to_ast(text), ring, SuperPoly)
+        return _eval(_parse_to_ast(text), (ring, SuperPoly, {}))
     except NotAUnit as exc:
         raise NegativePowerOfNonInvertible(str(exc)) from exc
 
@@ -284,7 +328,7 @@ def parse_localized(text: str, ring: RingDecl) -> LocalizedPoly:
     power is a power of `LocalizedPoly.reciprocal` of its base, whose
     body with its loci cancelled must be a unit times distinct loci, as
     `LocalizedPoly.reciprocal` says (NotAUnit otherwise)."""
-    return _eval(_parse_to_ast(text), ring, LocalizedPoly)
+    return _eval(_parse_to_ast(text), (ring, LocalizedPoly, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -295,39 +339,30 @@ def pretty(p: SuperPoly) -> str:
     """Deterministic textual form; parse_poly(pretty(p)) == p.
 
     Terms are sorted by their exponent vectors over the variable names in
-    reverse order, each monomial's factors written in name order."""
+    reverse order, each monomial's factors written in name order; the
+    text of each (variable, exponent) is made once."""
     if p.is_zero():
         return "0"
-    terms = p.named_terms()
-    names = sorted({v.name for factors, _ in terms for v, _ in factors},
-                   reverse=True)
-    slot = {name: i for i, name in enumerate(names)}
-
-    def term_key(term):
-        key = [0] * len(names)
-        for v, e in term[0]:
-            key[slot[v.name]] = e
-        return key
-
+    variables, rows = p.named_rows()
+    rows.sort(key=lambda row: row[0][::-1], reverse=True)
+    words = [{e: v.name if e == 1 else f"{v.name}^{e}" for e in set(column)}
+             for v, column in zip(variables, zip(*[exps for exps, _ in rows]))]
     chunks = []
-    for i, (factors, coeff) in enumerate(sorted(terms, key=term_key,
-                                                reverse=True)):
-        negative = coeff < 0
-        mag = -coeff if negative else coeff
-        if not factors:
+    for exps, coeff in rows:
+        mag = abs(coeff)
+        if not any(exps):
             body = str(mag)
-        elif mag == 1:
-            body = _product_text(factors)
+        else:
+            body = "*".join(map(dict.__getitem__, compress(words, exps),
+                                compress(exps, exps)))
+            if mag != 1:
+                body = f"{mag}*{body}"
             # After a leading unary minus, '^' would bind before the sign;
             # "- 1*x^2" keeps the minus attached to the rational atom.
-            if i == 0 and negative and factors[0][1] != 1:
+            elif not chunks and coeff < 0 and next(filter(None, exps)) != 1:
                 body = f"1*{body}"
-        else:
-            body = f"{mag}*{_product_text(factors)}"
-        if i == 0:
-            chunks.append(f"- {body}" if negative else body)
-        else:
-            chunks.append(f"{'-' if negative else '+'} {body}")
+        sign = "-" if coeff < 0 else "+"
+        chunks.append(f"{sign} {body}" if chunks or coeff < 0 else body)
     return " ".join(chunks)
 
 

@@ -25,9 +25,10 @@ Index order is intern order, not name order.  The engines read a
 polynomial only through `coefficients`, in the variable order they give,
 and build sums of monomials through `from_products`.  The name-ordered
 views carry the sign of reordering the odd variables by name: `terms`
-(keyed by `SuperMonomial`), `named_terms` and `as_coeff_map`.  They serve
-the printer, the tests and the public API, and build `SuperMonomial`s only
-on demand.
+(keyed by `SuperMonomial`), `named_terms` and `as_coeff_map`, and
+`named_rows`, which lays a polynomial out once for `named_terms` and the
+printer.  They serve the printer, the tests and the public API, and build
+`SuperMonomial`s only on demand.
 All values are immutable after construction (the one cache, `dot`'s
 numerators of an operand, is derived from the value and written whole)
 and every operation is a pure function, safe for unrestricted concurrent
@@ -41,11 +42,14 @@ positive power, and `soul_series` inverts a unit through its soul.
 from __future__ import annotations
 
 import enum
+import sys
 import threading
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from itertools import compress
 from math import lcm
+from operator import attrgetter, itemgetter
 
 from .errors import (
     ExponentOverflow,
@@ -158,6 +162,17 @@ def _even_factors(key: int) -> list:
         f = (rest >> shift) & _FIELD
         out.append((evens[shift // _WIDTH], f - ((f & _HALF) << 1)))
         rest ^= f << shift
+    return out
+
+
+def _even_vars(support: int) -> list:
+    """The even variables of the nonzero fields of a support (`_support`),
+    in index order."""
+    evens, out = VarSymbol._evens, []
+    while support:
+        i = ((support & -support).bit_length() - 1) // _WIDTH
+        out.append(evens[i])
+        support &= ~(_FIELD << (_WIDTH * i))
     return out
 
 
@@ -444,24 +459,30 @@ class SuperPoly:
         """Sum of c * v1^e1 * v2^e2 * ... over pairs (c, [(v1, e1), ...]),
         factors in written order: odd variables (exponent 1) OR into the
         mask with the reordering sign from popcounts, zero on a repeat;
-        each even variable's exponents are summed, then checked once."""
+        each even variable's exponents are summed, in a dict made only
+        for a term that has one.  Only what can be illegal is checked: an
+        odd exponent other than 1, an even sum < 0 or > EXPONENT_LIMIT."""
         out, bound, odd = {}, 0, Parity.ODD
         for c, factors in pairs:
-            mask, flips, key, evens = 0, 0, 0, {}
+            mask, flips, key, evens = 0, 0, 0, None
             for v, e in factors:
                 if v.parity is odd:
+                    if e != 1:
+                        _checked(v, e)
                     bit = 1 << v.index
-                    _checked(v, e)
                     if mask & bit:
                         c = 0
                     flips += (mask & -(bit << 1)).bit_count()
                     mask |= bit
+                elif evens is None:
+                    evens = {v: e}
                 else:
                     evens[v] = evens.get(v, 0) + e
-            for v, e in evens.items():
-                if e:
-                    key += _checked(v, e) << (_WIDTH * v.index)
-                    bound = max(bound, abs(e))
+            for v, e in evens.items() if evens else ():
+                if e < 0 or e > EXPONENT_LIMIT:
+                    _checked(v, e)
+                key += e << (_WIDTH * v.index)
+                bound = max(bound, abs(e))
             if c:
                 part = out.setdefault(mask, {})
                 part[key] = part.get(key, 0) + (-c if flips & 1 else c)
@@ -513,18 +534,36 @@ class SuperPoly:
         """{SuperMonomial: coefficient}, the monomials in name order."""
         return _Terms(self)
 
-    def named_terms(self) -> list:
-        """[(factors, coefficient)]: the (variable, exponent) factors of
-        each term sorted by name, and its coefficient for that order."""
-        out = []
+    def named_rows(self):
+        """(variables, rows): the variables sorted by name, and per term a
+        row (exponents in that order, coefficient for that order).  The
+        exponents are read at once as 16-bit ints: the key's fields in
+        two's complement, and above them one field per odd variable."""
+        odd_mask, support = self._support()
+        evens = _even_vars(support)
+        width = evens[-1].index + 1 if evens else 0
+        variables = sorted(_odd_vars(odd_mask) + evens, key=attrgetter("name"))
+        order = [v.index + width * v.parity.value for v in variables]
+        odds = [v for v in variables if v.parity is Parity.ODD]
+        read = (itemgetter(*order) if len(order) > 1
+                else lambda fields: tuple(fields[i] for i in order))
+        size, bias = 2 * (width + odd_mask.bit_length()), VarSymbol._bias
+        rows = []
         for mask, part in self._parts.items():
-            odds = sorted(((v, 1) for v in _odd_vars(mask)), key=_by_name)
-            flip = _order_flips(v for v, _ in odds)
-            for key, c in part.items():
-                factors = odds + _even_factors(key)
-                factors.sort(key=_by_name)
-                out.append((tuple(factors), -c if flip else c))
-        return out
+            present = [v for v in odds if mask >> v.index & 1]
+            high = sum(1 << (_WIDTH * (width + v.index)) for v in present)
+            flip = _order_flips(present)
+            rows += [(read(memoryview(((key + bias) ^ bias | high).to_bytes(
+                          size, sys.byteorder)).cast("h")),
+                      -c if flip else c) for key, c in part.items()]
+        return variables, rows
+
+    def named_terms(self) -> list:
+        """[(factors, coefficient)]: each term's (variable, exponent)
+        factors in name order and its coefficient for that order."""
+        variables, rows = self.named_rows()
+        return [(tuple(compress(zip(variables, exps), exps)), c)
+                for exps, c in rows]
 
     def is_zero(self) -> bool:
         return not self._parts
@@ -548,9 +587,7 @@ class SuperPoly:
 
     def variables(self):
         odds, evens = self._support()
-        return set(_odd_vars(odds)).union(
-            v for v in VarSymbol._evens
-            if evens >> (_WIDTH * v.index) & _FIELD)
+        return set(_odd_vars(odds) + _even_vars(evens))
 
     def odd_variables(self):
         mask = 0

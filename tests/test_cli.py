@@ -94,6 +94,21 @@ class TestReduce:
         assert err == (f"error: '{name}' is not a parameter of the "
                        f"({p}|{q}) ideal\n")
 
+    @pytest.mark.parametrize("assignment, name, found, expected", [
+        ("a0=alpha0", "a0", "odd", "even"),
+        ("beta0=a0", "beta0", "even", "odd"),
+        ("a0=1 + alpha0", "a0", "mixed", "even"),
+    ], ids=["odd-for-even", "even-for-odd", "mixed"])
+    def test_set_value_of_wrong_parity_exit_2(self, capsys, assignment, name,
+                                              found, expected):
+        """A --set value of the wrong parity is a bad command line."""
+        code, out, err = run(capsys, "reduce", "--p", "2", "--q", "1",
+                             "--set", assignment, "x^3")
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: --set {name}: the value has parity {found}, "
+                       f"expected {expected}\n")
+
     def test_missing_ring_file_exit_2(self, capsys, tmp_path):
         code, out, err = run(
             capsys, "reduce", "--p", "1", "--q", "0",

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 import string
 from fractions import Fraction
 
@@ -261,6 +263,98 @@ class TestFuzz:
             parse_poly("(" * 100_000 + "a" + ")" * 100_000, ring)
 
 
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _outcomes(text, ring):
+    """What parse_poly and parse_localized make of a text: the printed
+    value, or the error's type and message (line and column included)."""
+    out = []
+    for parse, show in ((parse_poly, pretty),
+                        (parse_localized, pretty_localized)):
+        try:
+            out.append(show(parse(text, ring)))
+        except (SuperAlgebraError, ValueError) as exc:
+            # ValueError: a coefficient past str()'s 4300-digit limit
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+# A factor of a printed term: a rational or a variable to a power.
+_FACTOR = re.compile(r"[0-9]+(?:/[0-9]+)?|[A-Za-z_]\w*(?:\^-?[0-9]+)?")
+
+
+def _perturbed(rng, text):
+    """text with one factor in parentheses, a leading '-', and whitespace
+    around '*', '^' and '/', each applied or not by rng."""
+    if rng.random() < 0.5:
+        factors = list(_FACTOR.finditer(text))
+        if factors:
+            m = rng.choice(factors)
+            text = f"{text[:m.start()]}({m.group()}){text[m.end():]}"
+    if rng.random() < 0.3:
+        text = rng.choice(["-", "- ", "-\n"]) + text
+    if rng.random() < 0.6:
+        pads = ["", "", " ", "  ", "\n", " \n ", "\t", "\xa0"]
+        text = re.sub(r"[*^/]", lambda m: (rng.choice(pads) + m.group()
+                                           + rng.choice(pads)), text)
+    return text
+
+
+class TestGoldenParser:
+    """Pinned sha256 digests of what the parser makes of seeded texts,
+    values and errors alike: any change to the reader must keep its
+    results, messages and error positions."""
+
+    def test_fuzz_texts(self):
+        rng = random.Random(2718)
+        ring = parse_ring("even a; even b inv; odd c;")
+        lines = []
+        for _ in range(20_000):
+            n = rng.randint(0, 24)
+            text = "".join(rng.choice(TestFuzz.ALPHABET) for _ in range(n))
+            lines.extend(_outcomes(text, ring))
+        assert _digest(lines) == (
+            "b3b6247e5ad6816306111731d9f8769accfd6b8c775957e1e180e7117a07fdcd")
+
+    def test_perturbed_printed_texts(self):
+        rng = random.Random(1618)
+        ring = RingDecl(standard_ring().values())
+        lines = []
+        for _ in range(2000):
+            text = _perturbed(rng, pretty(random_poly(rng)))
+            lines.extend(_outcomes(text, ring))
+        assert _digest(lines) == (
+            "d4a61b877fa21e041885d43646b1f9fb19494f4caabd2b78e7e38bcd6cf81017")
+
+
+class TestGoldenPrinter:
+    """Pinned sha256 digests of pretty and of named_terms over seeded
+    polynomials with Laurent exponents, Fraction coefficients and leading
+    negative terms whose first factor is a power (the "- 1*x^2" rule)."""
+
+    @staticmethod
+    def polys():
+        rng = random.Random(3141)
+        ring = standard_ring()
+        a, b, x = (SuperPoly.var(ring[n]) for n in ("a", "b", "x"))
+        lead = [-(x ** 4), -Fraction(3, 2) * a ** 2 * x ** 4,
+                -(b ** -2) * x ** 5, -(a * x ** 4)]
+        for i in range(1000):
+            p = random_poly(rng, max_terms=rng.randint(1, 8))
+            yield p + lead[i % 4] if i % 3 == 0 else p
+
+    def test_pretty(self):
+        assert _digest(pretty(p) for p in self.polys()) == (
+            "a57397d2e1dbc818479da3027107b327bcb84c13f45033aaa4befbab9fa97a45")
+
+    def test_named_terms(self):
+        assert _digest(repr(sorted(p.named_terms(), key=repr))
+                       for p in self.polys()) == (
+            "0bc0ac3ab33508729f8f5f0c4959173b6b1a13065c055008608fe4f0bf036fa0")
+
+
 class TestErrorPositions:
     """Every syntax error names its token by message, line and column;
     a column counts characters, a tab or a non-ASCII space as one."""
@@ -287,6 +381,9 @@ class TestErrorPositions:
         ("x\n  3", "trailing input 'int'", 2, 3),
         ("(x)^-2^3", "trailing input '^'", 1, 7),
         ("3/0", "zero denominator in rational literal", 1, 3),
+        ("x*3/0*y", "zero denominator in rational literal", 1, 5),
+        ("x^2^3", "trailing input '^'", 1, 4),
+        ("a*b^-", "expected 'int', found 'eof'", 1, 6),
         ("1 +\n 2/0", "zero denominator in rational literal", 2, 4),
         ("2\n/0", "zero denominator in rational literal", 2, 2),
         ("", "empty expression", 1, 1),
