@@ -29,8 +29,9 @@ views carry the sign of reordering the odd variables by name: `terms`
 `named_rows`, which lays a polynomial out once for `named_terms` and the
 printer.  They serve the printer, the tests and the public API, and build
 `SuperMonomial`s only on demand.
-All values are immutable after construction (the one cache, `dot`'s
-numerators of an operand, is derived from the value and written whole)
+All values are immutable after construction (the caches, `dot`'s
+numerators of an operand and the name layouts of `named_rows`, are
+derived from values and symbols and written whole)
 and every operation is a pure function, safe for unrestricted concurrent
 use.
 
@@ -42,14 +43,15 @@ positive power, and `soul_series` inverts a unit through its soul.
 from __future__ import annotations
 
 import enum
-import sys
 import threading
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import lru_cache, reduce
 from itertools import compress
 from math import lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, itemgetter, or_
+from struct import Struct
 
 from .errors import (
     ExponentOverflow,
@@ -165,15 +167,32 @@ def _even_factors(key: int) -> list:
     return out
 
 
-def _even_vars(support: int) -> list:
-    """The even variables of the nonzero fields of a support (`_support`),
-    in index order."""
-    evens, out = VarSymbol._evens, []
-    while support:
-        i = ((support & -support).bit_length() - 1) // _WIDTH
-        out.append(evens[i])
-        support &= ~(_FIELD << (_WIDTH * i))
-    return out
+@lru_cache(maxsize=1024)
+def _name_layout(masks: tuple, support: int):
+    """(variables, read, fields, odd): the layout of a polynomial with
+    these odd masks and `_support`.  `fields` is the Struct of its 16-bit
+    exponent fields, even variable i in field i and odd one i in field
+    width + i above them; `read` picks the fields of `variables`, sorted
+    by name; `odd` maps each mask to its odd fields set to 1 and to 1
+    when ordering its variables by name flips the sign, else 0.  Cached
+    and read-only: a pure function of interned symbols."""
+    evens = [v for v in VarSymbol._evens if support >> (_WIDTH * v.index)
+             & _FIELD]
+    width = evens[-1].index + 1 if evens else 0
+    odd_mask = reduce(or_, masks, 0)
+    variables = tuple(sorted(_odd_vars(odd_mask) + evens,
+                             key=attrgetter("name")))
+    order = [v.index + width * v.parity.value for v in variables]
+    read = itemgetter(*order) if len(order) > 1 else itemgetter(
+        slice(order[0], order[0] + 1) if order else slice(0))
+    odd = {}
+    for mask in masks:
+        present = [v for v in variables
+                   if v.parity is Parity.ODD and mask >> v.index & 1]
+        odd[mask] = (sum(1 << (_WIDTH * (width + v.index)) for v in present),
+                     _order_flips(present))
+    return (variables, read, Struct(f"<{width + odd_mask.bit_length()}h"),
+            odd)
 
 
 def _odd_vars(mask: int) -> list:
@@ -539,23 +558,15 @@ class SuperPoly:
         row (exponents in that order, coefficient for that order).  The
         exponents are read at once as 16-bit ints: the key's fields in
         two's complement, and above them one field per odd variable."""
-        odd_mask, support = self._support()
-        evens = _even_vars(support)
-        width = evens[-1].index + 1 if evens else 0
-        variables = sorted(_odd_vars(odd_mask) + evens, key=attrgetter("name"))
-        order = [v.index + width * v.parity.value for v in variables]
-        odds = [v for v in variables if v.parity is Parity.ODD]
-        read = (itemgetter(*order) if len(order) > 1
-                else lambda fields: tuple(fields[i] for i in order))
-        size, bias = 2 * (width + odd_mask.bit_length()), VarSymbol._bias
+        variables, read, fields, odd = _name_layout(tuple(self._parts),
+                                                    self._support()[1])
+        unpack, size, bias = fields.unpack, fields.size, VarSymbol._bias
         rows = []
         for mask, part in self._parts.items():
-            present = [v for v in odds if mask >> v.index & 1]
-            high = sum(1 << (_WIDTH * (width + v.index)) for v in present)
-            flip = _order_flips(present)
-            rows += [(read(memoryview(((key + bias) ^ bias | high).to_bytes(
-                          size, sys.byteorder)).cast("h")),
-                      -c if flip else c) for key, c in part.items()]
+            high, flip = odd[mask]
+            rows += [(read(unpack(((key + bias) ^ bias | high).to_bytes(
+                          size, "little"))), -c if flip else c)
+                     for key, c in part.items()]
         return variables, rows
 
     def named_terms(self) -> list:
@@ -587,7 +598,9 @@ class SuperPoly:
 
     def variables(self):
         odds, evens = self._support()
-        return set(_odd_vars(odds) + _even_vars(evens))
+        return set(_odd_vars(odds)).union(
+            v for v in VarSymbol._evens
+            if evens >> (_WIDTH * v.index) & _FIELD)
 
     def odd_variables(self):
         mask = 0
