@@ -31,6 +31,7 @@ from .errors import (
     NonMonicDivisor,
     NotAUnit,
     NotCanonicalizable,
+    NumberTooLong,
     ParityMismatch,
     RankOrderViolation,
     ShapeMismatch,

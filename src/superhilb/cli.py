@@ -4,9 +4,10 @@ splitness checks with deterministic text or JSON output.
 Exit codes: 0 for a completed computation (a non-split verdict is a
 successful computation), 2 for input or parse errors (an exponent beyond
 the kernel's range of +-32767 among them, a `reduce --set` name that is
-not among the ideal's parameters a, b, alpha, beta, and a `--set` value
-of the wrong parity) and unreadable files, 3 for mathematical
-precondition failures and every other package error.
+not among the ideal's parameters a, b, alpha, beta, a `--set` value of
+the wrong parity, a literal or an answer with more digits than Python
+converts) and unreadable files, 3 for mathematical precondition failures
+and every other package error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .errors import (
     DuplicateVariable,
     InvertibleOddVariable,
     NegativePowerOfNonInvertible,
+    NumberTooLong,
     SuperAlgebraError,
     UnknownVariable,
 )
@@ -37,8 +39,20 @@ PARSE_ERRORS = (
     DuplicateVariable,
     InvertibleOddVariable,
     NegativePowerOfNonInvertible,
+    NumberTooLong,
     UnknownVariable,
 )
+
+
+def _printed(values, show=pretty) -> list:
+    """The texts of values; NumberTooLong when one holds an integer
+    longer than str() writes, so the answer is refused on one line."""
+    try:
+        return [show(value) for value in values]
+    except ValueError as exc:
+        limit = sys.get_int_max_str_digits()
+        raise NumberTooLong(f"the answer holds a number of more than "
+                            f"{limit} digits, too long to print") from exc
 
 
 def _emit(payload: dict, fmt: str, human_lines):
@@ -77,13 +91,14 @@ def cmd_reduce(args) -> int:
     ideal = ideal.with_values(values)
 
     vec = reduce_to_basis(parse_poly(args.poly, ring), ideal)
+    cofactor_f, cofactor_g = _printed((vec.cofactor_f, vec.cofactor_g))
     payload = {
         "p": args.p,
         "q": args.q,
-        "evens": [pretty(e) for e in vec.evens],
-        "odds": [pretty(o) for o in vec.odds],
-        "cofactor_f": pretty(vec.cofactor_f),
-        "cofactor_g": pretty(vec.cofactor_g),
+        "evens": _printed(vec.evens),
+        "odds": _printed(vec.odds),
+        "cofactor_f": cofactor_f,
+        "cofactor_g": cofactor_g,
         "in_ideal": vec.is_zero(),
     }
     lines = [
@@ -106,7 +121,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_strata(args) -> int:
-    texts = [pretty(g) for g in stratification_generators(args.p, args.q)]
+    texts = _printed(stratification_generators(args.p, args.q))
     payload = {
         "p": args.p,
         "q": args.q,
@@ -147,8 +162,9 @@ def cmd_transition(args) -> int:
     rules_payload = {}
     lines = [f"transition {target} <- {source} at twist k = {args.k}"]
     match = None
-    for coord in tmap.target.coordinates:
-        text = pretty_localized(tmap.rule(coord))
+    coords = tmap.target.coordinates
+    texts = _printed([tmap.rule(c) for c in coords], pretty_localized)
+    for coord, text in zip(coords, texts):
         rules_payload[coord.name] = text
         lines.append(f"  {coord.name} := {text}")
     if reference is not None:

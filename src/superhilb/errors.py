@@ -25,6 +25,11 @@ class ExponentOverflow(SuperAlgebraError):
     """An exponent beyond the range a packed monomial key holds."""
 
 
+class NumberTooLong(SuperAlgebraError):
+    """A result holds an integer with more digits than Python writes as
+    text (sys.get_int_max_str_digits())."""
+
+
 class ExprSyntaxError(SuperAlgebraError):
     """Positioned syntax error in the expression grammar."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import (CertificateError, NonMonicDivisor, RankOrderViolation,
                      UnknownVariable)
-from .ring import SuperPoly, VarSymbol, even, odd
+from .ring import PowerTable, SuperPoly, VarSymbol, even, odd
 
 
 def _check_rank(p: int, q: int):
@@ -432,17 +432,20 @@ def raw_to_canonical(p: int, q: int) -> CoordinateChange:
 
 
 def _verify_change(ch: CoordinateChange):
+    """Both directions of the change as exact identities; each direction
+    substitutes through one power table."""
     raw = ch.raw
-    f_image = raw.f.substitute(ch.forward)
-    g_image = raw.g.substitute(ch.forward)
+    to_canonical, to_raw = PowerTable(ch.forward), PowerTable(ch.backward)
+    f_image = raw.f.substitute(to_canonical)
+    g_image = raw.g.substitute(to_canonical)
     _certify(f_image == ch.f_canonical + ch.c_poly, "even generator image")
     _certify(g_image == ch.g_canonical + ch.gamma_poly,
              "odd generator image")
     for s in (*ch.a, *ch.b, *ch.alpha, *ch.beta, *ch.c, *ch.gamma):
-        _certify(ch.backward[s].substitute(ch.forward) == SuperPoly.var(s),
+        _certify(ch.backward[s].substitute(to_canonical) == SuperPoly.var(s),
                  f"backward o forward is the identity on {s.name}")
     for s in (*raw.a, *raw.b, *raw.alpha, *raw.beta):
-        _certify(ch.forward[s].substitute(ch.backward) == SuperPoly.var(s),
+        _certify(ch.forward[s].substitute(to_raw) == SuperPoly.var(s),
                  f"forward o backward is the identity on {s.name}")
 
 

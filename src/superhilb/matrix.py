@@ -189,17 +189,14 @@ def left_inverse(m: SuperMatrix) -> SuperMatrix:
     c = m.block("C")
     d = m.block("D")
     a_inv = _even_block_inverse(a)
-    schur = _lists_sub(d, _lists_matmul(_lists_matmul(c, a_inv), b))
-    s_inv = _even_block_inverse(schur)
-    a_inv_b = _lists_matmul(a_inv, b)
     c_a_inv = _lists_matmul(c, a_inv)
+    s_inv = _even_block_inverse(_lists_sub(d, _lists_matmul(c_a_inv, b)))
+    a_inv_b_s_inv = _lists_matmul(_lists_matmul(a_inv, b), s_inv)
     tl = [
         [x + y for x, y in zip(row1, row2)]
-        for row1, row2 in zip(
-            a_inv, _lists_matmul(_lists_matmul(a_inv_b, s_inv), c_a_inv)
-        )
-    ] if m.p else []
-    tr = _lists_neg(_lists_matmul(a_inv_b, s_inv))
+        for row1, row2 in zip(a_inv, _lists_matmul(a_inv_b_s_inv, c_a_inv))
+    ]
+    tr = _lists_neg(a_inv_b_s_inv)
     bl = _lists_neg(_lists_matmul(s_inv, c_a_inv))
     br = s_inv
     rows = []

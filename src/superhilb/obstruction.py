@@ -18,6 +18,7 @@ NotCanonicalizable, also under python -O.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -318,6 +319,17 @@ def _atlas_for(k: int, atlas: Atlas | None) -> Atlas:
 # ---------------------------------------------------------------------------
 # Bounded exact solver
 #
+# Unknown (block, e, f) is the coefficient of the chart monomial of
+# exponents (e, f), which embeds at (sz*e, sw*f) with the chart sign
+# (-1)^(e+f).  A factor term c z^fz w^fw of the block sends the block's
+# triangle e + f <= bound onto the rows (fz + sz*e, fw + sw*f): a
+# shifted, reflected copy of the triangle.  A row key packs (equation,
+# z, w) into one int with digits as wide as the system's own exponents
+# need, so sorted keys are in (equation, z, w) order and each cone
+# orientation's triangle is one list of key offsets, built once per
+# solve.  The factors of a block listed twice in an equation are merged
+# first, so every (row, unknown) entry is written exactly once.
+#
 # Sparse echelon elimination over the rationals: each incoming row is
 # reduced against the earlier pivot rows in ascending pivot order and
 # pivots on its smallest remaining column; back substitution in
@@ -325,8 +337,10 @@ def _atlas_for(k: int, atlas: Atlas | None) -> Atlas:
 # columns of a row space do not depend on how it is reduced, so the
 # pivots, and the solution with free unknowns zero, are those of a full
 # Gauss-Jordan reduction.  Entries stay Python ints while integral (a
-# pivot of +-1 is normalised by a sign flip); the solution is certified
-# against the untouched truncated rows before it is returned.
+# pivot of +-1 is normalised by a sign flip).  The solution is certified
+# before it is returned: its nonzero values, scattered over the same
+# triangles straight from the equations, must give a residual equal to
+# the right-hand side on every truncated row.
 
 
 def solve_laurent_system(system: LaurentSystem, degree_bound=None):
@@ -350,16 +364,13 @@ def solve_laurent_system(system: LaurentSystem, degree_bound=None):
         for e in range(bound + 1)
         for f_ in range(bound + 1 - e)
     ]
-    rows = _truncated_rows(system, bound, unknowns)
-    pivots = _echelon(rows)
+    truncation = _Truncation(system, bound)
+    pivots = _echelon(truncation.rows())
     if pivots is None:
         return None
     values = _back_substitute(pivots, len(unknowns))
     _certify(
-        all(
-            sum(c * values[u] for u, c in coeffs.items()) == rhs
-            for coeffs, rhs in rows
-        ),
+        truncation.residual(values) == truncation.rhs,
         "the solver's values satisfy every truncated equation",
     )
     zero = Fraction(0)
@@ -380,48 +391,127 @@ def _integral(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _truncated_rows(system: LaurentSystem, bound: int, unknowns) -> list:
-    """The rows (coeffs {unknown index: coefficient}, rhs) in the order
-    of their (equation, z-exponent, w-exponent) key; integral entries
-    are ints."""
-    index = {u: i for i, u in enumerate(unknowns)}
-    rows = {}
-    for eq_no, eq in enumerate(system.equations):
-        for block, factor in eq.terms:
-            if block not in system.blocks:
-                continue
-            _, (sz, sw) = system.blocks[block]
-            # the chart coefficient sign (-1)^(e+f) folded into the factor
-            terms = [(fz, fw, _integral(c)) for (fz, fw), c in factor.items()]
-            signed = (terms, [(fz, fw, -c) for fz, fw, c in terms])
-            for e in range(bound + 1):
-                for f_ in range(bound + 1 - e):
-                    u = index[(block, e, f_)]
-                    for fz, fw, c in signed[(e + f_) % 2]:
-                        key = (eq_no, fz + sz * e, fw + sw * f_)
-                        row = rows.setdefault(key, [{}, 0])
-                        s = row[0].get(u, 0) + c
-                        if s:
-                            row[0][u] = s
-                        else:
-                            row[0].pop(u, None)
-        for (ez, ew), c in eq.rhs.items():
-            row = rows.setdefault((eq_no, ez, ew), [{}, 0])
-            row[1] = _integral(row[1] + c)
-    return [(coeffs, rhs) for _, (coeffs, rhs) in sorted(rows.items())]
+def _merged_terms(eq: CoboundaryEquation, blocks) -> list:
+    """The equation's (block, {exponent: coefficient}) terms, one per
+    block of the system, with the factors of a block listed twice summed
+    and zero coefficients dropped; integral coefficients are ints."""
+    merged = {}
+    for block, factor in eq.terms:
+        if block not in blocks:
+            continue
+        acc = merged.setdefault(block, {})
+        for key, c in factor.items():
+            acc[key] = acc[key] + c if key in acc else c
+    return [(block, {key: _integral(c) for key, c in acc.items() if c})
+            for block, acc in merged.items()]
+
+
+def _triangle(cone, w_span: int, bound: int):
+    """The key offsets of a block's unknowns e + f <= bound on a cone and
+    their indices within the block, as (offsets, indices) for even e + f
+    and then for odd e + f."""
+    sz, sw = cone
+    parts = ([], [], [], [])
+    first = 0  # the index of (e, 0)
+    for e in range(bound + 1):
+        length = bound + 1 - e
+        at = sz * e * w_span
+        for f0 in (0, 1):
+            odd = 2 * ((e + f0) % 2)
+            parts[odd].extend(range(at + sw * f0, at + sw * length, 2 * sw))
+            parts[odd + 1].extend(range(first + f0, first + length, 2))
+        first += length
+    return parts
+
+
+class _Truncation:
+    """A LaurentSystem truncated at a degree bound, over packed row keys:
+    the key of (equation, z, w) is bases[equation] + z * w_span + w."""
+
+    def __init__(self, system: LaurentSystem, bound: int):
+        self.equations = [_merged_terms(eq, system.blocks)
+                          for eq in system.equations]
+        exponents = [key for terms in self.equations
+                     for _, factor in terms for key in factor]
+        exponents += [key for eq in system.equations for key in eq.rhs]
+        reach = bound * max((abs(s) for _, cone in system.blocks.values()
+                             for s in cone), default=0)
+        zs = [z for z, _ in exponents] or [0]
+        ws = [w for _, w in exponents] or [0]
+        z_lo, w_lo = min(zs) - reach, min(ws) - reach
+        self.w_span = w_span = max(ws) + reach - w_lo + 1
+        eq_span = (max(zs) + reach - z_lo + 1) * w_span
+        self.bases = [n * eq_span - z_lo * w_span - w_lo
+                      for n in range(len(system.equations))]
+        size = (bound + 1) * (bound + 2) // 2
+        by_cone = {}
+        # block -> key offsets and unknowns of even e + f, then of odd
+        self.triangles = {}
+        for n, (block, (_, cone)) in enumerate(system.blocks.items()):
+            if cone not in by_cone:
+                by_cone[cone] = _triangle(cone, w_span, bound)
+            even, even_at, odd, odd_at = by_cone[cone]
+            shift = (n * size).__add__
+            self.triangles[block] = (even, list(map(shift, even_at)),
+                                     odd, list(map(shift, odd_at)))
+        # row key -> nonzero right-hand side
+        self.rhs = {
+            base + ez * w_span + ew: _integral(c)
+            for base, eq in zip(self.bases, system.equations)
+            for (ez, ew), c in eq.rhs.items() if c
+        }
+
+    def _term_keys(self):
+        """(block, first row key, coefficient) of every factor term."""
+        w_span = self.w_span
+        for base, terms in zip(self.bases, self.equations):
+            for block, factor in terms:
+                for (fz, fw), c in factor.items():
+                    yield block, base + fz * w_span + fw, c
+
+    def rows(self) -> list:
+        """The rows (coeffs {unknown index: coefficient}, rhs) in the
+        order of their (equation, z, w) key."""
+        rows = defaultdict(dict)
+        for block, at, c in self._term_keys():
+            even, even_u, odd, odd_u = self.triangles[block]
+            for key, u in zip(map(at.__add__, even), even_u):
+                rows[key][u] = c
+            c = -c
+            for key, u in zip(map(at.__add__, odd), odd_u):
+                rows[key][u] = c
+        rhs = self.rhs
+        return [(rows[key], rhs.get(key, 0))
+                for key in sorted(rows.keys() | rhs.keys())]
+
+    def residual(self, values) -> dict:
+        """A v as {row key: nonzero value}, from the nonzero values
+        scattered over the triangles."""
+        scattered = {
+            block: [(off, values[u]) for off, u in zip(even, even_u)
+                    if values[u]]
+            + [(off, -values[u]) for off, u in zip(odd, odd_u) if values[u]]
+            for block, (even, even_u, odd, odd_u) in self.triangles.items()
+        }
+        out = {}
+        for block, at, c in self._term_keys():
+            for off, v in scattered[block]:
+                key = at + off
+                out[key] = out.get(key, 0) + c * v
+        return {key: r for key, r in out.items() if r}
 
 
 def _echelon(rows):
     """Forward elimination: {pivot column: (coeffs, rhs)} with the pivot
     normalised to 1 and dropped from coeffs, every other column of a
     pivot row above its pivot; None when some row reduces to 0 = c != 0.
-    The input rows are left untouched."""
+    The rows are consumed: each row's dict is reduced in place."""
     pivots = {}
+    is_pivot = pivots.__contains__
     for coeffs, rhs in rows:
-        coeffs = dict(coeffs)
         # the row's pivot columns in ascending order; a pivot row only
         # fills in columns above its own, so the heap stays ahead
-        heap = [u for u in coeffs if u in pivots]
+        heap = list(filter(is_pivot, coeffs))
         heapq.heapify(heap)
         while heap:
             u = heapq.heappop(heap)
@@ -460,11 +550,15 @@ def _echelon(rows):
 
 
 def _back_substitute(pivots, n_unknowns: int) -> list:
-    """Values of all unknowns from an echelon form, free ones zero."""
+    """Values of all unknowns from an echelon form, free ones zero; the
+    zero values are skipped."""
     values = [0] * n_unknowns
     for u_star in sorted(pivots, reverse=True):
         coeffs, rhs = pivots[u_star]
-        values[u_star] = rhs - sum(c * values[u] for u, c in coeffs.items())
+        for u, c in coeffs.items():
+            if values[u]:
+                rhs -= c * values[u]
+        values[u_star] = rhs
     return values
 
 

@@ -8,21 +8,24 @@ Grammar (whitespace insensitive):
     factor:= atom ['^' ['-'] int]
     atom  := rational | ident | '(' expr ')' | '-' atom
 
-Rational literals are integers or "p/q".  Implicit multiplication is not
-supported.  Parsing then printing then parsing is the identity on normal
-forms.  One regex scan splits a text into tokens, and a whole run of
-factors joined by '*' (rationals, identifiers and their powers, spaced or
-not) is one token, split by str methods; each distinct factor text is
-read once per parse.  An error finds its offset, line and column only
-when raised.  A term is one flat product: the monomial terms of a sum go
-to one `SuperPoly.from_products` call and only other factors are
-multiplied.  The printer lays each polynomial out once by
-`SuperPoly.named_rows` and writes each (variable, exponent) text once.
+Rational literals are integers or "p/q"; a literal of more digits than
+int() reads (sys.get_int_max_str_digits()) is a syntax error at its
+first digit.  Implicit multiplication is not supported.  Parsing then
+printing then parsing is the identity on normal forms.  One regex scan
+splits a text into tokens, and a whole run of factors joined by '*'
+(rationals, identifiers and their powers, spaced or not) is one token,
+split by str methods; each distinct factor text is read once per parse.
+An error finds its offset, line and column only when raised.  A term is
+one flat product: the monomial terms of a sum go to one
+`SuperPoly.from_products` call and only other factors are multiplied.
+The printer lays each polynomial out once by `SuperPoly.named_rows` and
+writes each (variable, exponent) text once.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import compress
 
@@ -316,9 +319,24 @@ def _eval(node, env):
     return kind.sum([value, *values]) if values else value
 
 
+def _parse(text: str, ring: RingDecl, kind):
+    try:
+        return _eval(_parse_to_ast(text), (ring, kind, {}))
+    except ValueError:
+        # int() refuses a literal longer than sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        long = limit and re.search(
+            rf"(?<![0-9A-Za-z_])[0-9]{{{limit + 1},}}", text)
+        if not long:
+            raise
+        raise _error(f"integer literal of {long.end() - long.start()} "
+                     f"digits, more than the limit of {limit}", text,
+                     long.start()) from None
+
+
 def parse_poly(text: str, ring: RingDecl) -> SuperPoly:
     try:
-        return _eval(_parse_to_ast(text), (ring, SuperPoly, {}))
+        return _parse(text, ring, SuperPoly)
     except NotAUnit as exc:
         raise NegativePowerOfNonInvertible(str(exc)) from exc
 
@@ -328,7 +346,7 @@ def parse_localized(text: str, ring: RingDecl) -> LocalizedPoly:
     power is a power of `LocalizedPoly.reciprocal` of its base, whose
     body with its loci cancelled must be a unit times distinct loci, as
     `LocalizedPoly.reciprocal` says (NotAUnit otherwise)."""
-    return _eval(_parse_to_ast(text), (ring, LocalizedPoly, {}))
+    return _parse(text, ring, LocalizedPoly)
 
 
 # ---------------------------------------------------------------------------

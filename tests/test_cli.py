@@ -67,6 +67,31 @@ class TestReduce:
         assert out == ""
         assert "packed range" in err
 
+    def test_literal_beyond_the_digit_limit_exit_2(self, capsys):
+        """A 5,000-digit literal is more than int() reads from text: a
+        positioned syntax error, not a traceback."""
+        code, out, err = run(
+            capsys, "reduce", "--p", "1", "--q", "0", "x + " + "7" * 5000,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: integer literal of 5000 digits, more than the limit of "
+            "4300 (line 1, column 5)"]
+
+    def test_answer_beyond_the_digit_limit_exit_2(self, capsys):
+        """9^9999 has 9,543 digits, more than str() writes: the answer is
+        refused on one error line."""
+        code, out, err = run(
+            capsys, "--format", "json", "reduce", "--p", "1", "--q", "0",
+            "9^9999",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: the answer holds a number of more than 4300 digits, too "
+            "long to print"]
+
     def test_set_parameter(self, capsys):
         code, out, _ = run(
             capsys, "--format", "json", "reduce", "--p", "1", "--q", "0",

@@ -140,6 +140,33 @@ class TestLeftInverse:
         assert matmul(m, inv) == identity
         assert len(calls) == 0, Counter(calls)
 
+    def test_block_products_built_once(self, monkeypatch):
+        """C A^-1 serves the Schur complement and both bottom-left and
+        top-left blocks, and (A^-1 B) S^-1 both top blocks: a (3|3)
+        inverse makes 14 list products (126 entry dots), not 16 (144)."""
+        import superhilb.matrix as matrix
+
+        m = random_super_matrix(random.Random(1), 3, 3)
+        counts = Counter()
+        lists_matmul, dot = matrix._lists_matmul, SuperPoly.dot
+
+        def counted_matmul(a, b):
+            counts["_lists_matmul"] += 1
+            return lists_matmul(a, b)
+
+        def counted_dot(pairs):
+            counts["dot"] += 1
+            return dot(pairs)
+
+        monkeypatch.setattr(matrix, "_lists_matmul", counted_matmul)
+        monkeypatch.setattr(SuperPoly, "dot", staticmethod(counted_dot))
+        inv = left_inverse(m)
+        monkeypatch.undo()
+        assert counts == {"_lists_matmul": 14, "dot": 126}, counts
+        identity = SuperMatrix.identity(3, 3)
+        assert matmul(inv, m) == identity
+        assert matmul(m, inv) == identity
+
     def test_singular_reduction(self):
         w0, w1 = ODDS[0], ODDS[1]
         nil = SuperPoly.var(w0) * SuperPoly.var(w1)

@@ -385,6 +385,8 @@ def _dense_rows(system, bound):
 
     for eq_no, eq in enumerate(system.equations):
         for block, factor in eq.terms:
+            if block not in system.blocks:
+                continue  # no unknowns: the term contributes nothing
             _, (sz, sw) = system.blocks[block]
             for col, (name, e, f_) in enumerate(unknowns):
                 if name != block:
@@ -427,27 +429,47 @@ def _dense_solve(system, bound):
     return solution
 
 
-def _random_system(rng, bound, consistent):
+def _random_system(rng, bound, consistent, awkward=False):
+    """A random three-block system with right-hand sides that are the
+    image of a random point, or random entries.  An awkward system also
+    lists a block twice in an equation (sometimes cancelling a term to
+    zero), has a term on a block the system lacks, and shifts every
+    exponent by an offset near -300, 0 or 300."""
     blocks = {
         name: (chart, CONES[chart])
         for name, chart in (("f", "V1"), ("g", "V2"), ("h", "V3"))
         if rng.random() < 0.8
     } or {"f": ("V1", CONES["V1"])}
+    shift = ((rng.choice([-300, 0, 300]) + rng.randint(-3, 3),
+              rng.choice([-300, 0, 300]) + rng.randint(-3, 3))
+             if awkward else (0, 0))
 
     def coefficient():
         return Fraction(rng.choice([-3, -2, -1, 1, 1, 2, 3]),
                         rng.choice([1, 1, 2, 3]))
+
+    def factor():
+        return {
+            (rng.randint(-2, 2) + shift[0], rng.randint(-2, 2) + shift[1]):
+                coefficient()
+            for _ in range(rng.randint(1, 3))
+        }
 
     equations = []
     for eq_no in range(rng.randint(1, 3)):
         terms = []
         for name in blocks:
             if rng.random() < 0.7:
-                factor = {
-                    (rng.randint(-2, 2), rng.randint(-2, 2)): coefficient()
-                    for _ in range(rng.randint(1, 3))
-                }
-                terms.append((name, factor))
+                terms.append((name, factor()))
+        if awkward:
+            if terms:
+                name, first = rng.choice(terms)
+                again = factor()
+                if rng.random() < 0.5:
+                    key = rng.choice(list(first))
+                    again[key] = -first[key]  # cancels that term
+                terms.insert(rng.randrange(len(terms) + 1), (name, again))
+            terms.append(("x", factor()))  # not a block of the system
         equations.append(CoboundaryEquation(f"E{eq_no}", tuple(terms), {}))
     system = LaurentSystem(0, blocks, tuple(equations), bound)
     # right-hand sides: the image of random values, or random entries
@@ -506,6 +528,31 @@ class TestBoundedSolver:
                 assert got is not None, trial
                 assert list(got.items()) == list(want.items()), trial
         assert outcomes[True] >= 10 and outcomes[False] >= 10, outcomes
+
+    def test_awkward_systems_match_dense_reference(self):
+        """Blocks listed twice in one equation, factor terms that cancel,
+        a term on a block the system lacks and exponents near +-300 leave
+        the solver equal to the dense reference."""
+        rng = random.Random(17)
+        outcomes = {True: 0, False: 0}
+        for trial in range(120):
+            bound = rng.randint(0, 3)
+            system = _random_system(rng, bound, consistent=trial % 3 != 0,
+                                    awkward=True)
+            got = solve_laurent_system(system)
+            want = _dense_solve(system, bound)
+            outcomes[want is not None] += 1
+            if want is None:
+                assert got is None, trial
+            else:
+                assert got is not None, trial
+                assert list(got.items()) == list(want.items()), trial
+        assert outcomes[True] >= 20 and outcomes[False] >= 20, outcomes
+
+    @pytest.mark.parametrize("k", [100, -100])
+    def test_large_twist_infeasible(self, k):
+        system = build_coboundary_system(k, abs(k) + 4)
+        assert solve_laurent_system(system) is None
 
 
 class TestNegativeBound:
@@ -566,3 +613,42 @@ class TestSolverCertificateUnderOptimize:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("CertificateError"), done.stdout
         assert "truncated equation" in done.stdout
+
+    def test_tampered_free_unknown_raises(self):
+        """f and g share the row of z^0 w^0, so g's unknowns on the w-axis
+        are free and solved as zero; setting the first of them to 1 breaks
+        that row, and the check, which reads every nonzero value, finds
+        it under python -O."""
+        done = run_optimized("""
+            import superhilb.obstruction as ob
+            from superhilb.errors import CertificateError
+
+            system = ob.LaurentSystem(
+                0, {"f": ("V1", ob.CONES["V1"]), "g": ("V2", ob.CONES["V2"])},
+                (ob.CoboundaryEquation(
+                    "E", (("f", {(0, 0): 1}), ("g", {(0, 0): 1})),
+                    {(0, 0): 1}),),
+                2)
+            print(sorted(u for u, v in ob.solve_laurent_system(system).items()
+                         if v))
+            back_substitute = ob._back_substitute
+
+            def tampered(pivots, n_unknowns):
+                values = back_substitute(pivots, n_unknowns)
+                free = min(set(range(n_unknowns)) - set(pivots))
+                print("free", free, values[free])
+                values[free] = 1
+                return values
+
+            ob._back_substitute = tampered
+            try:
+                ob.solve_laurent_system(system)
+            except CertificateError as exc:
+                print(type(exc).__name__, exc)
+        """)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        # six unknowns a block: g(0, 0) is the seventh
+        assert lines[:2] == ["[('f', 0, 0)]", "free 6 0"], done.stdout
+        assert lines[2].startswith("CertificateError"), done.stdout
+        assert "truncated equation" in lines[2]

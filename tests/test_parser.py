@@ -403,6 +403,30 @@ class TestErrorPositions:
             assert str(err.value) == (
                 f"{message} (line {line}, column {column})")
 
+    @pytest.mark.parametrize("text, digits, line, column", [
+        ("9" * 5000, 5000, 1, 1),
+        ("x +\n  2*" + "9" * 4301, 4301, 2, 5),
+        ("a^" + "1" * 5000, 5000, 1, 3),
+        ("(x)^-" + "1" * 5000, 5000, 1, 6),
+        ("-a^\n" + "2" * 5000, 5000, 2, 1),
+        ("x*1/ " + "3" * 4400, 4400, 1, 6),
+    ], ids=["literal", "second-line", "power", "suffix", "odd-power",
+            "denominator"])
+    def test_literal_beyond_the_digit_limit(self, text, digits, line, column):
+        """int() refuses text of more than 4,300 digits; such a literal
+        is a syntax error at its first digit.  A name's digits are not a
+        literal."""
+        ring = parse_ring(self.RING)
+        for parse in (parse_poly, parse_localized):
+            with pytest.raises(ExprSyntaxError) as err:
+                parse(text, ring)
+            assert str(err.value) == (
+                f"integer literal of {digits} digits, more than the limit of "
+                f"4300 (line {line}, column {column})")
+        with pytest.raises(UnknownVariable):
+            parse_poly("x + a" + "1" * 5000, ring)
+        assert parse_poly("7" * 4300, ring) == SuperPoly.const(int("7" * 4300))
+
     @pytest.mark.parametrize("text, message, line, column", [
         ("even x;\n  ood y;", "expected 'even' or 'odd', found 'ood'", 2, 3),
         ("even x;\nodd", "expected 'ident', found 'eof'", 2, 4),
