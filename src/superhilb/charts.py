@@ -780,7 +780,11 @@ def atlas_from_text(text: str) -> Atlas:
     head = re.fullmatch(r"atlas\s+(\S+)\s+twist\s+(-?\d+)", first)
     if head is None:
         raise ChartMismatch(f"missing or malformed atlas header: {first!r}")
-    name, twist = head[1], int(head[2])
+    try:
+        name, twist = head[1], int(head[2])
+    except ValueError:  # more digits than Python converts
+        raise ChartMismatch(
+            f"atlas twist of {len(head[2])} characters is too long") from None
     charts = {}
     transitions = {}
     ring = RingDecl()

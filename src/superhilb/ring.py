@@ -28,7 +28,10 @@ views carry the sign of reordering the odd variables by name: `terms`
 (keyed by `SuperMonomial`), `named_terms` and `as_coeff_map`, and
 `named_rows`, which lays a polynomial out once for `named_terms` and the
 printer.  They serve the printer, the tests and the public API, and build
-`SuperMonomial`s only on demand.
+`SuperMonomial`s only on demand.  Two distinct variables of one name
+(`x` and an invertible `x`) have no name order, so those views, through
+`_name_layout` and `SuperMonomial.make`, raise `ValueError` on a value
+holding both; arithmetic goes by symbol and stays exact on it.
 All values are immutable after construction (the caches, `dot`'s
 numerators of an operand and the name layouts of `named_rows`, are
 derived from values and symbols and written whole)
@@ -92,7 +95,6 @@ class VarSymbol:
     _intern: dict = {}
     _evens: list = []  # even variables by index
     _odds: list = []  # odd variables by index
-    _clashes: list = []  # (u, v, masks of u, masks of v): u, v share a name
     _bias = 0  # _HALF in the field of every even variable
     _lock = threading.Lock()
 
@@ -117,10 +119,6 @@ class VarSymbol:
                 table.append(obj)
                 if parity is Parity.EVEN:
                     cls._bias += _HALF << (_WIDTH * obj.index)
-                cls._clashes.extend((other, obj, *_mask_pair(other),
-                                     *_mask_pair(obj))
-                                    for other in cls._intern.values()
-                                    if other.name == name)
                 cls._intern[key] = obj
         return obj
 
@@ -128,13 +126,6 @@ class VarSymbol:
         tag = "even" if self.parity is Parity.EVEN else "odd"
         inv = " inv" if self.invertible else ""
         return f"<{tag} {self.name}{inv}>"
-
-
-def _mask_pair(var: VarSymbol):
-    """(odd mask, even field mask) selecting var in a `_support` pair."""
-    if var.parity is Parity.ODD:
-        return 1 << var.index, 0
-    return 0, _FIELD << (_WIDTH * var.index)
 
 
 def even(name: str, invertible: bool = False) -> VarSymbol:
@@ -175,13 +166,15 @@ def _name_layout(masks: tuple, support: int):
     width + i above them; `read` picks the fields of `variables`, sorted
     by name; `odd` maps each mask to its odd fields set to 1 and to 1
     when ordering its variables by name flips the sign, else 0.  Cached
-    and read-only: a pure function of interned symbols."""
+    and read-only: a pure function of interned symbols.  ValueError when
+    two of the variables share a name."""
     evens = [v for v in VarSymbol._evens if support >> (_WIDTH * v.index)
              & _FIELD]
     width = evens[-1].index + 1 if evens else 0
     odd_mask = reduce(or_, masks, 0)
     variables = tuple(sorted(_odd_vars(odd_mask) + evens,
                              key=attrgetter("name")))
+    _distinct_names(variables)
     order = [v.index + width * v.parity.value for v in variables]
     read = itemgetter(*order) if len(order) > 1 else itemgetter(
         slice(order[0], order[0] + 1) if order else slice(0))
@@ -225,6 +218,14 @@ def _order_flips(odd_vars) -> int:
 
 def _by_name(factor):
     return factor[0].name
+
+
+def _distinct_names(variables):
+    """ValueError when two of variables, sorted by name, share a name:
+    no name order places them, so no name-ordered view can hold both."""
+    for u, v in zip(variables, variables[1:]):
+        if u.name == v.name:
+            raise ValueError(f"distinct variables share the name {u.name!r}")
 
 
 def _coeff(x):
@@ -321,11 +322,7 @@ class SuperMonomial:
     def make(exponents) -> "SuperMonomial":
         items = sorted(((v, _checked(v, e)) for v, e in exponents.items()
                         if e), key=_by_name)
-        for (u, _), (v, _) in zip(items, items[1:]):
-            if u.name == v.name:
-                raise ValueError(
-                    f"distinct variables share the name {u.name!r}"
-                )
+        _distinct_names([v for v, _ in items])
         return SuperMonomial(tuple(items))
 
     def exponent(self, var: VarSymbol) -> int:
@@ -518,7 +515,7 @@ class SuperPoly:
         for a, b in pairs:
             a, b = SuperPoly.promote(a), SuperPoly.promote(b)
             if a._parts and b._parts:
-                bound = max(bound, _product_bound(a, b))
+                bound = max(bound, _bound_of((a, b)))
                 (da, na), (db, nb) = _numerators(a), _numerators(b)
                 scaled.append((da * db, na, nb))
         common = lcm(*(d for d, _, _ in scaled))
@@ -693,8 +690,8 @@ class SuperPoly:
         if not self._parts or not other._parts:
             return _ZERO
         bound = self._bound + other._bound
-        if bound > EXPONENT_LIMIT or VarSymbol._clashes:
-            bound = _product_bound(self, other)
+        if bound > EXPONENT_LIMIT:
+            bound = _bound_of((self, other))
         out = {}
         _multiply_into(out, self._parts, other._parts)
         for m, part in list(out.items()):
@@ -816,24 +813,16 @@ class SuperPoly:
     def __repr__(self):
         from .parser import pretty
 
-        return f"SuperPoly({pretty(self)})"
+        try:
+            return f"SuperPoly({pretty(self)})"
+        except ValueError as exc:  # no name order, or a number too long
+            return f"<SuperPoly of {len(self.terms)} terms: {exc}>"
 
 
 def _operand(x):
     """x promoted, or NotImplemented (the other operand's turn)."""
     ok = isinstance(x, (SuperPoly, VarSymbol, int, Fraction))
     return SuperPoly.promote(x) if ok else NotImplemented
-
-
-def _product_bound(a: SuperPoly, b: SuperPoly) -> int:
-    """The exponent bound of a * b for nonzero a and b; raises where the
-    product cannot be formed (ExponentOverflow, or a shared name)."""
-    bound = a._bound + b._bound
-    if bound > EXPONENT_LIMIT:
-        bound = _bound_of((a, b))
-    if VarSymbol._clashes:
-        _check_names(a, b)
-    return bound
 
 
 def _multiply_into(out: dict, lhs: dict, rhs: dict):
@@ -884,16 +873,6 @@ def _numerators(p: SuperPoly):
     return got
 
 
-def _check_names(a: SuperPoly, b: SuperPoly):
-    """ValueError when a product of a and b would hold two distinct
-    variables of one name, which the name-ordered views cannot order."""
-    (ao, ae), (bo, be) = a._support(), b._support()
-    for u, _, uo, ue, vo, ve in VarSymbol._clashes:
-        if (((ao & uo or ae & ue) and (bo & vo or be & ve))
-                or ((ao & vo or ae & ve) and (bo & uo or be & ue))):
-            raise ValueError(f"distinct variables share the name {u.name!r}")
-
-
 _ZERO = SuperPoly()
 _ONE = SuperPoly.const(1)
 
@@ -937,14 +916,12 @@ def soul_series(body_inv, neg_soul):
 
 def _power(built: dict, n: int):
     """base^n from {exponent: base^exponent}, which holds 0 and 1, storing
-    every power built on the way: the largest power below n times the
-    rest, or two halves when that power is below n/2, so the recursion
-    depth stays logarithmic in n."""
+    every power built on the way: base^(n // 2) times base^(n - n // 2),
+    binary powering, so the recursion depth is logarithmic in n and a
+    power already in the table ends its branch."""
     out = built.get(n)
     if out is None:
-        d = max(d for d in built if d < n)
-        if 2 * d < n:
-            d = n // 2
+        d = n // 2
         out = built[n] = _power(built, d) * _power(built, n - d)
     return out
 
@@ -953,7 +930,7 @@ class PowerTable:
     """The values of one assignment and the powers of them built so far.
 
     Substitutions through one table share its powers: each rep^e is built
-    once, from the nearest power already in the table (`_power`), and
+    once, as the product of its two halves (`_power`), and
     every negative power is a power of one cached reciprocal.  Values are
     promoted to `kind`, the type `apply` returns.  The table holds only
     values derived from the assignment and lives as long as its holder

@@ -448,8 +448,9 @@ class TestAtlasSerialization:
         "transition A A\n  q1 := a1;\nend\n",
         "atlas t twist 0\nchart A\n  even a1 inv;\nend\n"
         "transition A A\n  a1 = a1;\nend\n",
+        "atlas hilb21 twist " + "9" * 5000 + "\n",
     ], ids=["no-twist", "twist-not-int", "undeclared-chart",
-            "undeclared-coordinate", "rule-without-assign"])
+            "undeclared-coordinate", "rule-without-assign", "twist-too-long"])
     def test_malformed_text_raises(self, text):
         with pytest.raises(ChartMismatch):
             atlas_from_text(text)

@@ -9,7 +9,7 @@ import pytest
 from superhilb.errors import ExponentOverflow, NotAUnit, ParityMismatch
 from superhilb.ideals import super_divmod
 from superhilb.localized import LocalizedPoly
-from superhilb.parser import RingDecl, parse_poly
+from superhilb.parser import RingDecl, parse_poly, pretty
 from superhilb.ring import (
     EXPONENT_LIMIT,
     ParityClass,
@@ -354,12 +354,59 @@ class TestNameOrderSigns:
 
 
 class TestSharedNames:
+    """Two distinct variables of one name have no name order: every view
+    that orders by name raises on a value holding both, while arithmetic,
+    which goes by symbol, is exact on it."""
+
     def test_product_of_two_symbols_with_one_name_raises(self):
+        """The products form; their name-ordered views raise."""
+        c, c_inv = even("c"), even("c", invertible=True)
+        for product in (P(c) * P(c_inv), (P(c_inv) + 1) * (P(c) ** 2 - 3)):
+            with pytest.raises(ValueError, match="share the name 'c'"):
+                pretty(product)
+            with pytest.raises(ValueError, match="share the name 'c'"):
+                product.named_terms()
+
+    def test_viewing_a_term_holding_both_raises(self):
+        c, c_inv = even("c"), even("c", invertible=True)
+        term = SuperPoly.from_products([(1, [(c_inv, 1), (c, 2)])])
+        views = (term.named_rows, term.named_terms, lambda: list(term.terms),
+                 lambda: pretty(term),
+                 lambda: term.as_coeff_map([c, c_inv]),
+                 lambda: SuperPoly({SuperMonomial.make({c: 2, c_inv: 1}): 1}))
+        for view in views:
+            with pytest.raises(ValueError, match="share the name 'c'"):
+                view()
+
+    def test_printing_a_sum_holding_both_raises(self):
         c, c_inv = even("c"), even("c", invertible=True)
         with pytest.raises(ValueError, match="share the name 'c'"):
-            P(c) * P(c_inv)
-        with pytest.raises(ValueError):
-            (P(c_inv) + 1) * (P(c) ** 2 - 3)
+            pretty(P(c) + P(c_inv))
+        assert "share the name 'c'" in repr(P(c) + P(c_inv))
+
+    def test_arithmetic_on_both_is_exact(self):
+        c, c_inv = even("c"), even("c", invertible=True)
+        product = P(c) * P(c_inv)
+        assert product.coefficients((c, c_inv)) == {(1, 1): SuperPoly.one()}
+        assert product.coefficients((c_inv,)) == {(1,): P(c)}
+        assert product.substitute({c: 2}) == 2 * P(c_inv)
+        assert product.substitute({c: 2, c_inv: 3}) == 6
+        assert product * SuperPoly.var(c_inv, -1) == P(c)
+
+    def test_products_scan_no_support_with_a_clash_interned(self, monkeypatch):
+        c, c_inv = even("c"), even("c", invertible=True)
+        support, calls = SuperPoly._support, [0]
+
+        def counted(self):
+            calls[0] += 1
+            return support(self)
+
+        monkeypatch.setattr(SuperPoly, "_support", counted)
+        p, q = P(c) + 1, P(c_inv) - 2
+        for _ in range(50):
+            p * q
+            SuperPoly.dot([(p, q)])
+        assert calls[0] == 0
 
     def test_each_symbol_alone_still_multiplies(self):
         c, c_inv = even("c"), even("c", invertible=True)
@@ -442,6 +489,14 @@ def _outcome(compute):
         return type(exc)
 
 
+def _printed(p):
+    """pretty(p), or the type of the error it raised."""
+    try:
+        return pretty(p)
+    except ValueError as exc:
+        return type(exc)
+
+
 class TestDot:
     # interned here, in the opposite order to their names
     ODDS = [odd(f"dot_o{c}") for c in "zyxw"]
@@ -501,10 +556,17 @@ class TestDot:
         for pairs in cases:
             expected = _outcome(lambda: SuperPoly.sum(a * b for a, b in pairs))
             assert _outcome(lambda: SuperPoly.dot(pairs)) == expected
-            outcomes.append(expected if isinstance(expected, type) else dict)
+            if isinstance(expected, type):
+                outcomes.append(expected)
+                continue
+            # a product of dot_c and invertible dot_c forms, and the text
+            # of the sum raises as that of the products' sum does
+            text = _printed(SuperPoly.dot(pairs))
+            assert text == _printed(SuperPoly.sum(a * b for a, b in pairs))
+            outcomes.append(text if isinstance(text, type) else dict)
         assert outcomes == [ExponentOverflow, ExponentOverflow, ExponentOverflow,
-                            dict, ValueError, dict, ExponentOverflow,
-                            ValueError]
+                            dict, ValueError, ValueError, ExponentOverflow,
+                            ExponentOverflow]
 
 
 class TestAddition:

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import superhilb
@@ -22,3 +24,22 @@ def test_no_assert_statements_in_package():
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert not found, found
+
+
+def test_traced_methods_are_defined_on_their_classes():
+    """perfbench/spans.py wraps each operator in its METHODS table by
+    reading cls.__dict__[attr], so `perfbench/run.py --trace 1` installs
+    only while each of them is defined on its class itself."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [
+        f"{layer}.{name}.{attr}"
+        for layer, classes in spans.METHODS.items()
+        for name, methods in classes.items()
+        for attr in methods
+        if attr not in vars(getattr(
+            importlib.import_module(f"superhilb.{layer}"), name))
+    ]
+    assert spans.METHODS and not missing, missing
