@@ -398,19 +398,30 @@ class SecondOrder:
     """A transition read to second order in the source odds s_n: each
     even rule is bosonic + wedge * s1*s2, each odd rule sum_n H[m][n] s_n.
     Every part is a LocalizedPoly in source coordinates over the loci of
-    its rule."""
+    its rule.  det H and J, the Jacobian of the bosonic parts in the
+    source evens, are computed when read."""
 
     bosonic: dict  # target even -> bosonic part
     wedge: dict  # target even -> s1*s2 coefficient (zero for one odd)
     odd_block: tuple  # H: one row per target odd, one entry per source odd
+    source_evens: tuple  # the source chart's evens, in chart order
 
     @property
     def det(self) -> LocalizedPoly:
-        """det H, for a block of size 1 or 2."""
+        """det H; NotCanonicalizable unless H is square of size 1 or 2."""
         h = self.odd_block
+        if len(h) not in (1, 2) or any(len(row) != len(h) for row in h):
+            raise NotCanonicalizable("det needs a square odd block of size "
+                                     "1 or 2")
         if len(h) == 1:
             return h[0][0]
         return h[0][0] * h[1][1] - h[0][1] * h[1][0]
+
+    @property
+    def jacobian(self) -> tuple:
+        """J[m][n]: bosonic part m differentiated by source even n."""
+        return tuple(tuple(bos.diff(s) for s in self.source_evens)
+                     for bos in self.bosonic.values())
 
 
 def second_order(tmap: TransitionMap) -> SecondOrder:
@@ -440,7 +451,7 @@ def second_order(tmap: TransitionMap) -> SecondOrder:
         wedge[coord] = rest[0] if rest else LocalizedPoly(SuperPoly.zero())
     odd_block = tuple(tuple(parts(coord, odd_subs))
                       for coord in tmap.target.odds)
-    return SecondOrder(bosonic, wedge, odd_block)
+    return SecondOrder(bosonic, wedge, odd_block, tmap.source.evens)
 
 
 def _single_term_rule(poly: SuperPoly):

@@ -12,15 +12,29 @@ finite geometric series around the exact inverse of their numeric
 reductions (SingularReduction when a reduction is singular).  Every
 matrix product, the Schur complement and the series terms included, sums
 its entry products with `SuperPoly.dot`.
+
+This module is also the package's one exact linear elimination over the
+rationals, shared by `rational_inverse` and the obstruction solver.
+`_echelon` reduces each incoming sparse row against the earlier pivot
+rows in ascending pivot order and pivots on its smallest remaining
+column; `_back_substitute` works in descending pivot order and sets the
+free unknowns to zero.  The leading columns of a row space do not
+depend on how it is reduced, so the pivots, and the solution with free
+unknowns zero, are those of a full Gauss-Jordan reduction.  Entries
+stay Python ints while integral (a pivot of +-1 is normalised by a sign
+flip).  `obstruction.solve_laurent_system` certifies the values it gets
+back: scattered over its triangles straight from the equations, they
+must give a residual equal to the right-hand side on every row.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParityMismatch, ShapeMismatch, SingularReduction
-from .ring import ParityClass, SuperPoly
+from .ring import ParityClass, SuperPoly, _coeff
 
 
 @dataclass(frozen=True)
@@ -128,28 +142,85 @@ def _numeric(rows):
 
 
 def rational_inverse(matrix):
-    """Exact Gauss-Jordan inverse of a rational matrix."""
+    """Exact inverse of a rational matrix; integral entries are ints.
+    SingularReduction when it is singular.
+
+    One elimination of the rows of A x - y = 0 serves every column: the
+    unknowns y come after x, so an invertible A puts every pivot on x,
+    and column j is the back substitution with y = e_j, entered as the
+    pivot rows y_k = [k == j] of no other column."""
     n = len(matrix)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(matrix)
+    pivots = _echelon(({c: x for c, x in enumerate(row) if x} | {n + i: -1}, 0)
+                      for i, row in enumerate(matrix))
+    if set(pivots) != set(range(n)):
+        raise SingularReduction("numeric reduction is singular")
+    columns = [
+        _back_substitute(pivots | {n + k: ({}, int(k == j)) for k in range(n)},
+                         2 * n)[:n]
+        for j in range(n)
     ]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if aug[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            raise SingularReduction("numeric reduction is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    return [[_coeff(x) for x in row] for row in zip(*columns)]
+
+
+def _echelon(rows):
+    """Forward elimination: {pivot column: (coeffs, rhs)} with the pivot
+    normalised to 1 and dropped from coeffs, every other column of a
+    pivot row above its pivot; None when some row reduces to 0 = c != 0.
+    The rows are consumed: each row's dict is reduced in place."""
+    pivots = {}
+    is_pivot = pivots.__contains__
+    for coeffs, rhs in rows:
+        # the row's pivot columns in ascending order; a pivot row only
+        # fills in columns above its own, so the heap stays ahead
+        heap = list(filter(is_pivot, coeffs))
+        heapq.heapify(heap)
+        while heap:
+            u = heapq.heappop(heap)
+            factor = coeffs.pop(u, 0)
+            if not factor:
+                continue  # cancelled, or a repeated push
+            p_coeffs, p_rhs = pivots[u]
+            for pu, pc in p_coeffs.items():
+                old = coeffs.get(pu)
+                if old is None:
+                    coeffs[pu] = -factor * pc
+                    if pu in pivots:
+                        heapq.heappush(heap, pu)
+                else:
+                    s = old - factor * pc
+                    if s:
+                        coeffs[pu] = s
+                    else:
+                        del coeffs[pu]
+            rhs -= factor * p_rhs
+        if not coeffs:
+            if rhs:
+                return None
+            continue
+        u_star = min(coeffs)
+        lead = coeffs.pop(u_star)
+        if lead == -1:
+            coeffs = {u: -c for u, c in coeffs.items()}
+            rhs = -rhs
+        elif lead != 1:
+            inv = 1 / Fraction(lead)
+            coeffs = {u: _coeff(c * inv) for u, c in coeffs.items()}
+            rhs = _coeff(rhs * inv)
+        pivots[u_star] = (coeffs, rhs)
+    return pivots
+
+
+def _back_substitute(pivots, n_unknowns: int) -> list:
+    """Values of all unknowns from an echelon form, free ones zero; the
+    zero values are skipped."""
+    values = [0] * n_unknowns
+    for u_star in sorted(pivots, reverse=True):
+        coeffs, rhs = pivots[u_star]
+        for u, c in coeffs.items():
+            if values[u]:
+                rhs -= c * values[u]
+        values[u_star] = rhs
+    return values
 
 
 def _even_block_inverse(block):

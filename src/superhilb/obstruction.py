@@ -17,7 +17,6 @@ NotCanonicalizable, also under python -O.
 
 from __future__ import annotations
 
-import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,8 +26,9 @@ from .charts import (HILB21_LAYOUT, Atlas, hilb11_atlas, hilb21_atlas,
 from .errors import NotCanonicalizable
 from .ideals import _certify
 from .localized import LocalizedPoly, substitute_localized
+from .matrix import _back_substitute, _echelon
 from .parser import pretty
-from .ring import SuperPoly, even
+from .ring import SuperPoly, _coeff, even
 
 V = SuperPoly.var
 
@@ -104,16 +104,15 @@ def frame_transport_identity(atlas: Atlas, target: str, source: str) -> bool:
 def antisymmetry_holds(atlas: Atlas, i: str, j: str) -> bool:
     """Transporting the (i, j) entry through the reverse transition must
     negate the (j, i) entry."""
-    t_ij = atlas.transition(i, j)
-    ij, ji = second_order(t_ij), second_order(atlas.transition(j, i))
+    ij = second_order(atlas.transition(i, j))
+    ji = second_order(atlas.transition(j, i))
     # frame: tau1*tau2 = det(H) sigma1*sigma2 under the (i,j) odd rules;
     # coefficients transport through the bosonic rules because the
     # quadratic corrections die against the frame
-    for s_coord in t_ij.source.evens:
-        total = ji.wedge[s_coord].substitute(ij.bosonic) * ij.det
-        for t_coord in t_ij.target.evens:
-            jac = ji.bosonic[s_coord].diff(t_coord)
-            total = total + ij.wedge[t_coord] * jac.substitute(ij.bosonic)
+    for psi_ji, jac_row in zip(ji.wedge.values(), ji.jacobian):
+        total = psi_ji.substitute(ij.bosonic) * ij.det
+        for psi_ij, jac in zip(ij.wedge.values(), jac_row):
+            total = total + psi_ij * jac.substitute(ij.bosonic)
         if not total.is_zero():
             return False
     return True
@@ -219,55 +218,38 @@ class LaurentSystem:
     degree_bound: int
 
 
-def _transition_factors(atlas: Atlas, target: str, source: str):
-    """(psi list, frame det, jacobian matrix, bosonic rules) for the
-    stored transition, read off its second-order split, all as
-    LocalizedPoly in source coordinates."""
-    tmap = atlas.transition(target, source)
-    split = second_order(tmap)
-    jac = [[bos.diff(s) for s in tmap.source.evens]
-           for bos in split.bosonic.values()]
-    return tmap, list(split.wedge.values()), split.det, jac, split.bosonic
+def _overlap_equations(atlas: Atlas, target: str, source: str,
+                       components) -> list:
+    """The coboundary identity psi = det H (sigma_target o phi) -
+    J sigma_source of one second-order split, read in each given even
+    direction of the target chart, cleared of denominators and embedded
+    in global coordinates."""
+    split = second_order(atlas.transition(target, source))
+    psi, det, jac = list(split.wedge.values()), split.det, split.jacobian
+    equations = []
+    for m in components:
+        rhs, det_factor, *factors = (
+            embed_chart_poly(poly, source, split.source_evens)
+            for poly in _cleared([psi[m], det, *jac[m]]))
+        terms = [(_BLOCKS[target][m], det_factor)] + [
+            (_BLOCKS[source][n], _lb_scale(factor, -1))
+            for n, factor in enumerate(factors) if factor]
+        equations.append(CoboundaryEquation(
+            f"{target}{source}.{'zw'[m]}", tuple(terms), rhs))
+    return equations
 
 
-def _equation_for_overlap(atlas: Atlas, target: str, source: str,
-                          component: int) -> CoboundaryEquation:
-    """The coboundary condition psi = sigma_target - sigma_source read in
-    the component-th even direction of the target chart, cleared of
-    denominators and embedded in global coordinates."""
-    tmap, psi, det, jac, _ = _transition_factors(atlas, target, source)
-    source_evens = tmap.source.evens
-    values = [psi[component], det] + jac[component]
+def _cleared(values) -> list:
+    """Each value's numerator times the denominators of all the others."""
     dens = [value.den for value in values]
-
-    def cleared(index: int) -> SuperPoly:
-        # the value times the denominators of all the others
-        out = values[index].num
+    out = []
+    for index, value in enumerate(values):
+        num = value.num
         for i, den in enumerate(dens):
             if i != index:
-                out = out * den
-        return out
-
-    rhs = embed_chart_poly(cleared(0), source, source_evens)
-    terms = [
-        (
-            _BLOCKS[target][component],
-            embed_chart_poly(cleared(1), source, source_evens),
-        )
-    ]
-    for n, s_coord in enumerate(source_evens):
-        factor = cleared(2 + n)
-        if not factor.is_zero():
-            terms.append(
-                (
-                    _BLOCKS[source][n],
-                    _lb_scale(
-                        embed_chart_poly(factor, source, source_evens), -1
-                    ),
-                )
-            )
-    label = f"{target}{source}.{'zw'[component]}"
-    return CoboundaryEquation(label, tuple(terms), rhs)
+                num = num * den
+        out.append(num)
+    return out
 
 
 def build_coboundary_system(k: int, degree_bound: int,
@@ -295,8 +277,8 @@ def _system(k, degree_bound, atlas, pairs, components) -> LaurentSystem:
     _checked_bound(degree_bound)
     atlas = _atlas_for(k, atlas)
     equations = tuple(
-        _equation_for_overlap(atlas, t, s, m)
-        for t, s in pairs for m in components
+        eq for t, s in pairs
+        for eq in _overlap_equations(atlas, t, s, components)
     )
     blocks = {
         _BLOCKS[chart][m]: (chart, CONES[chart])
@@ -329,27 +311,14 @@ def _atlas_for(k: int, atlas: Atlas | None) -> Atlas:
 # orientation's triangle is one list of key offsets, built once per
 # solve.  The factors of a block listed twice in an equation are merged
 # first, so every (row, unknown) entry is written exactly once.
-#
-# Sparse echelon elimination over the rationals: each incoming row is
-# reduced against the earlier pivot rows in ascending pivot order and
-# pivots on its smallest remaining column; back substitution in
-# descending pivot order sets the free unknowns to zero.  The leading
-# columns of a row space do not depend on how it is reduced, so the
-# pivots, and the solution with free unknowns zero, are those of a full
-# Gauss-Jordan reduction.  Entries stay Python ints while integral (a
-# pivot of +-1 is normalised by a sign flip).  The solution is certified
-# before it is returned: its nonzero values, scattered over the same
-# triangles straight from the equations, must give a residual equal to
-# the right-hand side on every truncated row.
 
 
 def solve_laurent_system(system: LaurentSystem, degree_bound=None):
     """Exact rational solve of the truncated system.
 
     Unknowns are the block coefficients of total degree <= the bound
-    inside each cone, one row per equation and Laurent exponent.  Forward
-    elimination brings the rows to echelon form (each pivot the smallest
-    column left in its row); back substitution sets the free unknowns to
+    inside each cone, one row per equation and Laurent exponent, solved
+    by the elimination of `superhilb.matrix` with the free unknowns
     zero.  The solution is checked exactly against every truncated row
     (CertificateError otherwise, also under python -O) and returned as a
     dict unknown -> Fraction; None when the equations are infeasible at
@@ -386,11 +355,6 @@ def _checked_bound(bound: int) -> int:
     return bound
 
 
-def _integral(c):
-    """c as an int when its denominator is 1, else unchanged."""
-    return c.numerator if c.denominator == 1 else c
-
-
 def _merged_terms(eq: CoboundaryEquation, blocks) -> list:
     """The equation's (block, {exponent: coefficient}) terms, one per
     block of the system, with the factors of a block listed twice summed
@@ -402,7 +366,7 @@ def _merged_terms(eq: CoboundaryEquation, blocks) -> list:
         acc = merged.setdefault(block, {})
         for key, c in factor.items():
             acc[key] = acc[key] + c if key in acc else c
-    return [(block, {key: _integral(c) for key, c in acc.items() if c})
+    return [(block, {key: _coeff(c) for key, c in acc.items() if c})
             for block, acc in merged.items()]
 
 
@@ -456,7 +420,7 @@ class _Truncation:
                                      odd, list(map(shift, odd_at)))
         # row key -> nonzero right-hand side
         self.rhs = {
-            base + ez * w_span + ew: _integral(c)
+            base + ez * w_span + ew: _coeff(c)
             for base, eq in zip(self.bases, system.equations)
             for (ez, ew), c in eq.rhs.items() if c
         }
@@ -499,67 +463,6 @@ class _Truncation:
                 key = at + off
                 out[key] = out.get(key, 0) + c * v
         return {key: r for key, r in out.items() if r}
-
-
-def _echelon(rows):
-    """Forward elimination: {pivot column: (coeffs, rhs)} with the pivot
-    normalised to 1 and dropped from coeffs, every other column of a
-    pivot row above its pivot; None when some row reduces to 0 = c != 0.
-    The rows are consumed: each row's dict is reduced in place."""
-    pivots = {}
-    is_pivot = pivots.__contains__
-    for coeffs, rhs in rows:
-        # the row's pivot columns in ascending order; a pivot row only
-        # fills in columns above its own, so the heap stays ahead
-        heap = list(filter(is_pivot, coeffs))
-        heapq.heapify(heap)
-        while heap:
-            u = heapq.heappop(heap)
-            factor = coeffs.pop(u, 0)
-            if not factor:
-                continue  # cancelled, or a repeated push
-            p_coeffs, p_rhs = pivots[u]
-            for pu, pc in p_coeffs.items():
-                old = coeffs.get(pu)
-                if old is None:
-                    coeffs[pu] = -factor * pc
-                    if pu in pivots:
-                        heapq.heappush(heap, pu)
-                else:
-                    s = old - factor * pc
-                    if s:
-                        coeffs[pu] = s
-                    else:
-                        del coeffs[pu]
-            rhs -= factor * p_rhs
-        if not coeffs:
-            if rhs:
-                return None
-            continue
-        u_star = min(coeffs)
-        lead = coeffs.pop(u_star)
-        if lead == -1:
-            coeffs = {u: -c for u, c in coeffs.items()}
-            rhs = -rhs
-        elif lead != 1:
-            inv = 1 / Fraction(lead)
-            coeffs = {u: _integral(c * inv) for u, c in coeffs.items()}
-            rhs = _integral(rhs * inv)
-        pivots[u_star] = (coeffs, rhs)
-    return pivots
-
-
-def _back_substitute(pivots, n_unknowns: int) -> list:
-    """Values of all unknowns from an echelon form, free ones zero; the
-    zero values are skipped."""
-    values = [0] * n_unknowns
-    for u_star in sorted(pivots, reverse=True):
-        coeffs, rhs = pivots[u_star]
-        for u, c in coeffs.items():
-            if values[u]:
-                rhs -= c * values[u]
-        values[u_star] = rhs
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -774,17 +677,15 @@ def _verify_certificate(atlas: Atlas, sections) -> bool:
     """Exact check of psi = sigma_target - sigma_source on every stored
     transition and both even components; sections maps chart name ->
     (poly in chart evens for component 0, for component 1)."""
-    for (target, source) in atlas.transitions:
-        tmap, psi, det, jac, bos_rules = _transition_factors(
-            atlas, target, source
-        )
-        for m in range(len(tmap.target.evens)):
-            lhs = psi[m]
-            composed = substitute_localized(sections[target][m], bos_rules)
+    for (target, source), tmap in atlas.transitions.items():
+        split = second_order(tmap)
+        det, jac = split.det, split.jacobian
+        for m, psi in enumerate(split.wedge.values()):
+            composed = substitute_localized(sections[target][m], split.bosonic)
             rhs = det * composed
-            for n in range(len(tmap.source.evens)):
-                rhs = rhs - jac[m][n] * LocalizedPoly(sections[source][n])
-            if not (lhs - rhs).is_zero():
+            for n, entry in enumerate(jac[m]):
+                rhs = rhs - entry * LocalizedPoly(sections[source][n])
+            if not (psi - rhs).is_zero():
                 return False
     return True
 

@@ -391,6 +391,35 @@ class TestSecondOrder:
                 )
                 assert rebuilt == tmap.rule(coord), (label, coord)
 
+    @pytest.mark.parametrize("build,k", [
+        *((hilb21_atlas, k) for k in (-3, 0, 4)), (hilb11_atlas, 2),
+        (pi_v_atlas, 2),
+    ])
+    def test_jacobian_differentiates_the_bosonic_parts(self, build, k):
+        for label, tmap in build(k).transitions.items():
+            split = second_order(tmap)
+            evens = tmap.source.evens
+            assert split.jacobian == tuple(
+                tuple(split.bosonic[coord].diff(s) for s in evens)
+                for coord in tmap.target.evens
+            ), label
+
+    @pytest.mark.parametrize("n_odd", [0, 3])
+    def test_det_refuses_blocks_beyond_two(self, n_odd):
+        """A 3-odd block with rules o0, o1, 2*o2 has det 2, which the
+        two-by-two formula would read as 1; a 0-odd block has no entry."""
+        x, y = even("x"), even("y")
+        src = [odd(f"o{n}") for n in range(n_odd)]
+        dst = [odd(f"t{n}") for n in range(n_odd)]
+        rules = {y: LocalizedPoly(V(x))}
+        rules.update({t: LocalizedPoly(V(o) * (n + 1 if n == 2 else 1))
+                      for n, (t, o) in enumerate(zip(dst, src))})
+        tmap = TransitionMap(SuperChart("T", (y,), tuple(dst)),
+                             SuperChart("S", (x,), tuple(src)), rules)
+        split = second_order(tmap)
+        with pytest.raises(NotCanonicalizable):
+            split.det
+
 
 class TestAtlasSerialization:
     @pytest.mark.parametrize("k", [0, 2])

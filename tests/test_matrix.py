@@ -212,6 +212,56 @@ class TestRationalHelpers:
                 [Fraction(int(i == j)) for j in range(n)] for i in range(n)
             ]
 
+    def test_rational_inverse_keeps_integral_entries_ints(self):
+        rng = random.Random(21)
+        integral = 0
+        for _ in range(30):
+            n = rng.randint(1, 6)
+            while True:
+                m = [
+                    [rng.choice((rng.randint(-4, 4),
+                                 Fraction(rng.randint(-4, 4),
+                                          rng.choice((2, 3)))))
+                     for _ in range(n)]
+                    for _ in range(n)
+                ]
+                if _cofactor_det(m) != 0:
+                    break
+            inv = rational_inverse(m)
+            for x in (x for row in inv for x in row):
+                if Fraction(x).denominator == 1:
+                    integral += 1
+                    assert type(x) is int, x
+                else:
+                    assert type(x) is Fraction, x
+            prod = [
+                [sum(m[i][k] * inv[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)
+            ]
+            assert prod == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert integral
+
+    def test_one_elimination_serves_both_solvers(self, monkeypatch):
+        """rational_inverse eliminates once for all its columns and the
+        bounded Laurent solver once, both through matrix._echelon."""
+        import superhilb.matrix as matrix
+        import superhilb.obstruction as ob
+
+        assert ob._echelon is matrix._echelon
+        echelon, calls = matrix._echelon, []
+
+        def counted(rows):
+            calls.append(1)
+            return echelon(rows)
+
+        monkeypatch.setattr(matrix, "_echelon", counted)
+        monkeypatch.setattr(ob, "_echelon", counted)
+        assert rational_inverse([[1, 2], [3, 4]]) == [
+            [-2, 1], [Fraction(3, 2), Fraction(-1, 2)]]
+        assert len(calls) == 1
+        assert ob.solve_laurent_system(ob.build_coboundary_system(0, 2))
+        assert len(calls) == 2
+
 
 def _cofactor_det(m):
     n = len(m)

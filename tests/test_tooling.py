@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import superhilb
@@ -43,3 +44,20 @@ def test_traced_methods_are_defined_on_their_classes():
             importlib.import_module(f"superhilb.{layer}"), name))
     ]
     assert spans.METHODS and not missing, missing
+
+
+def test_benchmark_names_are_exported():
+    """perfbench/workloads.py and perfbench/checks.py reach the package
+    through `sh.<name>`, with sh the package once superhilb.cli is
+    imported; a public function moved out of the package's namespace
+    fails here rather than in the benchmark."""
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    names = {
+        name
+        for file in ("workloads.py", "checks.py")
+        for name in re.findall(r"\bsh\.([A-Za-z_]\w*)",
+                               (bench / file).read_text())
+    }
+    importlib.import_module("superhilb.cli")
+    missing = sorted(name for name in names if not hasattr(superhilb, name))
+    assert names and not missing, missing
