@@ -512,14 +512,14 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
         adj = ((LocalizedPoly(SuperPoly.one()),),)
     else:
         adj = ((h[1][1], -h[0][1]), (-h[1][0], h[0][0]))
-    bos_inv_loc = {v: LocalizedPoly(e) for v, e in bos_inv.items()}
-    det_inv = det.substitute(bos_inv_loc).reciprocal()
+    bos_table = PowerTable(bos_inv)
+    det_inv = det.substitute(bos_table).reciprocal()
 
     rules = {}
     for n, s_odd in enumerate(odds_s):
         total = LocalizedPoly(SuperPoly.zero())
         for m, t_odd in enumerate(odds_t):
-            entry = adj[n][m].substitute(bos_inv_loc) * det_inv
+            entry = adj[n][m].substitute(bos_table) * det_inv
             total = total + entry * LocalizedPoly(V(t_odd))
         rules[s_odd] = total
 
@@ -531,7 +531,7 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
             continue
         tau_frame = LocalizedPoly(V(odds_t[0]) * V(odds_t[1]))
         deriv = LocalizedPoly(bos_inv[var].diff(t_coord))
-        correction = (deriv * wedge.substitute(bos_inv_loc) * tau_frame
+        correction = (deriv * wedge.substitute(bos_table) * tau_frame
                       * det_inv)
         rules[var] = base - correction
 
@@ -636,19 +636,30 @@ def _layout_chart(name: str) -> SuperChart:
                       (odd(f"{odd_letter}1"), odd(f"{odd_letter}2")), units)
 
 
+def _moved_points(amb: Ambient, source: SuperChart) -> tuple:
+    """The (1|1)- and (1|0)-point factors of the product chart `source`,
+    each transported once to the patch opposite its own, as (u, v)."""
+    return tuple(
+        transport_point(amb, rank, "y" if here == "x" else "x", 1,
+                        V(u), V(v))
+        for rank, u, v, here in zip(("11", "10"), source.evens, source.odds,
+                                    HILB21_LAYOUT[source.name][2:])
+    )
+
+
 def _map_out_of_product(amb: Ambient, target: SuperChart,
-                        source: SuperChart) -> TransitionMap:
+                        source: SuperChart, moved: tuple) -> TransitionMap:
     """Move each point factor of the product chart `source` to its patch
-    on `target`.  A product target reads its coordinates off the moved
-    factors; a canonical target multiplies the factor ideals on its patch
-    and canonicalizes."""
+    on `target`, reading a factor that changes patch from `moved`, the
+    `_moved_points` of `source`.  A product target reads its coordinates
+    off the moved factors; a canonical target multiplies the factor
+    ideals on its patch and canonicalizes."""
     patches = HILB21_LAYOUT[target.name][2:]
     (u11, v11), (u10, v10) = (
-        (V(u), V(v)) if here == there
-        else transport_point(amb, rank, there, 1, V(u), V(v))
-        for rank, u, v, here, there in zip(
-            ("11", "10"), source.evens, source.odds,
-            HILB21_LAYOUT[source.name][2:], patches)
+        (V(u), V(v)) if here == there else point
+        for u, v, here, there, point in zip(
+            source.evens, source.odds, HILB21_LAYOUT[source.name][2:],
+            patches, moved)
     )
     if _is_product(target.name):
         values = (u11, u10, v11, v10)
@@ -703,10 +714,12 @@ def hilb21_atlas(k: int) -> Atlas:
 
     Every map out of a product chart moves the point factors across the
     patches (into a canonical chart it also multiplies and
-    canonicalizes); the maps into the product charts are their exact
-    inverses, and the maps between the canonical charts are composites
-    through the first product chart.  The V1<-V3 and V1<-V2 maps are
-    checked against their closed forms.
+    canonicalizes); each product chart's two point factors are
+    transported once per build and shared by its three maps.  The maps
+    into the product charts are their exact inverses, and the maps
+    between the canonical charts are composites through the first
+    product chart.  The V1<-V3 and V1<-V2 maps are checked against their
+    closed forms.
     """
     amb = Ambient.fresh(k)
     charts = {name: _layout_chart(name) for name in HILB21_LAYOUT}
@@ -715,10 +728,11 @@ def hilb21_atlas(k: int) -> Atlas:
 
     transitions = {}
     for source in products:
+        moved = _moved_points(amb, charts[source])
         for target in charts:
             if target != source:
                 transitions[(target, source)] = _map_out_of_product(
-                    amb, charts[target], charts[source]
+                    amb, charts[target], charts[source], moved
                 )
 
     v1, v2, v3 = charts["V1"], charts["V2"], charts["V3"]

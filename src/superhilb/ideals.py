@@ -265,11 +265,6 @@ class CanonicalIdeal:
                               self.f.substitute(values),
                               self.g.substitute(values))
 
-    def serialize(self) -> str:
-        from .parser import pretty
-
-        return f"f = {pretty(self.f)}\ng = {pretty(self.g)}\n"
-
 
 # ---------------------------------------------------------------------------
 # Reduction onto the monomial basis
@@ -311,21 +306,6 @@ def reduce_to_basis(poly: SuperPoly, ideal: CanonicalIdeal) -> BasisVector:
     evens = tuple(rem.get((i, 0), zero) for i in range(p))
     odds = tuple(rem.get((j, 1), zero) for j in range(q))
     return BasisVector(evens, odds, u, v)
-
-
-def basis_expansion(vec: BasisVector, ideal: CanonicalIdeal) -> SuperPoly:
-    return (_poly_from_coeffs(vec.evens, ideal.x)
-            + _poly_from_coeffs(vec.odds, ideal.x) * SuperPoly.var(ideal.theta))
-
-
-def verify_reduction(poly: SuperPoly, vec: BasisVector,
-                     ideal: CanonicalIdeal) -> bool:
-    recomposed = (
-        basis_expansion(vec, ideal)
-        + vec.cofactor_f * ideal.f
-        + vec.cofactor_g * ideal.g
-    )
-    return recomposed == poly
 
 
 def membership(poly: SuperPoly, ideal: CanonicalIdeal) -> bool:

@@ -18,7 +18,7 @@ of a value whose body sheds a locus is sum_j binom(n, j) B^(n-j) N^j
 rather than n times its own.
 Substitution runs through `ring.PowerTable`; `PowerTable` here is its
 form with LocalizedPoly values, and substitutions through one table
-share the powers of the substituted values.
+share the powers of the substituted values and the images of the loci.
 """
 
 from __future__ import annotations
@@ -312,7 +312,7 @@ class LocalizedPoly:
         table = PowerTable.of(assignment)
         out = table.apply(self.num)
         for locus, e in self.loci.items():
-            out = out * table.apply(locus.poly) ** -e
+            out = out * table.locus_power(locus, -e)
         return out
 
     def diff(self, var) -> "LocalizedPoly":
@@ -334,14 +334,25 @@ class LocalizedPoly:
 class PowerTable(ring.PowerTable):
     """A `superhilb.ring.PowerTable` whose values are LocalizedPolys.  Its
     powers rep^n with |n| >= 2 are those of `LocalizedPoly.__pow__`, the
-    `_soul_powers` of each value (or reciprocal) made when first needed."""
+    `_soul_powers` of each value (or reciprocal) made when first needed.
+    It also keeps the image of each locus power L^-e it has substituted,
+    so values over one locus apply the table to it and invert the image
+    once."""
 
-    __slots__ = ("_series",)
+    __slots__ = ("_series", "_loci")
     kind = LocalizedPoly
 
     def __init__(self, assignment):
         super().__init__(assignment)
         self._series = {}  # (var, +1 or -1) -> _soul_powers(value^(+-1))
+        self._loci = {}  # (locus, e) -> image of L^e
+
+    def locus_power(self, locus: Locus, e: int):
+        """The image of L^e for the locus L."""
+        key = (locus, e)
+        if key not in self._loci:
+            self._loci[key] = self.apply(locus.poly) ** e
+        return self._loci[key]
 
     def power(self, v: VarSymbol, e: int):
         if -2 < e < 2:

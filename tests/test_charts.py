@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import run_optimized
+from superhilb import charts
 from superhilb.charts import (
     Ambient,
     IdealOnChart,
@@ -720,6 +721,38 @@ class TestCostGuard:
         monkeypatch.setattr(SuperPoly, "__rmul__", counted)
         hilb21_atlas(63)
         assert counts[0] <= 3525 and counts[1] <= 6078, counts
+
+    def test_cocycle_reciprocal_count(self, monkeypatch):
+        """The same check takes at most 30 reciprocals, as measured with
+        each locus image kept by the table that substitutes it (48 with
+        every value inverting its loci's images again)."""
+        atlas = hilb21_atlas(20)
+        calls = [0]
+        reciprocal = LocalizedPoly.reciprocal
+
+        def counted(self):
+            calls[0] += 1
+            return reciprocal(self)
+
+        monkeypatch.setattr(LocalizedPoly, "reciprocal", counted)
+        assert verify_cocycle(atlas) == (True, None)
+        assert calls[0] <= 30, calls[0]
+
+    @pytest.mark.parametrize("k", [-3, 0, 8])
+    def test_atlas_transports_each_point_once(self, monkeypatch, k):
+        """hilb21_atlas moves each product chart's (1|1)- and (1|0)-point
+        across the gluing once: four transports (eight with one per map
+        out of a product chart)."""
+        calls = []
+        transport = charts.transport_point
+
+        def counted(*args):
+            calls.append(args[1:3])
+            return transport(*args)
+
+        monkeypatch.setattr(charts, "transport_point", counted)
+        hilb21_atlas(k)
+        assert len(calls) == 4, calls
 
     def test_k63_composite_locus_exponents(self):
         """The unsimplified V1<-V2<-V4 composite at k = 63 keeps every

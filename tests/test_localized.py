@@ -194,3 +194,34 @@ class TestSoulPowers:
         for n in range(2, 7):
             assert (value ** n).loci == {locus: n}
             assert table.power(a1, n).loci == {locus: n}
+
+
+class TestSharedTable:
+    ring = TestLocusForm.ring
+
+    def test_locus_image_is_made_once_per_table(self, monkeypatch):
+        """Two values over the locus a1 - a2, substituted through one
+        table, apply it to that locus once and give what a fresh table
+        per value gives."""
+        look = self.ring.lookup
+        a1, a2, b1, b2, alpha1, s1 = (look(n) for n in (
+            "a1", "a2", "b1", "b2", "alpha1", "s1"))
+        values = [parse_localized(text, self.ring) for text in (
+            "b1*(a1 - a2)^-1", "(b1*b2 + alpha1*s1)*(a1 - a2)^-1")]
+        assignment = {a1: V(a1) * V(b2), b1: V(b1) + V(alpha1) * V(s1)}
+        expected = [value.substitute(assignment) for value in values]
+
+        locus = V(a1) - V(a2)
+        applied = []
+        apply = PowerTable.apply
+
+        def counted(self, p):
+            applied.append(p == locus)
+            return apply(self, p)
+
+        monkeypatch.setattr(PowerTable, "apply", counted)
+        table = PowerTable(assignment)
+        shared = [value.substitute(table) for value in values]
+        assert sum(applied) == 1, applied
+        assert [(v.num, v.loci) for v in shared] == [
+            (v.num, v.loci) for v in expected]

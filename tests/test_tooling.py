@@ -1,7 +1,11 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import superhilb
@@ -61,3 +65,30 @@ def test_benchmark_names_are_exported():
     importlib.import_module("superhilb.cli")
     missing = sorted(name for name in names if not hasattr(superhilb, name))
     assert names and not missing, missing
+
+
+def test_cli_import_loads_every_traced_layer():
+    """`Tracer.install` in perfbench/spans.py indexes sys.modules by
+    `superhilb.<layer>` for each name in its LAYERS, after the benchmark
+    imports superhilb and superhilb.cli; a layer imported lazily would
+    make `perfbench/run.py --trace 1` raise KeyError.  LAYERS is read as
+    text, and the imports run in a fresh interpreter."""
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(spans.read_text()).body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYERS"
+                for t in node.targets)
+    )
+    src = str(Path(superhilb.__file__).resolve().parents[1])
+    script = ("import json, sys, superhilb, superhilb.cli; "
+              "print(json.dumps(sorted(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    missing = [layer for layer in layers
+               if f"superhilb.{layer}" not in loaded]
+    assert layers and not missing, missing
