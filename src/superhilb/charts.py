@@ -231,61 +231,43 @@ def transport_point(amb: Ambient, rank: str, to_side: str, sgn: int,
 
     rank "11": the family  s + sgn*(u + v*t)  on the patch opposite
     to_side; rank "10": the pair  (s + sgn*u, t + sgn*v).  Returns the
-    parameters (u', v') of the same shape on to_side.  The construction
-    identity is checked with an explicit cofactor.
+    parameters (u', v') of the same shape on to_side.  Times the unit
+    w/(sgn*u), the pulled even generator is certified as w + sgn*u'; c
+    is its t'-part ("11"), or the t'-free part of the odd generator times
+    w^k ("10").  v' = sgn*c at w = -sgn*u', with a certified cofactor.
     """
-    u = SuperPoly.promote(u)
-    v = SuperPoly.promote(v)
-    from_side = "y" if to_side == "x" else "x"
-    s, t = amb.coords(from_side)
+    u, v = SuperPoly.promote(u), SuperPoly.promote(v)
+    s, t = amb.coords("y" if to_side == "x" else "x")
     w, tp = amb.coords(to_side)
     pull = amb.pullback_to(to_side)
     sg = SuperPoly.const(sgn)
+    zero, one = SuperPoly.zero(), SuperPoly.one()
+    m_unit = V(w) * invert(sg * u)
+
+    # pulled = head + c * tail; the transported generator is head + c' * tail
+    if rank == "11":
+        pulled = (V(s) + sg * (u + v * V(t))).substitute(pull) * m_unit
+        split = pulled.coefficients((tp,))
+        even_gen, c = split.get((0,), zero), split.get((1,), zero)
+        head, tail = even_gen, V(tp)
+    elif rank == "10":
+        even_gen = (V(s) + sg * u).substitute(pull) * m_unit
+        pulled = (V(t) + sg * v).substitute(pull) * V(w, amb.k)
+        split = pulled.coefficients((tp,))
+        _certify(split.get((1,), zero) == one, "odd generator leads with 1")
+        c = split.get((0,), zero)
+        head, tail = V(tp), one
+    else:
+        raise ValueError(f"unknown rank {rank!r}")
 
     u_new = invert(u)
-    w_value = -sg * u_new
-
-    if rank == "11":
-        gen = V(s) + sg * (u + v * V(t))
-        pulled = gen.substitute(pull)
-        split = pulled.coefficients((tp,))
-        a_part = split.get((0,), SuperPoly.zero())
-        c_part = split.get((1,), SuperPoly.zero())
-        m_unit = V(w) * invert(sg * u)
-        a_norm = a_part * m_unit
-        _certify(a_norm == V(w) + sg * u_new, "normalized point generator")
-        c_norm = c_part * m_unit
-        c_final = c_norm.substitute({w: w_value})
-        # the identity below holds only if this division is exact
-        quo, _ = super_divmod(c_norm - c_final, a_norm, w, tp)
-        target = a_norm + c_final * V(tp)
-        _certify(target == m_unit * pulled - a_norm * quo * V(tp),
-                 "transported (1|1) generator")
-        v_new = sg * c_final
-        return u_new, v_new
-
-    if rank == "10":
-        gen1 = V(s) + sg * u
-        gen2 = V(t) + sg * v
-        pulled1 = gen1.substitute(pull)
-        pulled2 = gen2.substitute(pull)
-        m_unit = V(w) * invert(sg * u)
-        a_norm = pulled1 * m_unit
-        _certify(a_norm == V(w) + sg * u_new, "normalized point generator")
-        cleared2 = pulled2 * V(w, amb.k)
-        split = cleared2.coefficients((tp,))
-        c_part = split.get((0,), SuperPoly.zero())
-        lead = split.get((1,), SuperPoly.zero())
-        _certify(lead == SuperPoly.one(), "odd generator leads with 1")
-        c_final = c_part.substitute({w: w_value})
-        quo, _ = super_divmod(c_part - c_final, a_norm, w, tp)
-        target2 = V(tp) + c_final
-        _certify(target2 == cleared2 - a_norm * quo,
-                 "transported (1|0) odd generator")
-        v_new = sg * c_final
-        return u_new, v_new
-
-    raise ValueError(f"unknown rank {rank!r}")
+    _certify(even_gen == V(w) + sg * u_new, "normalized point generator")
+    c_final = c.substitute({w: -sg * u_new})
+    # the identity below holds only if this division is exact
+    quo, _ = super_divmod(c - c_final, even_gen, w, tp)
+    _certify(head + c_final * tail == pulled - even_gen * quo * tail,
+             f"transported ({rank[0]}|{rank[1]}) generator")
+    return u_new, sg * c_final
 
 
 # ---------------------------------------------------------------------------

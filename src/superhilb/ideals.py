@@ -334,8 +334,8 @@ def _canonical_from_raw_coeffs(p, q, x, theta, a_t, b_t, alpha_t, beta_t):
 
     beta_raw_poly = _poly_from_coeffs(beta_t, x)
     delta, eps = super_divmod(beta_raw_poly, bq, x, theta)
-    alpha_vals = coeff_list(delta, x, max(p - q, 1))[: p - q]
-    gamma_vals = coeff_list(eps, x, max(q, 1))[:q]
+    alpha_vals = coeff_list(delta, x, p - q)
+    gamma_vals = coeff_list(eps, x, q)
 
     even_raw = SuperPoly.var(x, p) + _poly_from_coeffs(a_t, x)
     cprime_full, dprime = super_divmod(even_raw, bq, x, theta)
@@ -345,8 +345,8 @@ def _canonical_from_raw_coeffs(p, q, x, theta, a_t, b_t, alpha_t, beta_t):
     residual_even = dprime - beta_poly * delta
     e_quo, r = super_divmod(residual_even, bq, x, theta)
     a_full = cprime_full + e_quo - SuperPoly.var(x, p - q)
-    a_vals = coeff_list(a_full, x, max(p - q, 1))[: p - q]
-    c_vals = coeff_list(r, x, max(q, 1))[:q]
+    a_vals = coeff_list(a_full, x, p - q)
+    c_vals = coeff_list(r, x, q)
     return a_vals, b_vals, alpha_vals, beta_vals, c_vals, gamma_vals
 
 

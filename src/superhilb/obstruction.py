@@ -30,8 +30,6 @@ from .matrix import _back_substitute, _echelon
 from .parser import pretty
 from .ring import SuperPoly, _coeff, even
 
-V = SuperPoly.var
-
 # cone signs (sz, sw), +1 for a point on the x-patch and -1 on the
 # y-patch: chart exponents (e1, e2) >= 0 embed at (sz*e1, sw*e2) with
 # coefficient sign (-1)^(e1+e2)
@@ -83,39 +81,6 @@ def extract_obstruction(atlas: Atlas) -> CechCochain1:
                               in second_order(tmap).wedge.items())
         frames[pair] = tuple(o.name for o in tmap.source.odds)
     return CechCochain1(atlas, entries, frames)
-
-
-def frame_transport_identity(atlas: Atlas, target: str, source: str) -> bool:
-    """Check coeff * (t2 - t1 composed) == -o1-rule * o2-rule, i.e. the
-    source-frame coefficient of the first even rule agrees with
-    -odd1*odd2/(second - first) rewritten through the transition, with
-    the diagonal denominator cleared."""
-    tmap = atlas.transition(target, source)
-    t1, t2 = tmap.target.evens
-    psi = second_order(tmap).wedge[t1]
-    o1, o2 = tmap.target.odds
-    s1, s2 = tmap.source.odds
-    frame = LocalizedPoly(V(s1) * V(s2))
-    lhs = psi * (tmap.rule(t2) - tmap.rule(t1)) * frame
-    rhs = -(tmap.rule(o1) * tmap.rule(o2))
-    return lhs == rhs
-
-
-def antisymmetry_holds(atlas: Atlas, i: str, j: str) -> bool:
-    """Transporting the (i, j) entry through the reverse transition must
-    negate the (j, i) entry."""
-    ij = second_order(atlas.transition(i, j))
-    ji = second_order(atlas.transition(j, i))
-    # frame: tau1*tau2 = det(H) sigma1*sigma2 under the (i,j) odd rules;
-    # coefficients transport through the bosonic rules because the
-    # quadratic corrections die against the frame
-    for psi_ji, jac_row in zip(ji.wedge.values(), ji.jacobian):
-        total = psi_ji.substitute(ij.bosonic) * ij.det
-        for psi_ij, jac in zip(ij.wedge.values(), jac_row):
-            total = total + psi_ij * jac.substitute(ij.bosonic)
-        if not total.is_zero():
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +475,10 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
         raise NotCanonicalizable("expected a vanishing obstruction on V2V3")
     (gz, gw), gc = fac_g
     (hz, hw), hc = fac_h
-    # g hits exponents (gz - e, gw + f); h hits (hz + e, hw - f)
-    z_lo, z_hi = hz, gz
-    w_lo, w_hi = gw, hw
-    box = [
-        (ez, ew)
-        for ez in range(z_lo, z_hi + 1)
-        for ew in range(w_lo, w_hi + 1)
-    ]
-    if not box:
+    # g hits exponents (gz - e, gw + f); h hits (hz + e, hw - f), so the
+    # two blocks couple on the box [hz, gz] x [gw, hw]
+    coupled = hz <= gz and gw <= hw
+    if not coupled:
         case = "I" if k > 0 else "II"
         side = "w" if k > 0 else "z"
         trace.append(
@@ -532,7 +492,7 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
         case = "III"
         # a one-point box has hz == gz and gw == hw: the constant slot
         # of both blocks, with chart sign +1
-        if len(box) != 1:
+        if (hz, hw) != (gz, gw):
             raise NotCanonicalizable("unexpected coupling box")
         lam = -gc / hc
         trace.append(
@@ -548,7 +508,7 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
     if _lb_diag(factors12["f"]):
         raise NotCanonicalizable("the V1-column must vanish on the diagonal")
 
-    if not box:
+    if not coupled:
         g_val = Fraction(0)
     else:
         # case III: the diagonal restriction determines the constant g,
@@ -582,7 +542,7 @@ def analyze_subsystem(system: LaurentSystem) -> CaseAnalysis:
     trace.append(
         f"overlap V1/V2 forces f = 0 and c = {g_val} "
         "(the constant value of g and h)"
-        if box
+        if coupled
         else "overlap V1/V2 is satisfied by f = 0"
     )
 

@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 import superhilb
+from superhilb.charts import Atlas, second_order
+from superhilb.localized import LocalizedPoly
 from superhilb.ring import Parity, SuperMonomial, SuperPoly, even, odd
+
+V = SuperPoly.var
 
 
 def run_optimized(script: str) -> subprocess.CompletedProcess:
@@ -63,3 +67,36 @@ def random_poly(rng, ring=None, max_terms=4, max_exp=3, allow_laurent=True):
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def frame_transport_identity(atlas: Atlas, target: str, source: str) -> bool:
+    """Check coeff * (t2 - t1 composed) == -o1-rule * o2-rule, i.e. the
+    source-frame coefficient of the first even rule agrees with
+    -odd1*odd2/(second - first) rewritten through the transition, with
+    the diagonal denominator cleared."""
+    tmap = atlas.transition(target, source)
+    t1, t2 = tmap.target.evens
+    psi = second_order(tmap).wedge[t1]
+    o1, o2 = tmap.target.odds
+    s1, s2 = tmap.source.odds
+    frame = LocalizedPoly(V(s1) * V(s2))
+    lhs = psi * (tmap.rule(t2) - tmap.rule(t1)) * frame
+    rhs = -(tmap.rule(o1) * tmap.rule(o2))
+    return lhs == rhs
+
+
+def antisymmetry_holds(atlas: Atlas, i: str, j: str) -> bool:
+    """Transporting the (i, j) entry through the reverse transition must
+    negate the (j, i) entry."""
+    ij = second_order(atlas.transition(i, j))
+    ji = second_order(atlas.transition(j, i))
+    # frame: tau1*tau2 = det(H) sigma1*sigma2 under the (i,j) odd rules;
+    # coefficients transport through the bosonic rules because the
+    # quadratic corrections die against the frame
+    for psi_ji, jac_row in zip(ji.wedge.values(), ji.jacobian):
+        total = psi_ji.substitute(ij.bosonic) * ij.det
+        for psi_ij, jac in zip(ij.wedge.values(), jac_row):
+            total = total + psi_ij * jac.substitute(ij.bosonic)
+        if not total.is_zero():
+            return False
+    return True

@@ -28,7 +28,6 @@ from superhilb.obstruction import (
     analyze_subsystem,
     build_coboundary_system,
     extract_obstruction,
-    frame_transport_identity,
     is_coboundary,
     solve_laurent_system,
     split_check_11,
@@ -37,7 +36,7 @@ from superhilb.obstruction import (
 from superhilb.parser import RingDecl, parse_poly, parse_ring, pretty
 from superhilb.ring import ParityClass, SuperMonomial, SuperPoly, invert
 
-from conftest import random_poly, standard_ring
+from conftest import frame_transport_identity, random_poly, standard_ring
 from test_matrix import random_super_matrix
 
 V = SuperPoly.var

@@ -92,23 +92,64 @@ class TestHilb11Atlas:
 
 
 class TestTransportPoint:
-    def test_rank10_round_trip(self):
-        amb = Ambient.fresh(3)
+    @pytest.mark.parametrize("k", [-2, 0, 3])
+    @pytest.mark.parametrize("sgn", [1, -1])
+    def test_rank10_round_trip(self, sgn, k):
+        amb = Ambient.fresh(k)
         u = even("u", invertible=True)
         mu = odd("mu")
-        u1, v1 = transport_point(amb, "10", "y", 1, V(u), V(mu))
-        u2, v2 = transport_point(amb, "10", "x", 1, u1, v1)
+        u1, v1 = transport_point(amb, "10", "y", sgn, V(u), V(mu))
+        u2, v2 = transport_point(amb, "10", "x", sgn, u1, v1)
         assert u2 == V(u)
         assert v2 == V(mu)
 
-    def test_rank11_round_trip(self):
-        amb = Ambient.fresh(-2)
+    @pytest.mark.parametrize("k", [-2, 0, 3])
+    @pytest.mark.parametrize("sgn", [1, -1])
+    def test_rank11_round_trip(self, sgn, k):
+        amb = Ambient.fresh(k)
         u = even("u", invertible=True)
         mu = odd("mu")
-        u1, v1 = transport_point(amb, "11", "y", 1, V(u), V(mu))
-        u2, v2 = transport_point(amb, "11", "x", 1, u1, v1)
+        u1, v1 = transport_point(amb, "11", "y", sgn, V(u), V(mu))
+        u2, v2 = transport_point(amb, "11", "x", sgn, u1, v1)
         assert u2 == V(u)
         assert v2 == V(mu)
+
+    def test_unknown_rank_raises(self):
+        amb = Ambient.fresh(1)
+        u = even("u", invertible=True)
+        with pytest.raises(ValueError):
+            transport_point(amb, "12", "y", 1, V(u), V(odd("mu")))
+
+    def test_tampered_quotient_raises(self):
+        """The transported-generator certificate is a real check with the
+        quotient as its cofactor: python -O keeps it for both ranks."""
+        done = run_optimized("""
+            import superhilb.charts as charts
+            from superhilb.errors import CertificateError
+            from superhilb.ring import SuperPoly, even, odd
+
+            divmod_ = charts.super_divmod
+
+            def tampered(*args):
+                quo, rem = divmod_(*args)
+                return quo + 1, rem
+
+            charts.super_divmod = tampered
+            amb = charts.Ambient.fresh(2)
+            u = SuperPoly.var(even("u", invertible=True))
+            mu = SuperPoly.var(odd("mu"))
+            for rank in ("11", "10"):
+                try:
+                    charts.transport_point(amb, rank, "y", -1, u, mu)
+                except CertificateError as exc:
+                    print(type(exc).__name__, exc)
+        """)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 2, done.stdout
+        assert all(line.startswith("CertificateError") for line in lines)
+        assert "transported (1|1)" in lines[0]
+        assert "transported (1|0)" in lines[1]
 
 
 class TestProductIdeal:

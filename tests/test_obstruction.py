@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import run_optimized
+from conftest import (antisymmetry_holds, frame_transport_identity,
+                      run_optimized)
 from superhilb.charts import hilb11_atlas, hilb21_atlas
 from superhilb.localized import LocalizedPoly
 from superhilb.obstruction import (
@@ -13,11 +14,9 @@ from superhilb.obstruction import (
     CoboundaryEquation,
     LaurentSystem,
     analyze_subsystem,
-    antisymmetry_holds,
     build_coboundary_system,
     build_full_coboundary_system,
     extract_obstruction,
-    frame_transport_identity,
     is_coboundary,
     solve_laurent_system,
     split_check_11,
@@ -249,6 +248,25 @@ class TestDefensiveGuards:
             for eq in system.equations
         )
         with pytest.raises(NotCanonicalizable):
+            analyze_subsystem(replace(system, equations=equations))
+
+    def test_wide_coupling_box_raises(self):
+        """g- and h-columns that couple on a 3x3 box of exponents, not on
+        the one constant slot, are a shape the support analysis refuses."""
+        from dataclasses import replace
+
+        from superhilb.errors import NotCanonicalizable
+
+        system = build_coboundary_system(0, 4)
+        eq23 = next(eq for eq in system.equations if eq.label == "V2V3.z")
+        factors = dict(eq23.terms)
+        ((hz, hw),) = factors["h"].keys()
+        factors["g"] = {(hz + 2, hw - 2): Fraction(1)}
+        wide = replace(eq23, terms=tuple(factors.items()))
+        equations = tuple(wide if eq is eq23 else eq
+                          for eq in system.equations)
+        with pytest.raises(NotCanonicalizable,
+                           match="unexpected coupling box"):
             analyze_subsystem(replace(system, equations=equations))
 
     def test_embedding_rejects_foreign_variables(self):

@@ -92,3 +92,28 @@ def test_cli_import_loads_every_traced_layer():
     missing = [layer for layer in layers
                if f"superhilb.{layer}" not in loaded]
     assert layers and not missing, missing
+
+
+def test_public_names_are_used_by_the_package():
+    """Each public top-level function or class of the package is
+    exported through an import in superhilb/__init__.py or named in
+    package code outside its own definition, so code that only the tests
+    call does not collect in the package."""
+    package = Path(superhilb.__file__).resolve().parent
+    defined, named = {}, set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(node, "name", None)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not own.startswith("_")):
+                defined[own] = f"{path.name}:{node.lineno}"
+            named |= {
+                sub.id if isinstance(sub, ast.Name)
+                else sub.attr if isinstance(sub, ast.Attribute)
+                else sub.name
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))
+            } - {own}
+    unused = sorted(f"{where} {name}" for name, where in defined.items()
+                    if name not in named)
+    assert defined and not unused, unused
