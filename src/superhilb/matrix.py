@@ -22,9 +22,14 @@ free unknowns to zero.  The leading columns of a row space do not
 depend on how it is reduced, so the pivots, and the solution with free
 unknowns zero, are those of a full Gauss-Jordan reduction.  Entries
 stay Python ints while integral (a pivot of +-1 is normalised by a sign
-flip).  `obstruction.solve_laurent_system` certifies the values it gets
-back: scattered over its triangles straight from the equations, they
-must give a residual equal to the right-hand side on every row.
+flip).  Given the number of unknowns, `_echelon` stops once every
+unknown is a pivot: the rows read then have full column rank, so their
+solution is unique and the later rows can only confirm or contradict
+it.  `obstruction.solve_laurent_system` passes that number and
+certifies the values it gets back: scattered over its triangles
+straight from the equations, they must give a residual equal to the
+right-hand side on every row read, and a mismatch on a later row makes
+the system infeasible.  `rational_inverse` reads every row.
 """
 
 from __future__ import annotations
@@ -162,11 +167,13 @@ def rational_inverse(matrix):
     return [[_coeff(x) for x in row] for row in zip(*columns)]
 
 
-def _echelon(rows):
+def _echelon(rows, n_unknowns=None):
     """Forward elimination: {pivot column: (coeffs, rhs)} with the pivot
     normalised to 1 and dropped from coeffs, every other column of a
     pivot row above its pivot; None when some row reduces to 0 = c != 0.
-    The rows are consumed: each row's dict is reduced in place."""
+    The rows are consumed: each row's dict is reduced in place.  Given
+    the number of unknowns, it stops reading rows once every unknown is
+    a pivot; the rows after that are left unread."""
     pivots = {}
     is_pivot = pivots.__contains__
     for coeffs, rhs in rows:
@@ -207,6 +214,8 @@ def _echelon(rows):
             coeffs = {u: _coeff(c * inv) for u, c in coeffs.items()}
             rhs = _coeff(rhs * inv)
         pivots[u_star] = (coeffs, rhs)
+        if len(pivots) == n_unknowns:
+            break
     return pivots
 
 

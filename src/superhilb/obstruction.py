@@ -275,23 +275,33 @@ def _atlas_for(k: int, atlas: Atlas | None) -> Atlas:
 # need, so sorted keys are in (equation, z, w) order and each cone
 # orientation's triangle is one list of key offsets, built once per
 # solve.  The factors of a block listed twice in an equation are merged
-# first, so every (row, unknown) entry is written exactly once.
+# first, so every (row, unknown) entry is written exactly once and is
+# nonzero.  A right side that no term of its equation reaches is
+# therefore the row 0 = c != 0, found from the supports before any row
+# is built; elimination stops once every unknown is a pivot.
 
 
 def solve_laurent_system(system: LaurentSystem, degree_bound=None):
     """Exact rational solve of the truncated system.
 
     Unknowns are the block coefficients of total degree <= the bound
-    inside each cone, one row per equation and Laurent exponent, solved
-    by the elimination of `superhilb.matrix` with the free unknowns
-    zero.  The solution is checked exactly against every truncated row
-    (CertificateError otherwise, also under python -O) and returned as a
-    dict unknown -> Fraction; None when the equations are infeasible at
-    this truncation.  A negative bound raises ValueError.
+    inside each cone, one row per equation and Laurent exponent.  A
+    nonzero right side that no term of its equation reaches within the
+    bound makes the system infeasible, and is found without building a
+    row.  Otherwise the rows are solved in key order by the elimination
+    of `superhilb.matrix`, with the free unknowns zero, which stops once
+    every unknown is a pivot.  The solution is checked exactly against
+    every row read (CertificateError otherwise, also under python -O);
+    the rows read then pin every unknown, so a mismatch on a later row
+    proves the system infeasible.  The solution is returned as a dict
+    unknown -> Fraction; None when the equations are infeasible at this
+    truncation.  A negative bound raises ValueError.
     """
     bound = _checked_bound(
         system.degree_bound if degree_bound is None else degree_bound
     )
+    if _unreached_rhs(system, bound):
+        return None
     unknowns = [
         (name, e, f_)
         for name in system.blocks
@@ -299,19 +309,57 @@ def solve_laurent_system(system: LaurentSystem, degree_bound=None):
         for f_ in range(bound + 1 - e)
     ]
     truncation = _Truncation(system, bound)
-    pivots = _echelon(truncation.rows())
+    rows = truncation.rows()
+    pending = iter(rows)
+    pivots = _echelon(pending, len(unknowns))
     if pivots is None:
         return None
     values = _back_substitute(pivots, len(unknowns))
-    _certify(
-        truncation.residual(values) == truncation.rhs,
-        "the solver's values satisfy every truncated equation",
-    )
+    residual, rhs = truncation.residual(values), truncation.rhs
+    if residual != rhs:
+        read = len(rows) - sum(1 for _ in pending)
+        mismatch = min(key for key in residual.keys() | rhs.keys()
+                       if residual.get(key, 0) != rhs.get(key, 0))
+        _certify(
+            read < len(rows) and mismatch >= truncation.keys[read],
+            "the solver's values satisfy every truncated equation",
+        )
+        return None
     zero = Fraction(0)
     return {
         u: Fraction(val) if val else zero
         for u, val in zip(unknowns, values)
     }
+
+
+def _unreached_rhs(system: LaurentSystem, bound: int) -> bool:
+    """Whether some nonzero right side lies where no term of its
+    equation reaches from its block's triangle e + f <= bound."""
+    for eq in system.equations:
+        terms = [(system.blocks[block][1], key)
+                 for block, factor in _merged_terms(eq, system.blocks)
+                 for key in factor]
+        for target, c in eq.rhs.items():
+            if c and not any(_reaches(cone, key, target, bound)
+                             for cone, key in terms):
+                return True
+    return False
+
+
+def _reaches(cone, key, target, bound: int) -> bool:
+    """Whether some (e, f) >= 0 with e + f <= bound has key + (sz*e,
+    sw*f) == target; a cone sign of 0 stays on its exponent."""
+    steps = 0
+    for s, start, end in zip(cone, key, target):
+        if not s:
+            if start != end:
+                return False
+            continue
+        n, r = divmod(end - start, s)
+        if r or n < 0:
+            return False
+        steps += n
+    return steps <= bound
 
 
 def _checked_bound(bound: int) -> int:
@@ -400,7 +448,8 @@ class _Truncation:
 
     def rows(self) -> list:
         """The rows (coeffs {unknown index: coefficient}, rhs) in the
-        order of their (equation, z, w) key."""
+        order of their (equation, z, w) key; their keys, in the same
+        order, are kept as `keys`."""
         rows = defaultdict(dict)
         for block, at, c in self._term_keys():
             even, even_u, odd, odd_u = self.triangles[block]
@@ -410,8 +459,8 @@ class _Truncation:
             for key, u in zip(map(at.__add__, odd), odd_u):
                 rows[key][u] = c
         rhs = self.rhs
-        return [(rows[key], rhs.get(key, 0))
-                for key in sorted(rows.keys() | rhs.keys())]
+        self.keys = sorted(rows.keys() | rhs.keys())
+        return [(rows[key], rhs.get(key, 0)) for key in self.keys]
 
     def residual(self, values) -> dict:
         """A v as {row key: nonzero value}, from the nonzero values

@@ -1,5 +1,6 @@
 import os
 import random
+import resource
 import subprocess
 import sys
 import textwrap
@@ -24,6 +25,24 @@ def run_optimized(script: str) -> subprocess.CompletedProcess:
         [sys.executable, "-O", "-c", textwrap.dedent(script)],
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+
+
+def run_capped(args, mib: int = 1024, timeout: float = 60):
+    """Run `python *args` against this checkout's package with its
+    address space capped at mib MiB, so a run that would exhaust memory
+    fails with MemoryError (or a timeout) instead of exhausting
+    memory."""
+    src = str(Path(superhilb.__file__).resolve().parents[1])
+    limit = mib * 2 ** 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=timeout,
+        preexec_fn=cap,
     )
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import run_capped
 from superhilb import charts, cli
 from superhilb.cli import main
 from superhilb.errors import CertificateError
@@ -283,6 +284,17 @@ class TestSplitCheck:
         assert code == 0
         payload = json.loads(out)
         assert any("no solution" in note for note in payload["notes"])
+
+    def test_huge_degree_bound_answers_from_the_supports(self):
+        """At k = 4 no term reaches the right side at any bound, so a bound
+        of 99999999 answers "no solution" without listing its unknowns;
+        the address space is capped so a regression fails with MemoryError."""
+        done = run_capped(["-m", "superhilb", "--format", "json",
+                           "split-check", "--target", "hilb21", "--k", "4",
+                           "--degree-bound", "99999999"])
+        assert done.returncode == 0, done.stderr
+        note = json.loads(done.stdout)["notes"][-1]
+        assert note == "three-overlap solver at bound 99999999: no solution"
 
     def test_negative_range_with_equals_form(self, capsys):
         code, out, _ = run(

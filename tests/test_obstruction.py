@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import superhilb.obstruction as ob
 from conftest import (antisymmetry_holds, frame_transport_identity,
-                      run_optimized)
+                      run_capped, run_optimized)
 from superhilb.charts import hilb11_atlas, hilb21_atlas
 from superhilb.localized import LocalizedPoly
+from superhilb.matrix import _echelon
 from superhilb.obstruction import (
     CONES,
     CoboundaryEquation,
@@ -605,6 +607,118 @@ class TestSolverCost:
         assert solve_laurent_system(system) is not None
         monkeypatch.undo()
         assert built[0] <= 6, built[0]
+
+
+def _one_block_system(cone, equations, bound):
+    """A system of one block f on the given cone; equations are
+    (factor, rhs) pairs."""
+    return LaurentSystem(0, {"f": ("V1", cone)}, tuple(
+        CoboundaryEquation(f"E{n}", (("f", factor),), rhs)
+        for n, (factor, rhs) in enumerate(equations)), bound)
+
+
+class TestSupportCheck:
+    """A nonzero right side that no term of its equation reaches within
+    the bound is the empty row 0 = c that elimination would find."""
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_agrees_with_full_elimination(self, k):
+        atlas = hilb21_atlas(k)
+        for bound in (abs(k) + 4, 20):
+            system = build_coboundary_system(k, bound, atlas)
+            full = _echelon(ob._Truncation(system, bound).rows())
+            assert (solve_laurent_system(system) is None) == (full is None)
+            assert (full is None) == (k != 0)
+
+    @pytest.mark.parametrize("cone,target,bound,feasible", [
+        ((1, 1), (7, -6), 3, True),  # (e, f) = (2, 1)
+        ((1, 1), (7, -6), 2, False),  # e + f above the bound
+        ((1, 1), (4, -7), 3, False),  # behind the cone
+        ((-1, 1), (3, -6), 3, True),
+        ((-1, 1), (6, -7), 3, False),
+        ((2, -3), (9, -10), 3, True),
+        ((2, -3), (6, -7), 3, False),  # between the cone's z-steps
+        ((2, -3), (5, -8), 3, False),  # between its w-steps
+        ((0, 1), (5, -4), 3, True),
+        ((0, 1), (6, -7), 3, False),  # a flat cone keeps its z
+    ])
+    def test_reached_right_side_is_not_refused(self, cone, target, bound,
+                                               feasible):
+        """A right side some (e, f) of the factor's shifted triangle hits
+        is solved; any other is infeasible, as the dense reference says."""
+        system = _one_block_system(
+            cone, [({(5, -7): Fraction(3, 2)}, {target: 1})], bound)
+        want = _dense_solve(system, bound)
+        assert (want is not None) == feasible
+        assert solve_laurent_system(system) == want
+
+    def test_cost_guard_builds_no_truncation(self, monkeypatch):
+        """Twists with an unreached right side build no rows at all."""
+        systems = {k: build_coboundary_system(k, 80 if abs(k) == 3
+                                              else abs(k) + 4)
+                   for k in (3, -3, 100, -100, 0)}
+        built = []
+
+        class Counted(ob._Truncation):
+            def __init__(self, *args):
+                built.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(ob, "_Truncation", Counted)
+        for k in (3, -3, 100, -100):
+            assert solve_laurent_system(systems[k]) is None
+        assert built == []
+        assert solve_laurent_system(systems[0]) is not None
+        assert built == [1]
+
+    def test_huge_bound_answers_without_unknowns(self):
+        """Listing the unknowns of bound 99999999 would exhaust memory;
+        the support check answers first.  The child's address space is
+        capped so a regression fails instead of exhausting memory."""
+        done = run_capped(["-c", (
+            "from superhilb.obstruction import *\n"
+            "print(solve_laurent_system("
+            "build_coboundary_system(4, 99999999)))")])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "None\n"
+
+
+class TestEarlyStop:
+    # bound 1 on the cone (1, 1): unknowns f[0,0], f[0,1], f[1,0] land on
+    # the rows (0, 0), (0, 1), (1, 0) of each equation with signs +, -, -
+    PIN = ({(0, 0): 1}, {(0, 0): 1, (0, 1): 2, (1, 0): 3})
+
+    def _solve_counting_rows(self, monkeypatch, system):
+        read = []
+
+        def counted(rows, *rest):
+            def tapped():
+                for row in rows:
+                    read.append(1)
+                    yield row
+            return _echelon(tapped(), *rest)
+
+        monkeypatch.setattr(ob, "_echelon", counted)
+        return solve_laurent_system(system), len(read)
+
+    def test_later_contradiction_is_infeasible(self, monkeypatch):
+        """The first equation's rows pin every unknown, so elimination
+        stops after them; the second equation contradicts them on its last
+        row, which the certificate reads as infeasibility, not a fault."""
+        system = _one_block_system(
+            (1, 1), [self.PIN, ({(0, 0): 1}, {(0, 0): 1, (0, 1): 2,
+                                              (1, 0): 4})], 1)
+        got, read = self._solve_counting_rows(monkeypatch, system)
+        assert read == 3
+        assert got is None
+        assert _dense_solve(system, 1) is None
+
+    def test_later_agreement_is_the_solution(self, monkeypatch):
+        system = _one_block_system((1, 1), [self.PIN, self.PIN], 1)
+        got, read = self._solve_counting_rows(monkeypatch, system)
+        assert read == 3
+        assert got == _dense_solve(system, 1) == {
+            ("f", 0, 0): 1, ("f", 0, 1): -2, ("f", 1, 0): -3}
 
 
 class TestSolverCertificateUnderOptimize:
