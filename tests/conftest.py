@@ -11,6 +11,7 @@ import pytest
 
 import superhilb
 from superhilb.charts import Atlas, second_order
+from superhilb.errors import CertificateError
 from superhilb.localized import LocalizedPoly
 from superhilb.ring import Parity, SuperMonomial, SuperPoly, even, odd
 
@@ -26,6 +27,15 @@ def run_optimized(script: str) -> subprocess.CompletedProcess:
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
+
+
+def assert_certificate_fails(what: str, call, *args):
+    """Require call(*args) to raise CertificateError for the certificate
+    named what.  _certify is a function, not an assert, so this holds in
+    this process also when the suite runs under python -O."""
+    with pytest.raises(CertificateError) as info:
+        call(*args)
+    assert str(info.value) == f"certificate failed: {what}"
 
 
 def run_capped(args, mib: int = 1024, timeout: float = 60):

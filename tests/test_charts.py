@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import run_optimized
+from conftest import assert_certificate_fails, run_optimized
 from superhilb import charts
 from superhilb.charts import (
     Ambient,
@@ -625,6 +625,81 @@ class TestCertificatesUnderOptimize:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("CertificateError")
         assert "V1<-V2 closed form" in done.stdout
+
+
+class TestEachCertificateFires:
+    """Each chart-layer certificate raises CertificateError on a wrong
+    input or a tampered step; see `assert_certificate_fails`."""
+
+    def test_odd_generator_leads_with_one(self):
+        # v = psi doubles the (1|0)-point's odd generator t - psi
+        amb = Ambient.fresh(2)
+        u = V(even("u", invertible=True))
+        assert_certificate_fails("odd generator leads with 1",
+                                 transport_point, amb, "10", "x", 1, u,
+                                 V(amb.psi))
+
+    def test_normalized_point_generator(self):
+        # u = y is a coordinate of the patch the point leaves, which the
+        # gluing rewrites, so the pulled generator keeps y
+        amb = Ambient.fresh(2)
+        assert_certificate_fails("normalized point generator",
+                                 transport_point, amb, "11", "x", 1,
+                                 V(amb.y), V(odd("mu")))
+
+    @staticmethod
+    def _perturb_composites(monkeypatch, hit):
+        compose = charts.compose_rules
+
+        def perturbed(outer, inner):
+            rules = compose(outer, inner)
+            if hit(outer):
+                coord = next(iter(rules))
+                rules[coord] = rules[coord] + 1
+            return rules
+
+        monkeypatch.setattr(charts, "compose_rules", perturbed)
+
+    def test_inverse_composition_on_source(self, monkeypatch):
+        tmap = pi_v_atlas(2).transition("U1", "U0")
+        self._perturb_composites(monkeypatch, lambda outer: outer is not tmap)
+        assert_certificate_fails("inverse composition on U0",
+                                 invert_transition, tmap)
+
+    def test_inverse_composition_on_target(self, monkeypatch):
+        """Only the composite with tmap outside is perturbed, so the
+        check on the source passes and the one on the target fires."""
+        tmap = pi_v_atlas(2).transition("U1", "U0")
+        self._perturb_composites(monkeypatch, lambda outer: outer is tmap)
+        assert_certificate_fails("inverse composition on U1",
+                                 invert_transition, tmap)
+
+    @staticmethod
+    def _move_points(monkeypatch, change):
+        transport = charts.transport_point
+        monkeypatch.setattr(charts, "transport_point",
+                            lambda *args: change(*transport(*args)))
+
+    def test_hilb11_rule_b(self, monkeypatch):
+        self._move_points(monkeypatch, lambda u, v: (u + 1, v))
+        assert_certificate_fails("hilb11 rule b = 1/a", hilb11_atlas, 2)
+
+    def test_hilb11_rule_beta(self, monkeypatch):
+        self._move_points(monkeypatch, lambda u, v: (u, v + v))
+        assert_certificate_fails("hilb11 rule beta = -a^(k-2) alpha",
+                                 hilb11_atlas, 2)
+
+    def test_v13_closed_form(self, monkeypatch):
+        closed_form = charts._expected_13
+
+        def tampered(k, v1, v3):
+            rules = closed_form(k, v1, v3)
+            a2 = v1.evens[1]
+            rules[a2] = rules[a2] + 1
+            return rules
+
+        monkeypatch.setattr(charts, "_expected_13", tampered)
+        assert_certificate_fails("V1<-V3 closed form", hilb21_atlas, 2)
 
 
 class TestGoldenFingerprints:

@@ -296,6 +296,19 @@ class TestSplitCheck:
         note = json.loads(done.stdout)["notes"][-1]
         assert note == "three-overlap solver at bound 99999999: no solution"
 
+    def test_huge_degree_bound_at_twist_zero_exits_2(self):
+        """At k = 0 the support check does not answer, and the solver
+        refuses the unknowns of bound 99999999 before listing them: one
+        error line and exit 2, under the same address-space cap."""
+        done = run_capped(["-m", "superhilb", "split-check", "--target",
+                           "hilb21", "--k", "0", "--degree-bound",
+                           "99999999"])
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert done.stderr == (
+            "error: the solve at degree bound 99999999 has "
+            "15000000150000000 unknowns; the solver lists at most 200000\n")
+
     def test_negative_range_with_equals_form(self, capsys):
         code, out, _ = run(
             capsys, "split-check", "--target", "hilb11", "--k-range=-1..1",

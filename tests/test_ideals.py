@@ -1,15 +1,19 @@
 import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from conftest import run_optimized
+import superhilb.ideals as ideals
+from conftest import assert_certificate_fails, run_optimized
 from superhilb.errors import (NonMonicDivisor, RankOrderViolation,
                               UnknownVariable)
 from superhilb.ideals import (
     CanonicalIdeal,
     RawIdeal,
+    _kernel_witnesses,
     _poly_from_coeffs,
+    _verify_change,
     canonical_pair,
     kernel_witnesses,
     membership,
@@ -415,3 +419,85 @@ class TestCertificatesUnderOptimize:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("CertificateError")
         assert "even generator image" in done.stdout
+
+
+class TestEachCertificateFires:
+    """Each certificate of the coordinate change, the kernel witnesses
+    and the strata raises CertificateError on a tampered step; see
+    `assert_certificate_fails`."""
+
+    def test_odd_generator_image(self, monkeypatch):
+        change = raw_to_canonical(2, 1)
+        s = change.raw.beta[0]  # a coefficient of the odd generator only
+        monkeypatch.setitem(change.forward, s,
+                            change.forward[s] + V(change.gamma[0]))
+        assert_certificate_fails("odd generator image", _verify_change,
+                                 change)
+
+    def test_backward_o_forward(self, monkeypatch):
+        change = raw_to_canonical(2, 1)
+        a0 = change.a[0]
+        monkeypatch.setitem(change.backward, a0, change.backward[a0] + 1)
+        assert_certificate_fails("backward o forward is the identity on a0",
+                                 _verify_change, change)
+
+    def test_forward_o_backward(self, monkeypatch):
+        """The table of the backward map serves only this check, so
+        tampering it leaves the generator images and the other direction
+        intact."""
+        change = raw_to_canonical(2, 1)
+        a0 = change.a[0]
+        table = ideals.PowerTable
+
+        def tampered(mapping):
+            if mapping is change.backward:
+                mapping = {**mapping, a0: mapping[a0] + 1}
+            return table(mapping)
+
+        monkeypatch.setattr(ideals, "PowerTable", tampered)
+        assert_certificate_fails("forward o backward is the identity on at0",
+                                 _verify_change, change)
+
+    def test_first_kernel_witness_expansion(self):
+        change = raw_to_canonical(2, 1)
+        tampered = replace(change, f_canonical=change.f_canonical + 1)
+        assert_certificate_fails("first kernel witness expansion",
+                                 _kernel_witnesses, tampered)
+
+    def test_second_kernel_witness_expansion(self, monkeypatch):
+        """f*(theta + A) = g*(x^(p-q) + a) implies g*(theta + A) = 0, as
+        x^(p-q) + a is monic in x.  So no g fails the second expansion
+        alone, and this site fires once the first one is let through."""
+        certify = ideals._certify
+
+        def past_the_first(holds, what):
+            if what != "first kernel witness expansion":
+                certify(holds, what)
+
+        monkeypatch.setattr(ideals, "_certify", past_the_first)
+        change = raw_to_canonical(2, 1)
+        tampered = replace(change,
+                           g_canonical=change.g_canonical + V(change.beta[0]))
+        assert_certificate_fails("second kernel witness expansion",
+                                 _kernel_witnesses, tampered)
+
+    def test_witness_lies_in_the_basis_span(self, monkeypatch):
+        reduce = ideals.reduce_to_basis
+        monkeypatch.setattr(
+            ideals, "reduce_to_basis",
+            lambda poly, ideal: replace(reduce(poly, ideal),
+                                        cofactor_f=V(ideal.x)))
+        assert_certificate_fails("witness lies in the basis span",
+                                 kernel_witnesses, 2, 1)
+
+    def test_kernel_witness_vanishes_on_the_stratum(self, monkeypatch):
+        witnesses = ideals._kernel_witnesses
+
+        def tampered(change):
+            h_vec, k_vec = witnesses(change)
+            evens = (h_vec.evens[0] + 1, *h_vec.evens[1:])
+            return replace(h_vec, evens=evens), k_vec
+
+        monkeypatch.setattr(ideals, "_kernel_witnesses", tampered)
+        assert_certificate_fails("kernel witness vanishes on the stratum",
+                                 stratification_generators, 2, 1)

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 import superhilb.obstruction as ob
-from conftest import (antisymmetry_holds, frame_transport_identity,
-                      run_capped, run_optimized)
+from conftest import (antisymmetry_holds, assert_certificate_fails,
+                      frame_transport_identity, run_capped, run_optimized)
 from superhilb.charts import hilb11_atlas, hilb21_atlas
+from superhilb.errors import TooManyUnknowns
 from superhilb.localized import LocalizedPoly
 from superhilb.matrix import _echelon
 from superhilb.obstruction import (
@@ -380,6 +381,7 @@ class TestCertificatesUnderOptimize:
         assert len(lines) == 2, done.stdout
         assert lines[0].startswith("CertificateError")
         assert "exact identities" in lines[0]
+        assert "the solver's sections satisfy the exact identities" in lines[0]
         assert lines[1].startswith("NotCanonicalizable")
         assert "vanishing obstruction on V2V3" in lines[1]
 
@@ -682,6 +684,32 @@ class TestSupportCheck:
         assert done.returncode == 0, done.stderr
         assert done.stdout == "None\n"
 
+    def test_huge_bound_at_twist_zero_is_refused(self):
+        """At k = 0 every right side is reached, and bound 99999999 would
+        list 1.5e16 unknowns; the solver refuses it before listing one.
+        The child's address space is capped as above."""
+        done = run_capped(["-c", (
+            "from superhilb.obstruction import *\n"
+            "from superhilb.errors import TooManyUnknowns\n"
+            "try:\n"
+            "    solve_laurent_system(build_coboundary_system(0, 99999999))\n"
+            "except TooManyUnknowns as exc:\n"
+            "    print(exc)")])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == (
+            "the solve at degree bound 99999999 has 15000000150000000 "
+            "unknowns; the solver lists at most 200000\n")
+
+    def test_unknown_cap_is_inclusive(self, monkeypatch):
+        """Three blocks at bound 2 list 18 unknowns: a cap of 18 solves,
+        a cap of 17 refuses."""
+        system = build_coboundary_system(0, 2)
+        monkeypatch.setattr(ob, "MAX_UNKNOWNS", 18)
+        assert solve_laurent_system(system) is not None
+        monkeypatch.setattr(ob, "MAX_UNKNOWNS", 17)
+        with pytest.raises(TooManyUnknowns):
+            solve_laurent_system(system)
+
 
 class TestEarlyStop:
     # bound 1 on the cone (1, 1): unknowns f[0,0], f[0,1], f[1,0] land on
@@ -745,6 +773,8 @@ class TestSolverCertificateUnderOptimize:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("CertificateError"), done.stdout
         assert "truncated equation" in done.stdout
+        assert ("the solver's values satisfy every truncated equation"
+                in done.stdout)
 
     def test_tampered_free_unknown_raises(self):
         """f and g share the row of z^0 w^0, so g's unknowns on the w-axis
@@ -784,3 +814,14 @@ class TestSolverCertificateUnderOptimize:
         assert lines[:2] == ["[('f', 0, 0)]", "free 6 0"], done.stdout
         assert lines[2].startswith("CertificateError"), done.stdout
         assert "truncated equation" in lines[2]
+
+
+class TestEachCertificateFires:
+    def test_support_analysis_and_solver_agree(self, monkeypatch):
+        """At k = 3 the support analysis finds no section; a solver that
+        answers with the zero section contradicts it (CertificateError,
+        see `assert_certificate_fails`)."""
+        monkeypatch.setattr(ob, "solve_laurent_system",
+                            lambda system, degree_bound=None: {})
+        assert_certificate_fails("support analysis and bounded solver agree",
+                                 is_coboundary, 3)

@@ -117,3 +117,38 @@ def test_public_names_are_used_by_the_package():
     unused = sorted(f"{where} {name}" for name, where in defined.items()
                     if name not in named)
     assert defined and not unused, unused
+
+
+def _certificate_messages():
+    """(file, line, message) of each `_certify(` call in the package: its
+    literal text, or an f-string's text before its first placeholder."""
+    package = Path(superhilb.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) != "_certify":
+                continue
+            what = node.args[1]
+            if isinstance(what, ast.JoinedStr):
+                text = ""
+                for part in what.values:
+                    if not isinstance(part, ast.Constant):
+                        break
+                    text += part.value
+            else:
+                text = what.value
+            yield path.name, node.lineno, text
+
+
+def test_every_certificate_has_a_test_that_fires_it():
+    """Each certificate's message appears in a test module that names
+    CertificateError, so every `_certify` site has a test that makes it
+    fail; a site no test can make fail is implied by the code before
+    it."""
+    tests = Path(__file__).resolve().parent
+    texts = [text for path in sorted(tests.glob("test_*.py"))
+             if "CertificateError" in (text := path.read_text())]
+    sites = sorted(_certificate_messages())
+    unfired = [f"{file}:{line} {what!r}" for file, line, what in sites
+               if not what or not any(what in text for text in texts)]
+    assert sites and not unfired, unfired
