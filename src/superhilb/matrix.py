@@ -22,13 +22,13 @@ free unknowns to zero.  The leading columns of a row space do not
 depend on how it is reduced, so the pivots, and the solution with free
 unknowns zero, are those of a full Gauss-Jordan reduction.  Entries
 stay Python ints while integral (a pivot of +-1 is normalised by a sign
-flip).  Given the number of unknowns, `_echelon` stops once every
-unknown is a pivot: the rows read then have full column rank, so their
-solution is unique and the later rows can only confirm or contradict
-it.  `obstruction.solve_laurent_system` passes that number and
-certifies the values it gets back: scattered over its triangles
-straight from the equations, they must give a residual equal to the
-right-hand side on every row read, and a mismatch on a later row makes
+flip).  `_echelon` reads rows from any iterable and, given the number
+of unknowns, stops once every unknown is a pivot, so a lazy caller
+builds only the rows read; they have full column rank, so their
+solution is unique and later rows only confirm or contradict it.
+`obstruction.solve_laurent_system` builds its rows per equation and
+certifies the values: every equation's residual must equal the
+right-hand side up to the last row read, a mismatch above it making
 the system infeasible.  `rational_inverse` reads every row.
 """
 
@@ -180,7 +180,8 @@ def _echelon(rows, n_unknowns=None):
         # the row's pivot columns in ascending order; a pivot row only
         # fills in columns above its own, so the heap stays ahead
         heap = list(filter(is_pivot, coeffs))
-        heapq.heapify(heap)
+        if len(heap) > 1:
+            heapq.heapify(heap)
         while heap:
             u = heapq.heappop(heap)
             factor = coeffs.pop(u, 0)
@@ -207,7 +208,8 @@ def _echelon(rows, n_unknowns=None):
         u_star = min(coeffs)
         lead = coeffs.pop(u_star)
         if lead == -1:
-            coeffs = {u: -c for u, c in coeffs.items()}
+            for u in coeffs:
+                coeffs[u] = -coeffs[u]
             rhs = -rhs
         elif lead != 1:
             inv = 1 / Fraction(lead)

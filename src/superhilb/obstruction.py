@@ -274,11 +274,12 @@ def _atlas_for(k: int, atlas: Atlas | None) -> Atlas:
 # first, so every (row, unknown) entry is written exactly once and is
 # nonzero.  A right side that no term of its equation reaches is
 # therefore the row 0 = c != 0, found from the supports before any row
-# is built; elimination stops once every unknown is a pivot.
+# is built.  Elimination stops once every unknown is a pivot, and reads
+# rows built one equation at a time, so later equations are never built.
 
 # The most unknowns a solve lists: at k = 0, bound 360 on three blocks
-# (196,023) solves in 1.1 s at a 230 MiB peak, and bound 222 on the full
-# system's eight (199,808) in 2.0 s at 305 MiB.
+# (196,023) solves in 0.75 s at a 148 MiB peak, and bound 222 on the full
+# system's eight (199,808) in 0.74 s at 138 MiB.
 MAX_UNKNOWNS = 200_000
 
 
@@ -290,15 +291,15 @@ def solve_laurent_system(system: LaurentSystem, degree_bound=None):
     nonzero right side that no term of its equation reaches within the
     bound makes the system infeasible, and is found without building a
     row.  Otherwise a system with more than MAX_UNKNOWNS unknowns raises
-    TooManyUnknowns before any unknown is listed, and the rows are solved
-    in key order by the elimination of `superhilb.matrix`, with the free
-    unknowns zero, which stops once every unknown is a pivot.  The
-    solution is checked exactly against every row read (CertificateError
-    otherwise, also under python -O); the rows read then pin every
-    unknown, so a mismatch on a later row proves the system infeasible.
-    The solution is returned as a dict unknown -> Fraction; None when the
-    equations are infeasible at this truncation.  A negative bound raises
-    ValueError.
+    TooManyUnknowns before any unknown is listed, and the rows, built one
+    equation at a time as they are read, are solved in key order by the
+    elimination of `superhilb.matrix` with the free unknowns zero, which
+    stops once every unknown is a pivot.  Every equation's residual is
+    checked up to the last row read (CertificateError otherwise, also
+    under python -O); those rows pin every unknown, so a later mismatch
+    proves the system infeasible.  The solution is returned as a dict
+    unknown -> Fraction; None when the equations are infeasible at this
+    truncation.  A negative bound raises ValueError.
     """
     bound = _checked_bound(
         system.degree_bound if degree_bound is None else degree_bound
@@ -317,21 +318,16 @@ def solve_laurent_system(system: LaurentSystem, degree_bound=None):
         for f_ in range(bound + 1 - e)
     ]
     truncation = _Truncation(system, bound)
-    rows = truncation.rows()
-    pending = iter(rows)
-    pivots = _echelon(pending, len(unknowns))
+    pivots = _echelon(truncation.rows(), len(unknowns))
     if pivots is None:
         return None
     values = _back_substitute(pivots, len(unknowns))
     residual, rhs = truncation.residual(values), truncation.rhs
     if residual != rhs:
-        read = len(rows) - sum(1 for _ in pending)
         mismatch = min(key for key in residual.keys() | rhs.keys()
                        if residual.get(key, 0) != rhs.get(key, 0))
-        _certify(
-            read < len(rows) and mismatch >= truncation.keys[read],
-            "the solver's values satisfy every truncated equation",
-        )
+        _certify(mismatch > truncation.last,
+                 "the solver's values satisfy every truncated equation")
         return None
     zero = Fraction(0)
     return {
@@ -411,7 +407,8 @@ def _triangle(cone, w_span: int, bound: int):
 
 class _Truncation:
     """A LaurentSystem truncated at a degree bound, over packed row keys:
-    the key of (equation, z, w) is bases[equation] + z * w_span + w."""
+    the key of (equation, z, w) is bases[equation] + z * w_span + w; an
+    equation's rows are built when read, and `last` is the last key read."""
 
     def __init__(self, system: LaurentSystem, bound: int):
         self.equations = [_merged_terms(eq, system.blocks)
@@ -439,36 +436,44 @@ class _Truncation:
             shift = (n * size).__add__
             self.triangles[block] = (even, list(map(shift, even_at)),
                                      odd, list(map(shift, odd_at)))
-        # row key -> nonzero right-hand side
-        self.rhs = {
-            base + ez * w_span + ew: _coeff(c)
-            for base, eq in zip(self.bases, system.equations)
-            for (ez, ew), c in eq.rhs.items() if c
-        }
+        # row key -> nonzero right-hand side, per equation and in all
+        self.sides = [{base + ez * w_span + ew: _coeff(c)
+                       for (ez, ew), c in eq.rhs.items() if c}
+                      for base, eq in zip(self.bases, system.equations)]
+        self.rhs = {key: c for side in self.sides for key, c in side.items()}
 
-    def _term_keys(self):
-        """(block, first row key, coefficient) of every factor term."""
+    def _term_keys(self, equations):
+        """(block, first row key, coefficient) of each term of the
+        equations numbered in `equations`."""
         w_span = self.w_span
-        for base, terms in zip(self.bases, self.equations):
-            for block, factor in terms:
+        for n in equations:
+            for block, factor in self.equations[n]:
                 for (fz, fw), c in factor.items():
-                    yield block, base + fz * w_span + fw, c
+                    yield block, self.bases[n] + fz * w_span + fw, c
 
-    def rows(self) -> list:
-        """The rows (coeffs {unknown index: coefficient}, rhs) in the
-        order of their (equation, z, w) key; their keys, in the same
-        order, are kept as `keys`."""
+    def _equation_rows(self, n: int) -> dict:
+        """Equation n's rows, as {row key: coeffs {unknown index:
+        coefficient}}, for the keys its terms reach."""
         rows = defaultdict(dict)
-        for block, at, c in self._term_keys():
+        for block, at, c in self._term_keys((n,)):
             even, even_u, odd, odd_u = self.triangles[block]
             for key, u in zip(map(at.__add__, even), even_u):
                 rows[key][u] = c
             c = -c
             for key, u in zip(map(at.__add__, odd), odd_u):
                 rows[key][u] = c
-        rhs = self.rhs
-        self.keys = sorted(rows.keys() | rhs.keys())
-        return [(rows[key], rhs.get(key, 0)) for key in self.keys]
+        return rows
+
+    def rows(self):
+        """Yield the rows (coeffs, rhs) in the order of their (equation,
+        z, w) key, a key with only a right side included; an equation's
+        rows are built when its first row is read, and the key of the
+        last row read is kept as `last`."""
+        for n, side in enumerate(self.sides):
+            rows = self._equation_rows(n)
+            for key in sorted(rows.keys() | side.keys()):
+                self.last = key
+                yield rows.pop(key, {}), side.get(key, 0)
 
     def residual(self, values) -> dict:
         """A v as {row key: nonzero value}, from the nonzero values
@@ -480,7 +485,7 @@ class _Truncation:
             for block, (even, even_u, odd, odd_u) in self.triangles.items()
         }
         out = {}
-        for block, at, c in self._term_keys():
+        for block, at, c in self._term_keys(range(len(self.equations))):
             for off, v in scattered[block]:
                 key = at + off
                 out[key] = out.get(key, 0) + c * v

@@ -749,6 +749,96 @@ class TestEarlyStop:
             ("f", 0, 0): 1, ("f", 0, 1): -2, ("f", 1, 0): -3}
 
 
+def _solve_counting_equations(monkeypatch, system):
+    """The solver's answer and the labels of the equations whose rows it
+    built, in build order."""
+    built = []
+    build = ob._Truncation._equation_rows
+
+    def counted(self, n):
+        built.append(system.equations[n].label)
+        return build(self, n)
+
+    monkeypatch.setattr(ob._Truncation, "_equation_rows", counted)
+    return solve_laurent_system(system), built
+
+
+class TestStreamedRows:
+    """Rows are built one equation at a time, as elimination reads them,
+    so the equations after full column rank are never built."""
+
+    @pytest.mark.parametrize("build,bound,labels", [
+        (build_coboundary_system, 80, ["V1V2.z", "V1V3.z"]),
+        (build_full_coboundary_system, 36,
+         ["V1V2.z", "V1V2.w", "V1V3.z", "V1V3.w", "V1V4.z", "V1V4.w"]),
+    ])
+    def test_twist_zero_builds_the_equations_read(self, monkeypatch, build,
+                                                   bound, labels):
+        """At k = 0 the three-overlap system at bound 80 builds 2 of its 3
+        equations, and the full system at bound 36 builds 6 of 12."""
+        system = build(0, bound)
+        solution, built = _solve_counting_equations(monkeypatch, system)
+        assert solution is not None
+        assert built == labels
+
+    @pytest.mark.parametrize("k", [3, -3])
+    def test_unreached_right_side_builds_no_equation(self, monkeypatch, k):
+        system = build_coboundary_system(k, 80)
+        solution, built = _solve_counting_equations(monkeypatch, system)
+        assert solution is None
+        assert built == []
+
+    def test_contradiction_in_an_unbuilt_equation_is_infeasible(
+            self, monkeypatch):
+        """The first equation pins every unknown; the third contradicts it
+        on its last row.  The certificate reads the residual of every
+        equation, built or not, and the mismatch lies above the last row
+        read, so the system is infeasible."""
+        pin = TestEarlyStop.PIN
+        system = _one_block_system((1, 1), [
+            pin, pin, ({(0, 0): 1}, {(0, 0): 1, (0, 1): 2, (1, 0): 4})], 1)
+        solution, built = _solve_counting_equations(monkeypatch, system)
+        assert solution is None
+        assert _dense_solve(system, 1) is None
+        assert built == ["E0"]
+
+    def test_agreement_in_unbuilt_equations_is_the_solution(self,
+                                                           monkeypatch):
+        pin = TestEarlyStop.PIN
+        system = _one_block_system((1, 1), [pin, pin, pin], 1)
+        solution, built = _solve_counting_equations(monkeypatch, system)
+        assert solution == _dense_solve(system, 1) == {
+            ("f", 0, 0): 1, ("f", 0, 1): -2, ("f", 1, 0): -3}
+        assert built == ["E0"]
+
+
+class TestSolverDigest:
+    # sha256 over the answers listed in test_outputs_are_pinned
+    DIGEST = ("eb354487f32fa136e8e18603a7d6505944"
+              "cc9c48a912898cd9b28ae6af7acb9d")
+
+    def test_outputs_are_pinned(self):
+        """The solver's answers, None or the sorted nonzero items, for the
+        four benchmark solves and for the three-overlap and full systems
+        at k in -12..12 and bounds |k| + 4 and 20."""
+        systems = [build_coboundary_system(3, 80),
+                   build_coboundary_system(-3, 80),
+                   build_coboundary_system(0, 80),
+                   build_full_coboundary_system(0, 36)]
+        for k in range(-12, 13):
+            atlas = hilb21_atlas(k)
+            for bound in (abs(k) + 4, 20):
+                systems.append(build_coboundary_system(k, bound, atlas))
+                systems.append(build_full_coboundary_system(k, bound, atlas))
+        digest = hashlib.sha256()
+        for system in systems:
+            solution = solve_laurent_system(system)
+            answer = None if solution is None else sorted(
+                (u, v) for u, v in solution.items() if v)
+            digest.update(f"{answer}\n".encode())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestSolverCertificateUnderOptimize:
     def test_tampered_value_raises(self):
         """The solver checks its values against every truncated row, also
