@@ -240,8 +240,6 @@ def _even_block_inverse(block):
     N, and so of -A0^-1 N, are even nilpotents, so the powers reach zero
     and the sum ends at the first zero power."""
     n = len(block)
-    if n == 0:
-        return []
     reduction = _numeric(block)
     a0_inv_rat = rational_inverse(reduction)
     a0_inv = [[SuperPoly.const(x) for x in row] for row in a0_inv_rat]

@@ -283,7 +283,7 @@ def _atlas_for(k: int, atlas: Atlas | None) -> Atlas:
 MAX_UNKNOWNS = 200_000
 
 
-def solve_laurent_system(system: LaurentSystem, degree_bound=None):
+def solve_laurent_system(system: LaurentSystem):
     """Exact rational solve of the truncated system.
 
     Unknowns are the block coefficients of total degree <= the bound
@@ -301,9 +301,7 @@ def solve_laurent_system(system: LaurentSystem, degree_bound=None):
     unknown -> Fraction; None when the equations are infeasible at this
     truncation.  A negative bound raises ValueError.
     """
-    bound = _checked_bound(
-        system.degree_bound if degree_bound is None else degree_bound
-    )
+    bound = _checked_bound(system.degree_bound)
     if _unreached_rhs(system, bound):
         return None
     count = len(system.blocks) * (bound + 1) * (bound + 2) // 2

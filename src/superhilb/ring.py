@@ -74,9 +74,6 @@ class Parity(enum.Enum):
     EVEN = 0
     ODD = 1
 
-    def __mul__(self, other):
-        return Parity((self.value + other.value) % 2)
-
 
 class ParityClass(enum.Enum):
     """Parity of a polynomial; zero counts as even, MIXED is inhomogeneous."""

@@ -11,6 +11,7 @@ ledger in the repository notes).
 import random
 import string
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -188,7 +189,7 @@ def test_criterion_7_non_splitness_nonzero_twists():
         system = build_coboundary_system(k, abs(k) + 6, atlas)
         assert not analyze_subsystem(system).feasible
         for d in range(0, abs(k) + 7):
-            assert solve_laurent_system(system, d) is None
+            assert solve_laurent_system(replace(system, degree_bound=d)) is None
     assert time.time() - started < 120
     _report(
         7,
@@ -209,7 +210,7 @@ def test_criterion_7_twist_zero_as_specified():
     assert not verdict.split
     system = build_coboundary_system(0, 6)
     for d in range(0, 7):
-        assert solve_laurent_system(system, d) is None
+        assert solve_laurent_system(replace(system, degree_bound=d)) is None
 
 
 def test_criterion_7_twist_zero_honest_behavior():

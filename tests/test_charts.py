@@ -148,8 +148,8 @@ class TestTransportPoint:
         lines = done.stdout.splitlines()
         assert len(lines) == 2, done.stdout
         assert all(line.startswith("CertificateError") for line in lines)
-        assert "transported (1|1)" in lines[0]
-        assert "transported (1|0)" in lines[1]
+        assert "transported (1|1) generator" in lines[0]
+        assert "transported (1|0) generator" in lines[1]
 
 
 class TestProductIdeal:
@@ -222,7 +222,9 @@ class TestCanonicalize:
         x, theta = amb.coords("x")
         f = (V(c) * V(x) + 1) * (V(x) + 1)
         g = (V(c) * V(x) + 1) * V(theta)
-        with pytest.raises(NotCanonicalizable):
+        with pytest.raises(
+                NotCanonicalizable,
+                match="leading coefficient is not a unit on this chart"):
             canonicalize(IdealOnChart(chart, "x", (f, g)), 2, 1, amb)
 
 
@@ -408,7 +410,9 @@ class TestInvertTransition:
         tmap = TransitionMap(target=SuperChart("T", (t1,), (p1, p2)),
                              source=SuperChart("S", (s1,), (o1, o2)),
                              rules=rules)
-        with pytest.raises(HigherOrderTerms):
+        with pytest.raises(
+                HigherOrderTerms,
+                match="rule for t1h has odd terms beyond second order"):
             invert_transition(tmap)
         with pytest.raises(NotCanonicalizable):
             invert_transition(tmap)
@@ -459,7 +463,8 @@ class TestSecondOrder:
         tmap = TransitionMap(SuperChart("T", (y,), tuple(dst)),
                              SuperChart("S", (x,), tuple(src)), rules)
         split = second_order(tmap)
-        with pytest.raises(NotCanonicalizable):
+        with pytest.raises(NotCanonicalizable,
+                           match="det needs a square odd block of size 1 or 2"):
             split.det
 
 
@@ -878,3 +883,96 @@ class TestCostGuard:
                                  atlas.transition("V2", "V4"))
         assert all(e <= 2 for value in composed.values()
                    for e in value.loci.values())
+
+
+class TestEachGuardRaises:
+    """Each shape check of `canonicalize` and `invert_transition` raises
+    NotCanonicalizable with its own message on an input of the wrong
+    shape."""
+
+    AMB = Ambient.fresh(0)
+    X, THETA = AMB.coords("x")
+    MU = odd("mug")
+    PAIR = (V(X, 2), V(X) * V(THETA))
+
+    def canonicalize(self, gens, p, q):
+        chart = SuperChart("C", (), (self.MU,))
+        return canonicalize(IdealOnChart(chart, "x", gens), p, q, self.AMB)
+
+    @pytest.mark.parametrize("gens,p,q,what", [
+        ((SuperPoly.zero(), V(THETA)), 1, 0, "zero generator"),
+        ((*PAIR, V(X, 3)), 2, 1, "expected one even and one odd generator"),
+        ((V(X, 2), V(X)), 2, 1, "expected one even and one odd generator"),
+        (PAIR, 3, 1, "even generator has rank 2, expected 3"),
+        (PAIR, 2, 0, "odd generator has rank 1, expected 0"),
+        # x theta + mu leaves the residual gamma_0 = mu
+        ((V(X, 2), V(X) * V(THETA) + V(MU)), 2, 1,
+         "nonzero stratification residue: the family is not flat of this "
+         "rank"),
+    ])
+    def test_canonicalize_refuses(self, gens, p, q, what):
+        with pytest.raises(NotCanonicalizable, match=what):
+            self.canonicalize(gens, p, q)
+
+    def tampered_reduction(self, monkeypatch, hit):
+        """canonicalize (x^2, x theta) at rank (2|1) with a unit added to
+        the remainder of each normal form for which hit(dividend, divisor,
+        canonical pair) holds."""
+        pairs = []
+        pair, normal_form = charts.canonical_pair, charts._normal_form
+
+        def recorded(*args):
+            pairs.append(pair(*args))
+            return pairs[-1]
+
+        def tampered(dividend, x, f, *rest):
+            rem, cofactors = normal_form(dividend, x, f, *rest)
+            if pairs and hit(dividend, f, pairs[-1]):
+                rem = {**rem, (0, 0): SuperPoly.one()}
+            return rem, cofactors
+
+        monkeypatch.setattr(charts, "canonical_pair", recorded)
+        monkeypatch.setattr(charts, "_normal_form", tampered)
+        self.canonicalize(self.PAIR, 2, 1)
+
+    def test_input_generator_escapes(self, monkeypatch):
+        with pytest.raises(NotCanonicalizable, match="input generator "
+                           "escapes the canonical ideal"):
+            self.tampered_reduction(
+                monkeypatch, lambda dividend, f, canonical: f is canonical[0])
+
+    def test_canonical_generator_escapes(self, monkeypatch):
+        with pytest.raises(NotCanonicalizable, match="canonical generator "
+                           "escapes the input ideal"):
+            self.tampered_reduction(
+                monkeypatch, lambda dividend, f, canonical: any(
+                    dividend is gen for gen in canonical))
+
+    S1, S2, U = (even(name, invertible=True) for name in ("s1g", "s2g", "ug"))
+    T1, T2, O, P = even("t1g"), even("t2g"), odd("og"), odd("pg")
+
+    @pytest.mark.parametrize("evens,odds,rules,what", [
+        ((S1,), (O,), {T1: V(S1) + 1, P: V(O)},
+         "bosonic rule is not a monomial: "),
+        ((S1, S2), (O,), {T1: V(S1) * V(S2), T2: V(S2), P: V(O)},
+         "bosonic rule is not a single power: "),
+        ((S1,), (O,), {T1: V(S1, 2), P: V(O)}, "bosonic rule has exponent 2"),
+        ((S1,), (), {T1: V(S1)},
+         "transition inversion needs matching odd ranks 1 or 2"),
+        ((S1, S2), (O,), {T1: V(S1), P: V(O)},
+         "transition inversion needs matching even ranks"),
+        ((S1, S2), (O,), {T1: V(S1), T2: 2 * V(S1), P: V(O)},
+         "two even rules share a source variable"),
+        # u is not a coordinate of the source chart
+        ((S1, S2), (O,), {T1: V(S1), T2: V(U), P: V(O)},
+         "even rules do not cover the source chart"),
+    ])
+    def test_invert_transition_refuses(self, evens, odds, rules, what):
+        target = SuperChart(
+            "T", tuple(c for c in rules if c.parity.name == "EVEN"),
+            tuple(c for c in rules if c.parity.name == "ODD"))
+        tmap = TransitionMap(
+            target, SuperChart("S", evens, odds),
+            {coord: LocalizedPoly(rule) for coord, rule in rules.items()})
+        with pytest.raises(NotCanonicalizable, match=what):
+            invert_transition(tmap)

@@ -76,6 +76,10 @@ class TestMatmul:
 
 
 class TestLeftInverse:
+    def test_zero_by_zero(self):
+        empty = SuperMatrix(0, 0, ())
+        assert left_inverse(empty) == empty
+
     def test_identity_case(self):
         i = SuperMatrix.identity(2, 1)
         assert left_inverse(i) == i

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -164,7 +165,7 @@ class TestCoboundarySystem:
         system = build_coboundary_system(k, abs(k) + 4)
         assert not analyze_subsystem(system).feasible
         for d in range(0, abs(k) + 5):
-            assert solve_laurent_system(system, d) is None
+            assert solve_laurent_system(replace(system, degree_bound=d)) is None
 
 
 class TestVerdicts:
@@ -240,8 +241,6 @@ class TestDefensiveGuards:
     def test_residue_vanishing_on_diagonal_raises(self):
         """z - w vanishes on the diagonal like the V1 column: a shape the
         support analysis refuses instead of dividing."""
-        from dataclasses import replace
-
         from superhilb.errors import NotCanonicalizable
 
         system = build_coboundary_system(3, 7)
@@ -250,14 +249,13 @@ class TestDefensiveGuards:
             if eq.label == "V1V2.z" else eq
             for eq in system.equations
         )
-        with pytest.raises(NotCanonicalizable):
+        with pytest.raises(NotCanonicalizable, match="expected the V1/V2 "
+                           "residue to vanish or to survive on the diagonal"):
             analyze_subsystem(replace(system, equations=equations))
 
     def test_wide_coupling_box_raises(self):
         """g- and h-columns that couple on a 3x3 box of exponents, not on
         the one constant slot, are a shape the support analysis refuses."""
-        from dataclasses import replace
-
         from superhilb.errors import NotCanonicalizable
 
         system = build_coboundary_system(0, 4)
@@ -271,6 +269,51 @@ class TestDefensiveGuards:
         with pytest.raises(NotCanonicalizable,
                            match="unexpected coupling box"):
             analyze_subsystem(replace(system, equations=equations))
+
+    @staticmethod
+    def analyze_with(k, label, rhs=None, **columns):
+        """analyze_subsystem on the k system at bound 4 with the given
+        columns of equation label replaced, and its right side when rhs
+        is given."""
+        system = build_coboundary_system(k, 4)
+
+        def changed(eq):
+            terms = tuple({**dict(eq.terms), **columns}.items())
+            return replace(eq, terms=terms,
+                           rhs=eq.rhs if rhs is None else rhs)
+
+        equations = tuple(changed(eq) if eq.label == label else eq
+                          for eq in system.equations)
+        return analyze_subsystem(replace(system, equations=equations))
+
+    def test_shape_checks_raise(self):
+        """Each shape the support analysis does not read raises its own
+        NotCanonicalizable, in an equation the unchanged system passes."""
+        from superhilb.errors import NotCanonicalizable
+
+        one = Fraction(1)
+        cases = [
+            (3, "V2V3.z", {"g": {(0, 0): one, (1, 0): one}},
+             "expected monomial columns on the V2V3 overlap"),
+            (3, "V2V3.z", {"rhs": {(0, 0): one}},
+             "expected a vanishing obstruction on V2V3"),
+            (3, "V1V2.z", {"f": {(0, 0): one}},
+             "the V1-column must vanish on the diagonal"),
+            (0, "V1V2.z", {"g": {(1, 0): one, (0, 1): -one}},
+             "expected a g-column on the V1V2 overlap"),
+        ]
+        for k, label, changes, what in cases:
+            with pytest.raises(NotCanonicalizable, match=what):
+                self.analyze_with(k, label, **changes)
+
+    def test_axis_restriction_not_a_monomial_raises(self):
+        from superhilb.errors import NotCanonicalizable
+        from superhilb.ring import even
+
+        b = even("b")
+        with pytest.raises(NotCanonicalizable, match="axis restriction is "
+                           "not a monomial transition"):
+            ob._monomial_degree(V(b) + V(b, 2), b)
 
     def test_embedding_rejects_foreign_variables(self):
         """A term in a variable outside the chart is refused even when
@@ -383,7 +426,7 @@ class TestCertificatesUnderOptimize:
         assert "exact identities" in lines[0]
         assert "the solver's sections satisfy the exact identities" in lines[0]
         assert lines[1].startswith("NotCanonicalizable")
-        assert "vanishing obstruction on V2V3" in lines[1]
+        assert "expected a vanishing obstruction on V2V3" in lines[1]
 
 
 def _unknowns(blocks, bound):
@@ -587,8 +630,10 @@ class TestNegativeBound:
             build_full_coboundary_system(0, -1)
 
     def test_solver_override(self):
+        """The solver refuses a system whose bound is replaced by -1."""
         with pytest.raises(ValueError):
-            solve_laurent_system(build_coboundary_system(0, 2), -1)
+            solve_laurent_system(
+                replace(build_coboundary_system(0, 2), degree_bound=-1))
 
 
 class TestSolverCost:
@@ -912,6 +957,6 @@ class TestEachCertificateFires:
         answers with the zero section contradicts it (CertificateError,
         see `assert_certificate_fails`)."""
         monkeypatch.setattr(ob, "solve_laurent_system",
-                            lambda system, degree_bound=None: {})
+                            lambda system: {})
         assert_certificate_fails("support analysis and bounded solver agree",
                                  is_coboundary, 3)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from superhilb.errors import ExponentOverflow, NotAUnit, ParityMismatch
+from superhilb.errors import (ExponentOverflow, NegativePowerOfNonInvertible,
+                              NotAUnit, ParityMismatch)
 from superhilb.ideals import super_divmod
 from superhilb.localized import LocalizedPoly
 from superhilb.parser import RingDecl, parse_poly, pretty
@@ -416,6 +417,11 @@ class TestSharedNames:
 
 
 class TestExponentRange:
+    def test_negative_power_needs_invertible(self):
+        x = even("x")
+        with pytest.raises(NegativePowerOfNonInvertible, match="variable x"):
+            SuperPoly.var(x, -1)
+
     def test_power_beyond_the_range_raises(self):
         x = even("x", invertible=True)
         with pytest.raises(ExponentOverflow):

@@ -119,25 +119,40 @@ def test_public_names_are_used_by_the_package():
     assert defined and not unused, unused
 
 
-def _certificate_messages():
-    """(file, line, message) of each `_certify(` call in the package: its
-    literal text, or an f-string's text before its first placeholder."""
+def _untested_messages(raisers: dict) -> tuple:
+    """(sites, untested) over the calls in the package to a callee of
+    raisers, {callee: the error it raises}.  A site is (file, line,
+    message), its message the call's last argument: a literal's text, or
+    an f-string's literal parts.  It is untested unless its message has
+    text and one test module that names its error holds every part of it
+    in its string literals, adjacent literals joined."""
     package = Path(superhilb.__file__).resolve().parent
+    tests = Path(__file__).resolve().parent
+    texts = []
+    for path in sorted(tests.glob("test_*.py")):
+        text = path.read_text()
+        texts.append((text, "\n".join(
+            node.value for node in ast.walk(ast.parse(text, str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str))))
+    sites, untested = [], []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             func = getattr(node, "func", None)
-            if getattr(func, "id", getattr(func, "attr", None)) != "_certify":
+            error = raisers.get(getattr(func, "id", getattr(func, "attr",
+                                                            None)))
+            if error is None:
                 continue
-            what = node.args[1]
-            if isinstance(what, ast.JoinedStr):
-                text = ""
-                for part in what.values:
-                    if not isinstance(part, ast.Constant):
-                        break
-                    text += part.value
-            else:
-                text = what.value
-            yield path.name, node.lineno, text
+            what = node.args[-1]
+            parts = ([part.value for part in what.values
+                      if isinstance(part, ast.Constant)]
+                     if isinstance(what, ast.JoinedStr) else [what.value])
+            site = f"{path.name}:{node.lineno} {parts!r}"
+            sites.append(site)
+            if not any(parts) or not any(
+                    error in text and all(part in literals for part in parts)
+                    for text, literals in texts):
+                untested.append(site)
+    return sites, untested
 
 
 def test_every_certificate_has_a_test_that_fires_it():
@@ -145,10 +160,15 @@ def test_every_certificate_has_a_test_that_fires_it():
     CertificateError, so every `_certify` site has a test that makes it
     fail; a site no test can make fail is implied by the code before
     it."""
-    tests = Path(__file__).resolve().parent
-    texts = [text for path in sorted(tests.glob("test_*.py"))
-             if "CertificateError" in (text := path.read_text())]
-    sites = sorted(_certificate_messages())
-    unfired = [f"{file}:{line} {what!r}" for file, line, what in sites
-               if not what or not any(what in text for text in texts)]
+    sites, unfired = _untested_messages({"_certify": "CertificateError"})
     assert sites and not unfired, unfired
+
+
+def test_every_guard_has_a_test_that_raises_it():
+    """Each NotCanonicalizable and HigherOrderTerms message appears in a
+    test module that names its error, so every check of a family's or a
+    system's shape has a test that makes it raise."""
+    sites, unraised = _untested_messages(
+        {"NotCanonicalizable": "NotCanonicalizable",
+         "HigherOrderTerms": "HigherOrderTerms"})
+    assert sites and not unraised, unraised
