@@ -9,9 +9,10 @@ patches (with the diagonal removed).  Maps out of a product chart move
 the point factors across the patches, and into a canonical chart also
 multiply the ideals and canonicalize; maps into the product charts are
 the exact inverses of those maps, and carry denominators supported on
-the removed loci.  Canonicalization reduces modulo the monicized
-generator pair with the normal form of `superhilb.ideals`; ideal
-equality is certified by zero remainders.  A failed certificate raises
+the removed loci.  Canonicalization reads the canonical coefficients off
+the normal forms of x^p and x^q theta modulo the monicized generator
+pair (the normal form of `superhilb.ideals`); a zero stratification
+residue makes the two ideals equal.  A failed certificate raises
 CertificateError, also under python -O.
 """
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from .errors import (ChartMismatch, HigherOrderTerms, NotAUnit,
                      NotCanonicalizable, ParityMismatch)
 from .ideals import (_canonical_from_raw_coeffs, _certify, _normal_form,
-                     canonical_pair, super_divmod)
+                     super_divmod)
 from .localized import LocalizedPoly, PowerTable
 from .ring import Parity, SuperPoly, VarSymbol, even, invert, odd
 
@@ -300,17 +301,17 @@ def canonicalize(ideal: IdealOnChart, p: int, q: int, amb: Ambient):
     """Match a two-generator family against the canonical (p|q) shape.
 
     Returns {"a0": .., "b0": .., "alpha0": .., "beta0": .., ...}: the
-    unique canonical coefficients generating the same localized ideal.
-    Ideal equality is certified by two-sided reduction to zero; failure
-    of any leading coefficient to be a unit means the family leaves the
-    chart and raises NotCanonicalizable.
+    unique canonical coefficients generating the same localized ideal,
+    read off the normal forms of x^p and x^q theta modulo the monicized
+    pair; a zero stratification residue makes the two ideals equal.
+    Failure of any leading coefficient to be a unit means the family
+    leaves the chart and raises NotCanonicalizable.
     """
     w, tp = amb.coords(ideal.side)
-    gens = list(ideal.generators)
-    if len(gens) != 2:
-        raise NotCanonicalizable("expected one even and one odd generator")
-    evens_ = [g for g in gens if g.parity_class().value == "even"]
-    odds_ = [g for g in gens if g.parity_class().value == "odd"]
+    # IdealOnChart admits only even and odd generators, so this also
+    # checks that there are two
+    evens_ = [g for g in ideal.generators if g.parity_class().value == "even"]
+    odds_ = [g for g in ideal.generators if g.parity_class().value == "odd"]
     if len(evens_) != 1 or len(odds_) != 1:
         raise NotCanonicalizable("expected one even and one odd generator")
     f_in = _clear_laurent(evens_[0], w)
@@ -343,32 +344,20 @@ def canonicalize(ideal: IdealOnChart, p: int, q: int, amb: Ambient):
     a_v, b_v, alpha_v, beta_v, c_v, gamma_v = _canonical_from_raw_coeffs(
         p, q, w, tp, a_t, b_t, alpha_t, beta_t
     )
-    if any(not c.is_zero() for c in c_v) or any(
-        not g.is_zero() for g in gamma_v
-    ):
+    if not all(v.is_zero() for v in (*c_v, *gamma_v)):
         raise NotCanonicalizable("nonzero stratification residue: the family "
                                  "is not flat of this rank")
-
-    f_can, g_can = canonical_pair(p, q, w, tp, a_v, b_v, alpha_v, beta_v)
-    for gen in (f_in, g_in):
-        if _normal_form(gen, w, f_can, p, g_can, tp, q)[0]:
-            raise NotCanonicalizable("input generator escapes the canonical "
-                                     "ideal")
-    for gen in (f_can, g_can):
-        if _normal_form(gen, w, f_hat, p, g_hat, tp, q)[0]:
-            raise NotCanonicalizable("canonical generator escapes the input "
-                                     "ideal")
-
-    out = {}
-    for i, val in enumerate(a_v):
-        out[f"a{i}"] = val
-    for i, val in enumerate(b_v):
-        out[f"b{i}"] = val
-    for i, val in enumerate(alpha_v):
-        out[f"alpha{i}"] = val
-    for i, val in enumerate(beta_v):
-        out[f"beta{i}"] = val
-    return out
+    # The ideals are then equal with no check: x^p - NF(x^p) and
+    # x^q theta - NF(x^q theta) lie in (f_hat, g_hat), and are the
+    # canonical generators (f_can + c and g_can + gamma, by
+    # `_canonical_from_raw_coeffs`).  Their cofactors are the identity
+    # plus nilpotents, so invertible: at odd degree 0 only the leads
+    # reduce, as the theta-terms of f_hat and theta-free terms of g_hat
+    # are odd.
+    return {f"{name}{i}": value
+            for name, values in (("a", a_v), ("b", b_v), ("alpha", alpha_v),
+                                 ("beta", beta_v))
+            for i, value in enumerate(values)}
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +448,8 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
     a square matrix over the bosonic ring inverted through its adjugate,
     and the wedge corrections to the even rules follow by differentiating
     the bosonic inverse (exact, since the corrections square to zero).
-    Both composition identities are checked before returning.
+    The composite inverse o tmap = identity is checked before returning;
+    it implies tmap o inverse = identity.
     """
     target, source = tmap.target, tmap.source
     odds_s = source.odds
@@ -519,11 +509,12 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
 
     inverse = TransitionMap(target=source, source=target, rules=rules)
     ident_s = {c: LocalizedPoly(V(c)) for c in source.coordinates}
-    ident_t = {c: LocalizedPoly(V(c)) for c in target.coordinates}
+    # This composite can raise NotAUnit; once it holds, the pullback by
+    # tmap is onto, and it is injective: modulo the odds it is the
+    # bijection above, and det H is a unit (the inverse function theorem
+    # for superdomains).  So tmap o inverse = identity needs no check.
     _certify(rules_equal(compose_rules(inverse, tmap), ident_s),
              f"inverse composition on {source.name}")
-    _certify(rules_equal(compose_rules(tmap, inverse), ident_t),
-             f"inverse composition on {target.name}")
     return inverse
 
 
@@ -565,8 +556,8 @@ def hilb11_atlas(k: int) -> Atlas:
     (generator x - a - alpha*theta), chart B its mirror over y.  The
     map B<-A is computed by moving the generator across the gluing, and
     comes out as b = 1/a, beta = -a^(k-2) alpha; A<-B is its exact
-    inverse, whose two certified composites are the whole cocycle
-    condition of a two-chart atlas.
+    inverse, whose certified composite and the one it implies are the
+    whole cocycle condition of a two-chart atlas.
     """
     amb = Ambient.fresh(k)
     syms = _point_chart_symbols()

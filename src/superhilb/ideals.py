@@ -450,18 +450,23 @@ def kernel_witnesses(p: int, q: int):
         p, q, ch.x, ch.theta, ch.a, ch.b, ch.alpha, ch.beta,
         ch.f_canonical, ch.g_canonical,
     )
+    h_expansion, theta_a = _first_witness_expansion(ch)
+    # Times theta + A the first expansion gives (g - gamma)(theta + A)
+    # (x^{p-q} + a) = 0, and the monic x^{p-q} + a is no zero divisor:
+    # so the second, g(theta + A) = gamma(theta + A), needs no check.
+    g_expansion = (ch.g_canonical + ch.gamma_poly) * theta_a
     vecs = tuple(reduce_to_basis(expansion, ideal)
-                 for expansion in _witness_expansions(ch))
+                 for expansion in (h_expansion, g_expansion))
     for vec in vecs:
         _certify(vec.cofactor_f.is_zero() and vec.cofactor_g.is_zero(),
                  "witness lies in the basis span")
     return vecs
 
 
-def _witness_expansions(ch: CoordinateChange):
-    """(f(theta + A) - g(x^{p-q} + a), g(theta + A)) for f and g the raw
-    generators in the canonical coordinates of ch, with q >= 1; the first
-    is certified to equal c(theta + A) - gamma(x^{p-q} + a)."""
+def _first_witness_expansion(ch: CoordinateChange):
+    """(f(theta + A) - g(x^{p-q} + a), theta + A) for f and g the raw
+    generators in the canonical coordinates of ch, with q >= 1; the
+    expansion is certified to equal c(theta + A) - gamma(x^{p-q} + a)."""
     p, q, x, theta = ch.p, ch.q, ch.x, ch.theta
     f_full = ch.f_canonical + ch.c_poly
     g_full = ch.g_canonical + ch.gamma_poly
@@ -470,10 +475,7 @@ def _witness_expansions(ch: CoordinateChange):
     h_expansion = f_full * theta_a - g_full * xpq_a
     _certify(h_expansion == ch.c_poly * theta_a - ch.gamma_poly * xpq_a,
              "first kernel witness expansion")
-    # Times theta + A this gives (g - gamma)(theta + A)(x^{p-q} + a) = 0,
-    # and the monic x^{p-q} + a is no zero divisor: so the second
-    # expansion, g(theta + A) = gamma(theta + A), needs no check.
-    return h_expansion, g_full * theta_a
+    return h_expansion, theta_a
 
 
 def stratification_generators(p: int, q: int):
@@ -487,5 +489,5 @@ def stratification_generators(p: int, q: int):
     if q >= 1:
         # The witnesses, c(theta + A) - gamma(x^{p-q} + a) as certified
         # there and gamma(theta + A), lie in (c, gamma) term by term.
-        _witness_expansions(ch)
+        _first_witness_expansion(ch)
     return [SuperPoly.var(s) for s in (*ch.c, *ch.gamma)]

@@ -297,6 +297,8 @@ class LocalizedPoly:
         return self * LocalizedPoly.promote(other).reciprocal()
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError(f"exponent is not an int: {n!r}")
         if n < 0:
             return self.reciprocal() ** (-n)
         powers = _soul_powers(self) if n > 1 else None

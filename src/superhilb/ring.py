@@ -704,6 +704,8 @@ class SuperPoly:
         return SuperPoly.promote(other) * self
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError(f"exponent is not an int: {n!r}")
         if n < 0:
             return self.reciprocal() ** (-n)
         return _power({0: _ONE, 1: self}, n)

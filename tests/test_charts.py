@@ -24,10 +24,11 @@ from superhilb.charts import (
     transport_point,
     verify_cocycle,
 )
-from superhilb.errors import (ChartMismatch, HigherOrderTerms,
+from superhilb.errors import (ChartMismatch, HigherOrderTerms, NotAUnit,
                               NotCanonicalizable)
+from superhilb.ideals import _normal_form, canonical_pair
 from superhilb.localized import LocalizedPoly, PowerTable
-from superhilb.ring import SuperMonomial, SuperPoly, even, odd
+from superhilb.ring import SuperMonomial, SuperPoly, even, invert, odd
 
 V = SuperPoly.var
 
@@ -652,31 +653,18 @@ class TestEachCertificateFires:
                                  transport_point, amb, "11", "x", 1,
                                  V(amb.y), V(odd("mu")))
 
-    @staticmethod
-    def _perturb_composites(monkeypatch, hit):
+    def test_inverse_composition_on_source(self, monkeypatch):
+        tmap = pi_v_atlas(2).transition("U1", "U0")
         compose = charts.compose_rules
 
         def perturbed(outer, inner):
             rules = compose(outer, inner)
-            if hit(outer):
-                coord = next(iter(rules))
-                rules[coord] = rules[coord] + 1
+            coord = next(iter(rules))
+            rules[coord] = rules[coord] + 1
             return rules
 
         monkeypatch.setattr(charts, "compose_rules", perturbed)
-
-    def test_inverse_composition_on_source(self, monkeypatch):
-        tmap = pi_v_atlas(2).transition("U1", "U0")
-        self._perturb_composites(monkeypatch, lambda outer: outer is not tmap)
         assert_certificate_fails("inverse composition on U0",
-                                 invert_transition, tmap)
-
-    def test_inverse_composition_on_target(self, monkeypatch):
-        """Only the composite with tmap outside is perturbed, so the
-        check on the source passes and the one on the target fires."""
-        tmap = pi_v_atlas(2).transition("U1", "U0")
-        self._perturb_composites(monkeypatch, lambda outer: outer is tmap)
-        assert_certificate_fails("inverse composition on U1",
                                  invert_transition, tmap)
 
     @staticmethod
@@ -787,6 +775,27 @@ class TestPowerTables:
         assert rules_equal(composed, ident)
 
 
+def calls_within(monkeypatch, outer: str, inner: str) -> list:
+    """Patch charts.outer and charts.inner so that each call of outer
+    appends to the returned list the number of inner calls it made."""
+    outer_fn, inner_fn = getattr(charts, outer), getattr(charts, inner)
+    made, counts = [0], []
+
+    def counted_inner(*args):
+        made[0] += 1
+        return inner_fn(*args)
+
+    def counted_outer(*args):
+        before = made[0]
+        result = outer_fn(*args)
+        counts.append(made[0] - before)
+        return result
+
+    monkeypatch.setattr(charts, inner, counted_inner)
+    monkeypatch.setattr(charts, outer, counted_outer)
+    return counts
+
+
 class TestCostGuard:
     def test_cocycle_product_count(self, monkeypatch):
         """verify_cocycle(hilb21_atlas(20)) on a prebuilt atlas forms at
@@ -875,6 +884,24 @@ class TestCostGuard:
         hilb21_atlas(k)
         assert len(calls) == 4, calls
 
+    @pytest.mark.parametrize("k", [-3, 0, 8])
+    def test_canonicalize_reduces_twice(self, monkeypatch, k):
+        """Each canonicalize call reduces x^p and x^q theta and nothing
+        else: hilb21_atlas(k) makes 8 normal forms in its 4 calls (24
+        with both ideal inclusions reduced as well)."""
+        counts = calls_within(monkeypatch, "canonicalize", "_normal_form")
+        hilb21_atlas(k)
+        assert counts == [2] * 4, counts
+
+    @pytest.mark.parametrize("k", [-3, 0, 8])
+    def test_invert_transition_composes_once(self, monkeypatch, k):
+        """Each inversion forms the composite on its source alone: 4 in
+        hilb21_atlas(k) (8 with the composite on the target as well)."""
+        counts = calls_within(monkeypatch, "invert_transition",
+                              "compose_rules")
+        hilb21_atlas(k)
+        assert counts == [1] * 4, counts
+
     def test_k63_composite_locus_exponents(self):
         """The unsimplified V1<-V2<-V4 composite at k = 63 keeps every
         locus at exponent 2 or less (62 with n-fold powers)."""
@@ -914,40 +941,6 @@ class TestEachGuardRaises:
         with pytest.raises(NotCanonicalizable, match=what):
             self.canonicalize(gens, p, q)
 
-    def tampered_reduction(self, monkeypatch, hit):
-        """canonicalize (x^2, x theta) at rank (2|1) with a unit added to
-        the remainder of each normal form for which hit(dividend, divisor,
-        canonical pair) holds."""
-        pairs = []
-        pair, normal_form = charts.canonical_pair, charts._normal_form
-
-        def recorded(*args):
-            pairs.append(pair(*args))
-            return pairs[-1]
-
-        def tampered(dividend, x, f, *rest):
-            rem, cofactors = normal_form(dividend, x, f, *rest)
-            if pairs and hit(dividend, f, pairs[-1]):
-                rem = {**rem, (0, 0): SuperPoly.one()}
-            return rem, cofactors
-
-        monkeypatch.setattr(charts, "canonical_pair", recorded)
-        monkeypatch.setattr(charts, "_normal_form", tampered)
-        self.canonicalize(self.PAIR, 2, 1)
-
-    def test_input_generator_escapes(self, monkeypatch):
-        with pytest.raises(NotCanonicalizable, match="input generator "
-                           "escapes the canonical ideal"):
-            self.tampered_reduction(
-                monkeypatch, lambda dividend, f, canonical: f is canonical[0])
-
-    def test_canonical_generator_escapes(self, monkeypatch):
-        with pytest.raises(NotCanonicalizable, match="canonical generator "
-                           "escapes the input ideal"):
-            self.tampered_reduction(
-                monkeypatch, lambda dividend, f, canonical: any(
-                    dividend is gen for gen in canonical))
-
     S1, S2, U = (even(name, invertible=True) for name in ("s1g", "s2g", "ug"))
     T1, T2, O, P = even("t1g"), even("t2g"), odd("og"), odd("pg")
 
@@ -975,4 +968,126 @@ class TestEachGuardRaises:
             target, SuperChart("S", evens, odds),
             {coord: LocalizedPoly(rule) for coord, rule in rules.items()})
         with pytest.raises(NotCanonicalizable, match=what):
+            invert_transition(tmap)
+
+
+# The twists whose atlases the reference tests below record.
+TWISTS = (*range(-6, 7), 20, -20, 63)
+
+
+@pytest.fixture(scope="module")
+def atlas_calls():
+    """{name: [(arguments, result), ...]} for every canonicalize and
+    invert_transition call that the pi_v, hilb11 and hilb21 atlases make
+    at TWISTS."""
+    calls = {"canonicalize": [], "invert_transition": []}
+    with pytest.MonkeyPatch.context() as mp:
+        for name, log in calls.items():
+            def recorded(*args, _call=getattr(charts, name), _log=log):
+                _log.append((args, _call(*args)))
+                return _log[-1][1]
+
+            mp.setattr(charts, name, recorded)
+        for k in TWISTS:
+            for build in (pi_v_atlas, hilb11_atlas, hilb21_atlas):
+                build(k)
+    return calls
+
+
+def assert_ideals_equal(ideal, p, q, amb, slots):
+    """Each generator of the input pair and of the canonical pair that
+    canonicalize returned as slots reduces to zero modulo the other pair,
+    the input pair made monic."""
+    w, tp = amb.coords(ideal.side)
+    evens_first = sorted(ideal.generators,
+                         key=lambda g: g.parity_class().value != "even")
+    f_in, g_in = (charts._clear_laurent(g, w) for g in evens_first)
+    split_f, split_g = (gen.coefficients((w, tp)) for gen in (f_in, g_in))
+    f_hat = invert(split_f[(p, 0)]) * f_in
+    g_hat = invert(split_g[(q, 1)]) * g_in
+    f_can, g_can = canonical_pair(
+        p, q, w, tp, *([slots[f"{name}{i}"] for i in range(n)]
+                       for name, n in (("a", p - q), ("b", q),
+                                       ("alpha", p - q), ("beta", q))))
+    for gens, (f, g) in (((f_in, g_in), (f_can, g_can)),
+                         ((f_can, g_can), (f_hat, g_hat))):
+        for gen in gens:
+            assert not _normal_form(gen, w, f, p, g, tp, q)[0]
+
+
+class TestImpliedIdentities:
+    """The identities that a kept check implies, so that the chart layer
+    does not check them again, computed here."""
+
+    def test_canonicalize_ideals_equal_on_the_atlases(self, atlas_calls):
+        """The input and canonical ideals of each canonicalize call are
+        equal, as the normal forms of x^p and x^q theta with a zero
+        residue imply."""
+        calls = atlas_calls["canonicalize"]
+        assert len(calls) == 4 * len(TWISTS)
+        for args, slots in calls:
+            assert_ideals_equal(*args, slots)
+
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(1, 5)
+                                     for q in range(p + 1)])
+    def test_canonicalize_ideals_equal_on_flat_families(self, rng, p, q):
+        """A canonical pair times the identity plus a nilpotent matrix
+        (even entries w-free on the diagonal, odd ones of w-degree <= 1
+        off it, so that both leads stay units) canonicalizes back to its
+        coefficients, and the two ideals are equal."""
+        amb = Ambient.fresh(0)
+        w, tp = amb.coords("x")
+        symbols = tuple(odd(f"muf{i}") for i in range(3))
+        mus = [V(mu) for mu in symbols]
+        chart = SuperChart("F", (), symbols)
+
+        def rational():
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+        def odd_value():
+            return SuperPoly.sum(rational() * mu for mu in mus)
+
+        def even_value():
+            return rational() + rational() * mus[0] * mus[1]
+
+        for _ in range(3):
+            values = ([even_value() for _ in range(p - q)],
+                      [even_value() for _ in range(q)],
+                      [odd_value() for _ in range(p - q)],
+                      [odd_value() for _ in range(q)])
+            f, g = canonical_pair(p, q, w, tp, *values)
+            f2 = (1 + rational() * mus[1] * mus[2]) * f + (
+                odd_value() + odd_value() * V(w)) * g
+            g2 = (odd_value() + odd_value() * V(w)) * f + (
+                1 + rational() * mus[0] * mus[2]) * g
+            ideal = IdealOnChart(chart, "x", (f2, g2))
+            slots = canonicalize(ideal, p, q, amb)
+            assert slots == {
+                f"{name}{i}": value
+                for name, group in zip(("a", "b", "alpha", "beta"), values)
+                for i, value in enumerate(group)}
+            assert_ideals_equal(ideal, p, q, amb, slots)
+
+    def test_target_composite_on_the_atlases(self, atlas_calls):
+        """tmap o inverse is the identity for every inversion, as the
+        certified inverse o tmap implies."""
+        calls = atlas_calls["invert_transition"]
+        assert len(calls) == 6 * len(TWISTS)
+        for (tmap,), inverse in calls:
+            ident = {c: LocalizedPoly(V(c)) for c in tmap.target.coordinates}
+            assert rules_equal(compose_rules(tmap, inverse), ident)
+
+    def test_source_composite_raises_not_a_unit(self):
+        """The kept composite is the one that can raise: the inverse's
+        locus 3 t1 - t2^2 (1 + t2) pulls back to (3 - s1 s2^2 (1 + s2))
+        / s1, whose body is no unit times loci."""
+        s1, s2, t1, t2 = (even(name, invertible=True)
+                          for name in ("s1n", "s2n", "t1n", "t2n"))
+        o, p = odd("on"), odd("pn")
+        tmap = TransitionMap(
+            SuperChart("T", (t1, t2), (p,)), SuperChart("S", (s1, s2), (o,)),
+            {t1: LocalizedPoly(V(s1, -1)), t2: LocalizedPoly(V(s2)),
+             p: LocalizedPoly((3 - V(s1) * V(s2, 2) * (1 + V(s2))) * V(o))})
+        with pytest.raises(NotAUnit, match="is not a unit times distinct "
+                           "loci"):
             invert_transition(tmap)

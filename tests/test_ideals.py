@@ -11,9 +11,9 @@ from superhilb.errors import (NonMonicDivisor, RankOrderViolation,
 from superhilb.ideals import (
     CanonicalIdeal,
     RawIdeal,
+    _first_witness_expansion,
     _poly_from_coeffs,
     _verify_change,
-    _witness_expansions,
     canonical_pair,
     kernel_witnesses,
     membership,
@@ -381,6 +381,24 @@ class TestStratification:
         stratification_generators(p, q)
         assert calls == []
 
+    @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (3, 2), (4, 4)])
+    def test_no_second_witness_expansion(self, monkeypatch, p, q):
+        """The strata certify the first witness expansion only, so they
+        never multiply g by theta + A."""
+        change = raw_to_canonical(p, q)
+        g = change.g_canonical + change.gamma_poly
+        theta_a = V(change.theta) + _poly_from_coeffs(change.alpha, change.x)
+        products = []
+        mul = SuperPoly.__mul__
+
+        def recorded(self, other):
+            products.append((self, other))
+            return mul(self, other)
+
+        monkeypatch.setattr(SuperPoly, "__mul__", recorded)
+        stratification_generators(p, q)
+        assert products and (g, theta_a) not in products
+
 
 # The ranks of the benchmark's ideals-algebra workload.
 RANKS = ((1, 0), (1, 1), (2, 1), (3, 2), (4, 2), (6, 3), (8, 4), (12, 6),
@@ -500,7 +518,7 @@ class TestEachCertificateFires:
         change = raw_to_canonical(2, 1)
         tampered = replace(change, f_canonical=change.f_canonical + 1)
         assert_certificate_fails("first kernel witness expansion",
-                                 _witness_expansions, tampered)
+                                 _first_witness_expansion, tampered)
 
     def test_witness_lies_in_the_basis_span(self, monkeypatch):
         reduce = ideals.reduce_to_basis

@@ -43,6 +43,15 @@ class TestLocusForm:
         product = (inverse * base).simplified()
         assert product.is_polynomial() and product.num == SuperPoly.one()
 
+    @pytest.mark.parametrize("n", [Fraction(1, 2), 1.5, 2.0],
+                             ids=["fraction", "float", "integral-float"])
+    def test_non_integer_exponent_raises(self, n):
+        """A bool counts as an int exponent; no other non-int does."""
+        value = self.parse("(a1 - a2)^-1")
+        with pytest.raises(TypeError, match="exponent is not an int"):
+            value ** n
+        assert value ** True == value
+
     def test_negative_power_is_repeated_reciprocal(self):
         once = self.parse("(a1 - a2)^-1")
         thrice = self.parse("(a1 - a2)^-3")

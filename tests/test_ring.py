@@ -417,6 +417,16 @@ class TestSharedNames:
 
 
 class TestExponentRange:
+    @pytest.mark.parametrize("n", [Fraction(1, 2), 1.5, 2.0],
+                             ids=["fraction", "float", "integral-float"])
+    def test_non_integer_exponent_raises(self, n):
+        """A power refuses a non-int exponent, as a product refuses an
+        inexact coefficient; a bool counts as an int."""
+        x = P(even("x", invertible=True))
+        with pytest.raises(TypeError, match="exponent is not an int"):
+            x ** n
+        assert x ** True == x
+
     def test_negative_power_needs_invertible(self):
         x = even("x")
         with pytest.raises(NegativePowerOfNonInvertible, match="variable x"):

@@ -119,22 +119,12 @@ def test_public_names_are_used_by_the_package():
     assert defined and not unused, unused
 
 
-def _untested_messages(raisers: dict) -> tuple:
-    """(sites, untested) over the calls in the package to a callee of
-    raisers, {callee: the error it raises}.  A site is (file, line,
-    message), its message the call's last argument: a literal's text, or
-    an f-string's literal parts.  It is untested unless its message has
-    text and one test module that names its error holds every part of it
-    in its string literals, adjacent literals joined."""
+def _message_sites(raisers: dict):
+    """(site, error, parts) for each call in the package to a callee of
+    raisers, {callee: the error it raises}.  A site is "file:line", and
+    the parts are those of the call's last argument: a literal's text, or
+    an f-string's literal parts."""
     package = Path(superhilb.__file__).resolve().parent
-    tests = Path(__file__).resolve().parent
-    texts = []
-    for path in sorted(tests.glob("test_*.py")):
-        text = path.read_text()
-        texts.append((text, "\n".join(
-            node.value for node in ast.walk(ast.parse(text, str(path)))
-            if isinstance(node, ast.Constant) and isinstance(node.value, str))))
-    sites, untested = [], []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             func = getattr(node, "func", None)
@@ -146,12 +136,29 @@ def _untested_messages(raisers: dict) -> tuple:
             parts = ([part.value for part in what.values
                       if isinstance(part, ast.Constant)]
                      if isinstance(what, ast.JoinedStr) else [what.value])
-            site = f"{path.name}:{node.lineno} {parts!r}"
-            sites.append(site)
-            if not any(parts) or not any(
-                    error in text and all(part in literals for part in parts)
-                    for text, literals in texts):
-                untested.append(site)
+            yield f"{path.name}:{node.lineno}", error, parts
+
+
+def _untested_messages(raisers: dict) -> tuple:
+    """(sites, untested) over the `_message_sites` of raisers, each as
+    "file:line parts".  A site is untested unless its message has text
+    and one test module that names its error holds every part of it in
+    its string literals, adjacent literals joined."""
+    tests = Path(__file__).resolve().parent
+    texts = []
+    for path in sorted(tests.glob("test_*.py")):
+        text = path.read_text()
+        texts.append((text, "\n".join(
+            node.value for node in ast.walk(ast.parse(text, str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str))))
+    sites, untested = [], []
+    for where, error, parts in _message_sites(raisers):
+        site = f"{where} {parts!r}"
+        sites.append(site)
+        if not any(parts) or not any(
+                error in text and all(part in literals for part in parts)
+                for text, literals in texts):
+            untested.append(site)
     return sites, untested
 
 
@@ -162,6 +169,17 @@ def test_every_certificate_has_a_test_that_fires_it():
     it."""
     sites, unfired = _untested_messages({"_certify": "CertificateError"})
     assert sites and not unfired, unfired
+
+
+def test_certificate_messages_are_distinct():
+    """No two `_certify` sites share the literal parts of their message,
+    so the message a test asserts names one certificate, and each
+    certificate maps to exactly one test that fires it."""
+    seen = {}
+    for where, _, parts in _message_sites({"_certify": "CertificateError"}):
+        seen.setdefault(tuple(parts), []).append(where)
+    shared = [sites for sites in seen.values() if len(sites) > 1]
+    assert seen and not shared, shared
 
 
 def test_every_guard_has_a_test_that_raises_it():
