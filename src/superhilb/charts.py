@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .errors import (ChartMismatch, HigherOrderTerms, NotAUnit,
                      NotCanonicalizable, ParityMismatch)
@@ -56,7 +57,8 @@ class SuperChart:
 @dataclass(frozen=True)
 class TransitionMap:
     """Rules give each target coordinate as an expression in source
-    coordinates, regular on the overlap."""
+    coordinates, regular on the overlap; a rule whose numerator or loci
+    read any other variable raises ChartMismatch."""
 
     target: SuperChart
     source: SuperChart
@@ -76,7 +78,15 @@ class TransitionMap:
             for coord, value in self.rules.items()
         }
         object.__setattr__(self, "rules", rules)
+        allowed = set(self.source.coordinates)
         for coord, value in rules.items():
+            foreign = value.num.variables().union(
+                *(locus.poly.variables() for locus in value.loci)) - allowed
+            if foreign:
+                raise ChartMismatch(
+                    f"rule for {coord.name} reads "
+                    f"{', '.join(sorted(v.name for v in foreign))}, not "
+                    f"coordinates of {self.source.name}")
             if value.is_zero():
                 continue
             want = "even" if coord.parity is Parity.EVEN else "odd"
@@ -134,32 +144,36 @@ def rules_equal(lhs: dict, rhs: dict) -> bool:
 
 
 def verify_cocycle(atlas: Atlas):
-    """Check every ordered composite against the stored transition.
+    """Check the generating composites of the cocycle condition.
 
-    Triples (i, j, i) check inverse consistency; (i, j, l) with distinct
-    charts check transitivity.  The composites through one inner
-    transition (j, l) share one power table, dropped before the next.
-    Returns (True, None) or (False, witness) where the witness names the
-    first failing triple, in that order, and coordinate.
+    Triples (i, j, i) check T_ij o T_ji = identity for every ordered
+    pair; (i, j, l) with the three charts in atlas order check
+    T_ij o T_jl = T_il.  The other five orders follow by associativity:
+    T_ji o T_il = T_ji o T_ij o T_jl = T_jl, and T_li = T_lj o T_ji, the
+    inverse of T_il.  So a four-chart atlas forms 12 + 4 composites and a
+    two-chart one 2.  The composites through one inner transition (j, l)
+    share one power table, dropped before the next.  Returns (True, None)
+    or (False, (i, j, l, coordinate)) for the first failing composite,
+    the inner transitions taken in atlas order.  ChartMismatch unless the
+    transitions are exactly the ordered pairs of distinct charts; a
+    composite that cannot be formed (a locus whose image is no unit)
+    raises NotAUnit.
     """
     names = [ch.name for ch in atlas.charts]
-    for j in names:
-        for l in names:
-            if l == j or (j, l) not in atlas.transitions:
-                continue
-            t_jl = atlas.transitions[(j, l)]
-            table = PowerTable(t_jl.rules)
-            for i in names:
-                if i == j or (i, j) not in atlas.transitions:
-                    continue
-                t_ij = atlas.transitions[(i, j)]
-                if l == i:
-                    expected = {c: V(c) for c in atlas.chart(i).coordinates}
-                else:
-                    expected = atlas.transitions[(i, l)].rules
-                for coord, value in _composite(t_ij, t_jl, table).items():
-                    if value != expected[coord]:
-                        return False, (i, j, l, coord.name)
+    if set(atlas.transitions) != set(permutations(names, 2)):
+        raise ChartMismatch("an atlas needs one transition for each ordered "
+                            "pair of distinct charts")
+    for (pj, j), (pl, l) in permutations(enumerate(names), 2):
+        t_jl = atlas.transitions[(j, l)]
+        table = PowerTable(t_jl.rules)
+        # T_lj o T_jl, and T_ij o T_jl for each i before j before l
+        for i in ((*names[:pj], l) if pj < pl else (l,)):
+            expected = ({c: V(c) for c in atlas.chart(l).coordinates}
+                        if i == l else atlas.transitions[(i, l)].rules)
+            composite = _composite(atlas.transitions[(i, j)], t_jl, table)
+            for coord, value in composite.items():
+                if value != expected[coord]:
+                    return False, (i, j, l, coord.name)
     return True, None
 
 
@@ -464,6 +478,8 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
         raise NotAUnit("transition inversion needs rules without loci")
     split = second_order(tmap)
 
+    # one distinct source even per target even, so all of them: the
+    # rules read only source coordinates (TransitionMap)
     bos_inv = {}
     matched = {}
     for t_coord, bos in split.bosonic.items():
@@ -475,8 +491,6 @@ def invert_transition(tmap: TransitionMap) -> TransitionMap:
         else:
             bos_inv[var] = SuperPoly.var(t_coord, -1) * coeff
         matched[t_coord] = var
-    if set(bos_inv) != set(source.evens):
-        raise NotCanonicalizable("even rules do not cover the source chart")
 
     # odd block: tau_m = sum_n H[m][n] sigma_n, inverted by its adjugate
     h, det = split.odd_block, split.det

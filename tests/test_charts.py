@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -7,6 +8,7 @@ from conftest import assert_certificate_fails, run_optimized
 from superhilb import charts
 from superhilb.charts import (
     Ambient,
+    Atlas,
     IdealOnChart,
     SuperChart,
     TransitionMap,
@@ -183,7 +185,8 @@ class TestProductIdeal:
         other = SuperChart("D", (even("d1"),), (odd("delta1"),))
         lhs = IdealOnChart(self.chart, "x", (V(x),))
         rhs = IdealOnChart(other, "x", (V(x),))
-        with pytest.raises(ChartMismatch):
+        with pytest.raises(ChartMismatch,
+                           match="product requires a common chart and patch"):
             product_ideal(lhs, rhs)
 
 
@@ -351,9 +354,89 @@ class TestTransitionMap:
         s = even("srule", invertible=True)
         t = even("trule", invertible=True)
         chart = SuperChart("T", (t,), ())
-        with pytest.raises(ChartMismatch, match="srule"):
+        with pytest.raises(ChartMismatch,
+                           match="rule for srule, not a coordinate of T"):
             TransitionMap(target=chart, source=SuperChart("S", (s,), ()),
                           rules={t: V(s), s: V(s)})
+
+    def test_missing_rule_raises(self):
+        t = even("trule", invertible=True)
+        chart = SuperChart("T", (t,), ())
+        with pytest.raises(ChartMismatch, match="missing rule for trule"):
+            TransitionMap(target=chart, source=chart, rules={})
+
+    def test_rules_in_the_target_coordinates_are_refused(self):
+        """Rules written in the target's coordinates name variables the
+        source chart does not have; read as they stand, this atlas would
+        pass the cocycle check."""
+        text = ("atlas swapped twist 0\n"
+                "chart U0\n  even x inv;\n  odd theta;\nend\n"
+                "chart U1\n  even y inv;\n  odd psi;\nend\n"
+                "transition U0 U1\n  x := x;\n  theta := theta;\nend\n"
+                "transition U1 U0\n  y := y;\n  psi := psi;\nend\n")
+        with pytest.raises(ChartMismatch,
+                           match="rule for x reads x, not coordinates of "
+                                 "U1"):
+            atlas_from_text(text)
+
+    def test_locus_in_a_foreign_variable_is_refused(self):
+        """The numerator reads only source coordinates; the locus u - 1
+        does not."""
+        s, t, u = (even(name, invertible=True)
+                   for name in ("srule", "trule", "urule"))
+        with pytest.raises(ChartMismatch,
+                           match="rule for trule reads urule, not "
+                                 "coordinates of S"):
+            TransitionMap(target=SuperChart("T", (t,), ()),
+                          source=SuperChart("S", (s,), ()),
+                          rules={t: LocalizedPoly(V(s), V(u) - 1)})
+
+
+class TestShapeRefusals:
+    """Each ChartMismatch of a chart, a composite or an ideal names what
+    does not fit."""
+
+    def test_duplicate_coordinate_names(self):
+        with pytest.raises(ChartMismatch,
+                           match="duplicate coordinate names on C"):
+            SuperChart("C", (even("dupc"),), (odd("dupc"),))
+
+    def test_unknown_chart_name(self):
+        with pytest.raises(ChartMismatch, match="no chart named Z"):
+            hilb11_atlas(2).chart("Z")
+
+    def test_composite_of_unmatched_charts(self):
+        atlas = hilb21_atlas(2)
+        with pytest.raises(ChartMismatch, match="cannot compose V2 with V3"):
+            compose_rules(atlas.transition("V1", "V2"),
+                          atlas.transition("V3", "V4"))
+
+    def test_partial_atlas(self):
+        atlas = hilb21_atlas(2)
+        del atlas.transitions[("V4", "V1")]
+        with pytest.raises(ChartMismatch, match="an atlas needs one "
+                           "transition for each ordered pair of distinct "
+                           "charts"):
+            verify_cocycle(atlas)
+
+    def test_self_transition(self):
+        """A stored U0 <- U0 map that doubles x is no composite of the
+        check, so the atlas that carries it is refused."""
+        text = atlas_to_text(pi_v_atlas(2)) + (
+            "transition U0 U0\n  x := 2*x;\n  theta := theta;\nend\n")
+        atlas = atlas_from_text(text)
+        with pytest.raises(ChartMismatch, match="an atlas needs one "
+                           "transition for each ordered pair of distinct "
+                           "charts"):
+            verify_cocycle(atlas)
+
+    def test_generator_of_mixed_parity(self):
+        amb = Ambient.fresh(0)
+        x, theta = amb.coords("x")
+        chart = SuperChart("C", (), ())
+        with pytest.raises(ChartMismatch,
+                           match="generators must have definite parity"):
+            IdealOnChart(chart, "x", (V(x) + V(theta),))
 
 
 class TestInvertTransition:
@@ -398,24 +481,40 @@ class TestInvertTransition:
         assert inv.rule(as_) == LocalizedPoly(V(ta))
 
     def test_term_beyond_the_wedge_raises(self):
+        """Rules read only source odds, so with one or two of them every
+        even rule is bosonic plus a wedge; a third source odd gives
+        second_order an even term that is neither."""
         s1 = even("s1h", invertible=True)
-        o1, o2, stray = odd("o1h"), odd("o2h"), odd("o3h")
+        o1, o2, o3 = odd("o1h"), odd("o2h"), odd("o3h")
         t1 = even("t1h", invertible=True)
-        p1, p2 = odd("p1h"), odd("p2h")
+        p1, p2, p3 = odd("p1h"), odd("p2h"), odd("p3h")
         rules = {
-            # o1*stray is even but is not a multiple of o1*o2
-            t1: LocalizedPoly(V(s1, -1) + V(o1) * V(o2) + V(o1) * V(stray)),
+            # o1*o3 is even but is not the wedge of two source odds
+            t1: LocalizedPoly(V(s1, -1) + V(o1) * V(o3)),
             p1: LocalizedPoly(V(o1)),
             p2: LocalizedPoly(V(o2)),
+            p3: LocalizedPoly(V(o3)),
         }
-        tmap = TransitionMap(target=SuperChart("T", (t1,), (p1, p2)),
-                             source=SuperChart("S", (s1,), (o1, o2)),
+        tmap = TransitionMap(target=SuperChart("T", (t1,), (p1, p2, p3)),
+                             source=SuperChart("S", (s1,), (o1, o2, o3)),
                              rules=rules)
         with pytest.raises(
                 HigherOrderTerms,
                 match="rule for t1h has odd terms beyond second order"):
-            invert_transition(tmap)
+            second_order(tmap)
         with pytest.raises(NotCanonicalizable):
+            second_order(tmap)
+
+    def test_rules_with_loci_raise(self):
+        s1, s2, t1, t2 = (even(name, invertible=True)
+                          for name in ("s1l", "s2l", "t1l", "t2l"))
+        o, p = odd("ol"), odd("pl")
+        tmap = TransitionMap(
+            SuperChart("T", (t1, t2), (p,)), SuperChart("S", (s1, s2), (o,)),
+            {t1: LocalizedPoly(V(s1)), t2: LocalizedPoly(V(s2), V(s1) - V(s2)),
+             p: LocalizedPoly(V(o))})
+        with pytest.raises(NotAUnit, match="transition inversion needs rules "
+                           "without loci"):
             invert_transition(tmap)
 
 
@@ -509,47 +608,59 @@ class TestAtlasSerialization:
     def test_missing_end_raises(self):
         text = atlas_to_text(hilb21_atlas(2))
         truncated = text[:text.rindex("end")]
-        with pytest.raises(ChartMismatch):
+        with pytest.raises(ChartMismatch) as refused:
             atlas_from_text(truncated)
+        assert str(refused.value) == "no end after transition V4 V3"
 
     def test_unexpected_line_raises(self):
         text = atlas_to_text(hilb11_atlas(3))
-        with pytest.raises(ChartMismatch):
+        with pytest.raises(ChartMismatch) as refused:
             atlas_from_text(text.replace("chart B", "chart_B"))
+        assert str(refused.value) == "unexpected line: chart_B"
 
-    @pytest.mark.parametrize("text", [
-        "atlas hilb21\n",
-        "atlas hilb21 twist x\n",
-        "atlas hilb21 twist 2\ntransition V1 V2\nend\n",
-        "atlas t twist 0\nchart A\n  even a1 inv;\nend\n"
-        "transition A A\n  q1 := a1;\nend\n",
-        "atlas t twist 0\nchart A\n  even a1 inv;\nend\n"
-        "transition A A\n  a1 = a1;\nend\n",
-        "atlas hilb21 twist " + "9" * 5000 + "\n",
+    @pytest.mark.parametrize("text, message", [
+        ("atlas hilb21\n",
+         "missing or malformed atlas header: 'atlas hilb21'"),
+        ("atlas hilb21 twist x\n",
+         "missing or malformed atlas header: 'atlas hilb21 twist x'"),
+        ("atlas hilb21 twist 2\ntransition V1 V2\nend\n",
+         "undeclared chart in transition V1 V2"),
+        ("atlas t twist 0\nchart A\n  even a1 inv;\nend\n"
+         "transition A A\n  q1 := a1;\nend\n",
+         "bad rule in transition A A: q1 := a1;"),
+        ("atlas t twist 0\nchart A\n  even a1 inv;\nend\n"
+         "transition A A\n  a1 = a1;\nend\n",
+         "bad rule in transition A A: a1 = a1;"),
+        ("atlas hilb21 twist " + "9" * 5000 + "\n",
+         "atlas twist of 5000 characters is too long"),
     ], ids=["no-twist", "twist-not-int", "undeclared-chart",
             "undeclared-coordinate", "rule-without-assign", "twist-too-long"])
-    def test_malformed_text_raises(self, text):
-        with pytest.raises(ChartMismatch):
+    def test_malformed_text_raises(self, text, message):
+        with pytest.raises(ChartMismatch) as refused:
             atlas_from_text(text)
+        assert str(refused.value) == message
 
-    @pytest.mark.parametrize("text, line", [
+    @pytest.mark.parametrize("text, message", [
         ("atlas t twist 0\nchart A\n  even a inv;\nend\n"
-         "chart A\n  even b inv;\nend\n", "chart A"),
+         "chart A\n  even b inv;\nend\n", "duplicate block: chart A"),
         ("atlas t twist 0\nchart A\n  even a inv;\nend\n"
          "chart B\n  even b inv;\nend\n"
          "transition B A\n  b := a^-1;\nend\n"
-         "transition B A\n  b := 2*a^-1;\nend\n", "transition B A"),
+         "transition B A\n  b := 2*a^-1;\nend\n",
+         "duplicate block: transition B A"),
         ("atlas t twist 0\nchart A\n  even c;\nend\n"
-         "chart B\n  even c inv;\nend\n", "chart B"),
+         "chart B\n  even c inv;\nend\n",
+         "chart B redeclares variable 'c'"),
         ("atlas t twist 0\nchart A\n  even a inv;\nend\n"
          "chart B\n  even b inv;\nend\n"
          "transition B A\n  b := a^-1;\n  b := 2*a^-1;\nend\n",
-         "transition B A"),
+         "duplicate rule in transition B A: b := 2*a^-1;"),
     ], ids=["duplicate-chart", "duplicate-transition", "redeclared-variable",
             "duplicate-rule"])
-    def test_duplicate_declaration_raises(self, text, line):
-        with pytest.raises(ChartMismatch, match=line):
+    def test_duplicate_declaration_raises(self, text, message):
+        with pytest.raises(ChartMismatch) as refused:
             atlas_from_text(text)
+        assert str(refused.value) == message
 
     def test_charts_equal_their_parsed_copies(self):
         atlas = hilb21_atlas(2)
@@ -738,17 +849,17 @@ class TestPowerTables:
             assert (power.num, power.loci) == (expected.num, expected.loci)
 
     def test_tampered_shared_inner_rule_is_caught(self):
-        """Triples (i, V1, V2) for i = V2, V3, V4 share the inner map
-        V1<-V2; a rule changed in place after a passing check must fail
+        """Triples (i, V3, V4) for i = V1, V2, V4 share the inner map
+        V3<-V4; a rule changed in place after a passing check must fail
         the next one, so no table outlives the call that built it."""
         atlas = hilb21_atlas(2)
         assert verify_cocycle(atlas) == (True, None)
-        t12 = atlas.transition("V1", "V2")
-        a1 = atlas.chart("V1").evens[0]
-        t12.rules[a1] = -t12.rules[a1]
+        t34 = atlas.transition("V3", "V4")
+        c1 = atlas.chart("V3").evens[0]
+        t34.rules[c1] = -t34.rules[c1]
         ok, witness = verify_cocycle(atlas)
         assert not ok
-        assert ("V1", "V2") in (witness[:2], witness[1:3])
+        assert ("V3", "V4") in (witness[:2], witness[1:3])
 
     def test_inverse_composition_without_simplification(self, monkeypatch):
         """No composite is simplified: the only `simplified()` calls
@@ -797,11 +908,24 @@ def calls_within(monkeypatch, outer: str, inner: str) -> list:
 
 
 class TestCostGuard:
+    @pytest.mark.parametrize("build, composites", [
+        (hilb21_atlas, 16), (hilb11_atlas, 2), (pi_v_atlas, 2)])
+    @pytest.mark.parametrize("k", [-3, 0, 8])
+    def test_cocycle_forms_the_generating_composites(self, monkeypatch,
+                                                     build, composites, k):
+        """verify_cocycle forms the inverse composite of each ordered
+        pair and one transitivity per three charts: 12 + 4 on hilb21 (36
+        with every ordered triple), 2 on a two-chart atlas."""
+        atlas = build(k)
+        counts = calls_within(monkeypatch, "verify_cocycle", "_composite")
+        assert charts.verify_cocycle(atlas) == (True, None)
+        assert counts == [composites], counts
+
     def test_cocycle_product_count(self, monkeypatch):
         """verify_cocycle(hilb21_atlas(20)) on a prebuilt atlas forms at
-        most 2075 polynomial products: 1660 measured with power tables
-        shared per inner transition, times 1.25 (powers rebuilt for every
-        composite took 7296)."""
+        most 814 polynomial products: 651 measured with the 16 generating
+        composites, times 1.25 (1388 with all 36 ordered composites, and
+        7296 with powers rebuilt for every composite)."""
         atlas = hilb21_atlas(20)
         calls = [0]
         mul = SuperPoly.__mul__
@@ -813,12 +937,12 @@ class TestCostGuard:
         monkeypatch.setattr(SuperPoly, "__mul__", counted)
         monkeypatch.setattr(SuperPoly, "__rmul__", counted)
         assert verify_cocycle(atlas) == (True, None)
-        assert calls[0] <= 2075, calls[0]
+        assert calls[0] <= 814, calls[0]
 
     def test_cocycle_term_pair_count(self, monkeypatch):
-        """The same products pair at most 46115 terms, len(a.terms) *
-        len(b.terms) summed: 36892 measured with monomials as name-sorted
-        tuples, times 1.25 (36172 with the odd-graded packed kernel)."""
+        """The same products pair at most 24161 terms, len(a.terms) *
+        len(b.terms) summed: 19329 measured with the 16 generating
+        composites, times 1.25 (25156 with all 36 ordered composites)."""
         atlas = hilb21_atlas(20)
         pairs = [0]
         mul = SuperPoly.__mul__
@@ -831,7 +955,7 @@ class TestCostGuard:
         monkeypatch.setattr(SuperPoly, "__mul__", counted)
         monkeypatch.setattr(SuperPoly, "__rmul__", counted)
         assert verify_cocycle(atlas) == (True, None)
-        assert pairs[0] <= 46115, pairs[0]
+        assert pairs[0] <= 24161, pairs[0]
 
     def test_k63_atlas_product_and_term_pair_counts(self, monkeypatch):
         """hilb21_atlas(63) forms at most 3525 polynomial products pairing
@@ -853,9 +977,9 @@ class TestCostGuard:
         assert counts[0] <= 3525 and counts[1] <= 6078, counts
 
     def test_cocycle_reciprocal_count(self, monkeypatch):
-        """The same check takes at most 30 reciprocals, as measured with
-        each locus image kept by the table that substitutes it (48 with
-        every value inverting its loci's images again)."""
+        """The same check takes at most 22 reciprocals, as measured with
+        the 16 generating composites (30 with all 36 ordered composites,
+        and 48 with every value inverting its loci's images again)."""
         atlas = hilb21_atlas(20)
         calls = [0]
         reciprocal = LocalizedPoly.reciprocal
@@ -866,7 +990,7 @@ class TestCostGuard:
 
         monkeypatch.setattr(LocalizedPoly, "reciprocal", counted)
         assert verify_cocycle(atlas) == (True, None)
-        assert calls[0] <= 30, calls[0]
+        assert calls[0] <= 22, calls[0]
 
     @pytest.mark.parametrize("k", [-3, 0, 8])
     def test_atlas_transports_each_point_once(self, monkeypatch, k):
@@ -941,7 +1065,7 @@ class TestEachGuardRaises:
         with pytest.raises(NotCanonicalizable, match=what):
             self.canonicalize(gens, p, q)
 
-    S1, S2, U = (even(name, invertible=True) for name in ("s1g", "s2g", "ug"))
+    S1, S2 = (even(name, invertible=True) for name in ("s1g", "s2g"))
     T1, T2, O, P = even("t1g"), even("t2g"), odd("og"), odd("pg")
 
     @pytest.mark.parametrize("evens,odds,rules,what", [
@@ -956,9 +1080,6 @@ class TestEachGuardRaises:
          "transition inversion needs matching even ranks"),
         ((S1, S2), (O,), {T1: V(S1), T2: 2 * V(S1), P: V(O)},
          "two even rules share a source variable"),
-        # u is not a coordinate of the source chart
-        ((S1, S2), (O,), {T1: V(S1), T2: V(U), P: V(O)},
-         "even rules do not cover the source chart"),
     ])
     def test_invert_transition_refuses(self, evens, odds, rules, what):
         target = SuperChart(
@@ -1015,9 +1136,78 @@ def assert_ideals_equal(ideal, p, q, amb, slots):
             assert not _normal_form(gen, w, f, p, g, tp, q)[0]
 
 
+def all_composites_hold(atlas) -> bool:
+    """The reference cocycle check: T_ij o T_jl against T_il, or against
+    the identity when l = i, for every ordered triple with i != j and
+    j != l (36 composites on four charts), each through its own table."""
+    names = [ch.name for ch in atlas.charts]
+    for i, j, l in product(names, repeat=3):
+        if i == j or j == l:
+            continue
+        expected = (
+            {c: LocalizedPoly(V(c)) for c in atlas.chart(i).coordinates}
+            if i == l else atlas.transition(i, l).rules)
+        if not rules_equal(compose_rules(atlas.transition(i, j),
+                                         atlas.transition(j, l)), expected):
+            return False
+    return True
+
+
 class TestImpliedIdentities:
     """The identities that a kept check implies, so that the chart layer
     does not check them again, computed here."""
+
+    @pytest.mark.parametrize("build, k", [
+        *((hilb21_atlas, k) for k in TWISTS),
+        *((build, k) for build in (hilb11_atlas, pi_v_atlas)
+          for k in range(-3, 4)),
+    ])
+    def test_every_ordered_composite_holds(self, build, k):
+        """The 16 generating composites imply the other 20 of the 36
+        ordered triples of a four-chart atlas; a two-chart atlas has
+        only its 2."""
+        atlas = build(k)
+        assert verify_cocycle(atlas) == (True, None)
+        assert all_composites_hold(atlas)
+
+    @pytest.mark.parametrize("change", [lambda value: -value,
+                                        lambda value: 2 * value],
+                             ids=["negated", "doubled"])
+    @pytest.mark.parametrize("k", [2, -3])
+    def test_each_changed_rule_fails_both_checks(self, change, k):
+        """Negating or doubling any one rule of any one transition makes
+        the generating composites and all 36 fail alike."""
+        atlas = hilb21_atlas(k)
+        for key, tmap in atlas.transitions.items():
+            for coord, value in tmap.rules.items():
+                rules = {**tmap.rules, coord: change(value)}
+                assert rules[coord] != value
+                changed = Atlas(atlas.name, k, atlas.charts, {
+                    **atlas.transitions,
+                    key: TransitionMap(tmap.target, tmap.source, rules)})
+                assert verify_cocycle(changed)[0] is False, (key, coord)
+                assert not all_composites_hold(changed), (key, coord)
+
+    def test_pairwise_inverse_maps_that_do_not_compose_fail(self):
+        """V1<-V3 precomposed with gamma1 -> -gamma1, and V3<-V1 followed
+        by it, stay mutual inverses, so only a transitivity can fail."""
+        atlas = hilb21_atlas(2)
+        t13, t31 = atlas.transition("V1", "V3"), atlas.transition("V3", "V1")
+        g1 = atlas.chart("V3").odds[0]
+        flip = {g1: LocalizedPoly(-V(g1))}
+        changed = Atlas(atlas.name, 2, atlas.charts, {
+            **atlas.transitions,
+            ("V1", "V3"): TransitionMap(t13.target, t13.source, {
+                c: value.substitute(flip) for c, value in t13.rules.items()}),
+            ("V3", "V1"): TransitionMap(t31.target, t31.source, {
+                **t31.rules, g1: -t31.rule(g1)})})
+        assert rules_equal(compose_rules(changed.transition("V1", "V3"),
+                                         changed.transition("V3", "V1")),
+                           {c: LocalizedPoly(V(c))
+                            for c in atlas.chart("V1").coordinates})
+        ok, witness = verify_cocycle(changed)
+        assert not ok and witness[0] != witness[2], witness
+        assert not all_composites_hold(changed)
 
     def test_canonicalize_ideals_equal_on_the_atlases(self, atlas_calls):
         """The input and canonical ideals of each canonicalize call are

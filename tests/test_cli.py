@@ -343,6 +343,14 @@ class TestSplitCheck:
         err = capsys.readouterr().err
         assert "error: --degree-bound applies to --target hilb21" in err
 
+    def test_negative_degree_bound_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["split-check", "--target", "hilb21", "--k", "1",
+                  "--degree-bound", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --degree-bound: must be nonnegative" in err
+
     @pytest.mark.parametrize("k_range", ["3..x", "5..1", "3"])
     def test_bad_k_range_exit_2(self, capsys, k_range):
         with pytest.raises(SystemExit) as exc:

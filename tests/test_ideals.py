@@ -99,6 +99,18 @@ class TestSuperDivmod:
         with pytest.raises(NonMonicDivisor):
             super_divmod(V(x), V(x) + V(theta), x, theta)
 
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(NonMonicDivisor, match="divisor is zero"):
+            super_divmod(V(self.x), SuperPoly.zero(), self.x, self.theta)
+
+    def test_normal_form_of_negative_powers_rejected(self):
+        """super_divmod shifts negative powers out first; the normal
+        form itself refuses them."""
+        x = even("xn", invertible=True)
+        with pytest.raises(NonMonicDivisor,
+                           match="dividend has negative x-powers"):
+            ideals._normal_form(V(x, -1), x, V(x) - 1, 1)
+
     def test_degree_far_beyond_divisor(self):
         x = self.x
         quo, rem = super_divmod(V(x, 3000), V(x) - 1, x, self.theta)
@@ -146,6 +158,11 @@ class TestRawToCanonical:
     def test_rank_violation(self):
         with pytest.raises(RankOrderViolation):
             raw_to_canonical(1, 2)
+
+    def test_canonical_ideal_of_rank_zero(self):
+        with pytest.raises(RankOrderViolation,
+                           match="canonical ideals need p >= 1"):
+            CanonicalIdeal.generic(0, 0)
 
     def test_golden_maps(self):
         """name=pretty(value) over forward and then backward, in dict

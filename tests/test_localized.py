@@ -52,6 +52,27 @@ class TestLocusForm:
             value ** n
         assert value ** True == value
 
+    def test_as_poly_refuses_loci(self):
+        value = self.parse("a1*(a1 - a2)^-1")
+        with pytest.raises(NotAUnit, match="is not a unit"):
+            value.as_poly()
+
+    @pytest.mark.parametrize("text, what", [
+        ("alpha1*(a1 - a2)^-1", "cannot invert an odd element"),
+        ("alpha1*alpha2*(a1 - a2)^-1", "cannot invert a nilpotent element"),
+    ], ids=["odd", "nilpotent"])
+    def test_reciprocal_refuses_non_units(self, text, what):
+        with pytest.raises(NotAUnit, match=what):
+            self.parse(text).reciprocal()
+
+    def test_division_is_the_reciprocal_product(self):
+        num = self.parse("a1 + alpha1*alpha2")
+        den = self.parse("(a1 - a2)*(b1*b2 - 1)^-1 + s1*s2")
+        quotient = num / den
+        assert quotient == num * den.reciprocal()
+        assert quotient * den == num
+        assert num / 2 == num * Fraction(1, 2)
+
     def test_negative_power_is_repeated_reciprocal(self):
         once = self.parse("(a1 - a2)^-1")
         thrice = self.parse("(a1 - a2)^-3")

@@ -74,6 +74,17 @@ class TestMatmul:
         with pytest.raises(ParityMismatch):
             SuperMatrix.from_lists(1, 1, [[1, 1], [0, 1]])
 
+    def test_negative_block_size(self):
+        with pytest.raises(ShapeMismatch,
+                           match="block sizes must be nonnegative"):
+            SuperMatrix.from_lists(2, -1, [[1]])
+
+    @pytest.mark.parametrize("rows", [[[1, 0]], [[1, 0], [0]]],
+                             ids=["row-missing", "entry-missing"])
+    def test_entries_of_the_wrong_shape(self, rows):
+        with pytest.raises(ShapeMismatch, match="expected 2x2 entries"):
+            SuperMatrix.from_lists(1, 1, rows)
+
 
 class TestLeftInverse:
     def test_zero_by_zero(self):

@@ -197,6 +197,33 @@ class TestVerdicts:
         full = build_full_coboundary_system(1, 3)
         assert solve_laurent_system(full) is None
 
+    def test_fourth_chart_without_a_section(self, monkeypatch):
+        """At k = 0 the three overlaps admit sections; a full-cover solve
+        that finds none leaves the verdict non-split, with no
+        certificate, and says why."""
+        solve = ob.solve_laurent_system
+        monkeypatch.setattr(
+            ob, "solve_laurent_system",
+            lambda system: None if len(system.blocks) == 8 else solve(system))
+        verdict = is_coboundary(0)
+        assert not verdict.split and verdict.certificate is None
+        assert verdict.case_label == "III"
+        assert verdict.trace[-2:] == [
+            "overlap V1/V3 is satisfied as well; the three-overlap system "
+            "is solvable",
+            "the fourth chart admits no compatible section"]
+
+    def test_v1_v3_residual_is_infeasible(self):
+        """At k = 0 the V1/V3 right side -1 is met by the constant h = 1;
+        doubled, it leaves the residual -1 once f and h are fixed."""
+        analysis = TestDefensiveGuards.analyze_with(
+            0, "V1V3.z", rhs={(0, 0): Fraction(-2)})
+        assert not analysis.feasible
+        assert analysis.case_label == "III"
+        assert analysis.forced == {"h_over_g": 1, "g00": 1, "h00": 1, "f": 0}
+        assert analysis.trace[-1] == ("overlap V1/V3 with f and h fixed: "
+                                      "residual - 1 = 0 fails")
+
 
 class TestGoldenVerdicts:
     """Pinned sha256 digests of the verdict JSON, one sort_keys line per

@@ -183,10 +183,12 @@ def test_certificate_messages_are_distinct():
 
 
 def test_every_guard_has_a_test_that_raises_it():
-    """Each NotCanonicalizable and HigherOrderTerms message appears in a
-    test module that names its error, so every check of a family's or a
-    system's shape has a test that makes it raise."""
+    """Each NotCanonicalizable, HigherOrderTerms and ChartMismatch message
+    appears in a test module that names its error, so every check of a
+    family's, a system's or an atlas's shape has a test that makes it
+    raise."""
     sites, unraised = _untested_messages(
         {"NotCanonicalizable": "NotCanonicalizable",
-         "HigherOrderTerms": "HigherOrderTerms"})
+         "HigherOrderTerms": "HigherOrderTerms",
+         "ChartMismatch": "ChartMismatch"})
     assert sites and not unraised, unraised
